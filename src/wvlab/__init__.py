@@ -71,6 +71,7 @@ from .rosenbloom import (
     RosenbloomStats,
     distribution,
     stats,
+    stats_grid,
     verify_pointwise_lemma,
     window_sum,
 )

@@ -3,8 +3,9 @@
 Subcommands: eval, stats, check, lemma, measure, sweep, optimality, report.
 Data goes to files or standard output; diagnostics go to standard error.
 Exit codes: 0 success, 2 validation error, 3 numeric invariant violation,
-4 numeric-domain or truncation failure.  ``--jobs`` affects wall time only,
-never output bytes.
+4 numeric-domain or truncation failure.  Runs are serial: each radius
+starts its scan from the previous one's window.  ``--jobs`` is accepted for
+compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
 from .families import FamilySpec, make_family
 from .measures import IntervalSet, final_density, h_log_measure, log_density
 from .reports import defaults_block, render_csv
-from .rosenbloom import stats, verify_pointwise_lemma
+from .rosenbloom import stats_grid, verify_pointwise_lemma
 from .series import DEFAULT_TOL
 
 
@@ -110,10 +111,8 @@ def _cmd_stats(args) -> int:
     else:
         grid = _grid_from_args(args, series.radius)
         xs = [math.log(r) for r in grid.points]
-    rows = []
-    for x in xs:
-        st = stats(series, x, args.tol)
-        rows.append((math.exp(x), st.g, st.g1, st.g2))
+    rows = [(math.exp(x), st.g, st.g1, st.g2)
+            for x, st in zip(xs, stats_grid(series, xs, args.tol))]
     _emit(args, ["r", "g", "g1", "g2"], rows)
     return 0
 

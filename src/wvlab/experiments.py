@@ -12,7 +12,6 @@ reported as estimates; grid-refinement stability is the quality control.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,9 @@ from .bounds import BoundSpec, HSpec, PsiSpec, eval_bound, psi_eval, psi_tail
 from .errors import DomainError, InvariantViolation, ValidationError
 from .measures import DEFAULT_MEASURE_TOL, IntervalSet, MeasureOutcome, \
     h_log_measure
-from .rosenbloom import stats
-from .series import DEFAULT_TOL, PowerSeries, log_max_term, log_positive_value
+from .rosenbloom import stats_grid
+from .series import _FIRST_WINDOW, DEFAULT_TOL, PowerSeries, \
+    _max_term_and_value
 
 SWEEP_C_MIN = 1e-3
 SWEEP_C_MAX = 1e9
@@ -131,18 +131,19 @@ class PointEval:
 
 def evaluate_grid(series: PowerSeries, grid: RadialGrid,
                   tol: float = DEFAULT_TOL, jobs: int = 1) -> list:
-    """Per-point max term and positive value; fixed order, jobs only affect
-    wall time."""
+    """Per-point max term and positive value, in grid order.
 
-    def one(r: float) -> PointEval:
-        mt = log_max_term(series, r)
-        return PointEval(r=r, log_mu=mt.log_mu, nu=mt.central_index,
-                         log_M=log_positive_value(series, r, tol))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, grid.points))
-    return [one(r) for r in grid.points]
+    One scan per radius, each starting from the previous radius's final
+    window.  The chain is serial; ``jobs`` is accepted for compatibility and
+    ignored.
+    """
+    out = []
+    start = _FIRST_WINDOW
+    for r in grid.points:
+        mt, log_M, start = _max_term_and_value(series, r, tol, start)
+        out.append(PointEval(r=r, log_mu=mt.log_mu, nu=mt.central_index,
+                             log_M=log_M))
+    return out
 
 
 @dataclass(frozen=True)
@@ -267,16 +268,7 @@ def standard_lemma_set(
     if target not in ("g", "gprime"):
         raise ValidationError("target must be 'g' or 'gprime'")
     _reject_monomial(series, "standard_lemma_set")
-
-    def one(r: float):
-        st = stats(series, math.log(r), tol)
-        return st
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            sts = list(pool.map(one, grid.points))
-    else:
-        sts = [one(r) for r in grid.points]
+    sts = stats_grid(series, [math.log(r) for r in grid.points], tol)
     if target == "g":
         v = [s.g for s in sts]
         d = [s.g1 for s in sts]
@@ -497,10 +489,10 @@ def run_experiment(config, out_dir, jobs: int = 1) -> dict:
                   [(e.r, e.log_mu, e.nu, e.log_M) for e in evals])
         lines.append(f"points = {len(evals)}")
     elif config.mode == "stats":
-        rows = []
-        for r in config.grid.points:
-            st = stats(series, math.log(r), config.tol)
-            rows.append((r, st.g, st.g1, st.g2))
+        sts = stats_grid(series, [math.log(r) for r in config.grid.points],
+                         config.tol)
+        rows = [(r, st.g, st.g1, st.g2)
+                for r, st in zip(config.grid.points, sts)]
         write_csv(csv_path, ["r", "g", "g1", "g2"], rows)
         lines.append(f"points = {len(rows)}")
     elif config.mode == "check":

@@ -36,7 +36,8 @@ def log_sum_exp(values) -> float:
         return LOG_ZERO
     if math.isinf(m):  # +inf: sum dominated by an infinite term
         return m
-    shifted = np.exp(arr - m)
+    shifted = arr - m
+    np.exp(shifted, out=shifted)
     if arr.size <= _FSUM_CUTOFF:
         s = math.fsum(shifted)
     else:

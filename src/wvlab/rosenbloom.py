@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .logdomain import log_sum_exp
-from .series import DEFAULT_TOL, PowerSeries, _scan
+from .series import _FIRST_WINDOW, DEFAULT_TOL, PowerSeries, _scan
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,9 @@ class LemmaPointReport:
     holds: bool
 
 
-def _point(series: PowerSeries, x: float, tol: float):
+def _point(series: PowerSeries, x: float, tol: float,
+           start: int = _FIRST_WINDOW):
+    """Scan, term logs up to the horizon, log F and the final window size."""
     if not math.isfinite(x):
         raise ValidationError(f"x must be finite, got {x}")
     if x >= math.log(series.radius):
@@ -80,34 +82,51 @@ def _point(series: PowerSeries, x: float, tol: float):
     # Moment sums weight the tail by (n - mean)^2, so the scan runs far
     # tighter than the requested tolerance; the horizon only grows by a few
     # dozen indices.
-    s = _scan(series, x, tol * 1e-6)
-    t = series._terms(x, s.horizon + 1)
-    g = log_sum_exp(t)
-    return s, t, g
+    (s,), t, stop = _scan(series, x, (tol * 1e-6,), start)
+    t = t[:s.horizon + 1]
+    return s, t, log_sum_exp(t), stop
 
 
-def distribution(series: PowerSeries, x: float,
-                 tol: float = DEFAULT_TOL) -> CoeffDistribution:
-    """Coefficient distribution of ``series`` at ``x = log r``."""
-    _, t, g = _point(series, x, tol)
-    return CoeffDistribution(x=x, log_F=g, log_mass=t - g)
-
-
-def stats(series: PowerSeries, x: float,
-          tol: float = DEFAULT_TOL) -> RosenbloomStats:
-    """(g, g', g'') at x; the variance uses a centered second pass.
+def _moments(t: np.ndarray, g: float) -> tuple:
+    """Mean and centered variance of the masses ``exp(t - g)``.
 
     Computing ``E X^2 - (E X)^2`` cancels catastrophically once the mean is
     large (it reaches 1e6 near the boundary), so g2 sums ``(n - g1)^2 p_n``
     around the already-computed mean.
     """
-    _, t, g = _point(series, x, tol)
-    p = np.exp(t - g)
+    p = t - g
+    np.exp(p, out=p)
     n = np.arange(t.size, dtype=float)
     g1 = float(np.dot(n, p))
-    d = n - g1
-    g2 = float(np.dot(d * d, p))
-    return RosenbloomStats(g=g, g1=g1, g2=g2)
+    n -= g1
+    n *= n
+    return g1, float(np.dot(n, p))
+
+
+def distribution(series: PowerSeries, x: float,
+                 tol: float = DEFAULT_TOL) -> CoeffDistribution:
+    """Coefficient distribution of ``series`` at ``x = log r``."""
+    _, t, g, _ = _point(series, x, tol)
+    return CoeffDistribution(x=x, log_F=g, log_mass=t - g)
+
+
+def stats(series: PowerSeries, x: float,
+          tol: float = DEFAULT_TOL) -> RosenbloomStats:
+    """(g, g', g'') at x; the variance uses a centered second pass."""
+    return stats_grid(series, [x], tol)[0]
+
+
+def stats_grid(series: PowerSeries, x_grid,
+               tol: float = DEFAULT_TOL) -> list[RosenbloomStats]:
+    """:func:`stats` at each x in order; each scan starts from the previous
+    x's final window."""
+    out = []
+    start = _FIRST_WINDOW
+    for x in x_grid:
+        _, t, g, start = _point(series, x, tol, start)
+        g1, g2 = _moments(t, g)
+        out.append(RosenbloomStats(g=g, g1=g1, g2=g2))
+    return out
 
 
 def window_sum(series: PowerSeries, x: float, c: float,
@@ -115,12 +134,8 @@ def window_sum(series: PowerSeries, x: float, c: float,
     """log of the term sum over integers with ``|n - g1| < c*sqrt(g2)``."""
     if not c > 1:
         raise ValidationError(f"c must be > 1, got {c}")
-    _, t, g = _point(series, x, tol)
-    p = np.exp(t - g)
-    n = np.arange(t.size, dtype=float)
-    g1 = float(np.dot(n, p))
-    d = n - g1
-    g2 = float(np.dot(d * d, p))
+    _, t, g, _ = _point(series, x, tol)
+    g1, g2 = _moments(t, g)
     if g2 <= 0:
         raise ValidationError(
             "window requires positive variance (series must not be a monomial)"
@@ -158,13 +173,10 @@ def verify_pointwise_lemma(
     if not c > 1:
         raise ValidationError(f"c must be > 1, got {c}")
     reports = []
+    start = _FIRST_WINDOW
     for x in x_grid:
-        s, t, g = _point(series, float(x), tol)
-        p = np.exp(t - g)
-        n = np.arange(t.size, dtype=float)
-        g1 = float(np.dot(n, p))
-        d = n - g1
-        g2 = float(np.dot(d * d, p))
+        s, t, g, start = _point(series, float(x), tol, start)
+        g1, g2 = _moments(t, g)
         if g2 <= 0:
             raise ValidationError(
                 f"zero variance at x={x:g}: chain verification refuses "

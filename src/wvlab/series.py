@@ -7,10 +7,17 @@ log-sum-exp is the value of the associated nonnegative-coefficient function.
 
 Truncation is governed by a run-length rule: a horizon ``N`` is accepted once
 the 50 terms following it each fall below ``max_term * tol / 50`` and ``N``
-lies strictly beyond the current central index.  The scan doubles its window
-until that happens, with a hard cap.  The rule is deliberately robust to
-non-unimodal coefficient sequences but remains a heuristic beyond the
-verified window.
+lies strictly beyond the current central index.  The rule is deliberately
+robust to non-unimodal coefficient sequences but remains a heuristic beyond
+the verified window.
+
+Each radius is scanned once: one window of term logs, starting at the
+caller's start size and doubling from there up to a hard cap, yields the
+horizon of every tolerance the caller needs, and the sums then run over
+prefixes of that same window.  The accepted horizon is the smallest ``N``
+passing a rule that reads only the prefix ``t[:N+51]``, so results do not
+depend on the start; along a grid each radius starts from the previous
+radius's final window.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ DEFAULT_TOL = 1e-9
 TAIL_RUN = 50
 HARD_CAP = 10**8
 _FIRST_WINDOW = 512
+_BLOCK = 4096
 
 
 class CoefficientSource:
@@ -106,9 +114,10 @@ class PowerSeries:
     """Analytic function given by coefficient magnitude logs.
 
     Instances are immutable apart from an internal, lock-protected coefficient
-    cache, so they are safe to share between concurrent readers.  Results are
-    bitwise independent of the number of workers: summation happens per radius
-    in a fixed order.
+    cache, so they are safe to share between concurrent readers.  A series
+    keeps no scan state: a caller that evaluates several radii passes each
+    scan's final window size as the next scan's start, the window doubles from
+    there, and results are bitwise independent of the start.
     """
 
     def __init__(
@@ -163,68 +172,114 @@ class PowerSeries:
         return arr[:stop]
 
     def _terms(self, x: float, stop: int) -> np.ndarray:
-        """Term logs ``log|a_n| + n*x`` for ``n < stop``."""
-        return self.log_coeffs(stop) + x * np.arange(stop, dtype=float)
+        """Term logs ``log|a_n| + n*x`` for ``n < stop``.
+
+        Built elementwise, so a longer window repeats every value of a shorter
+        one bit for bit.
+        """
+        t = np.arange(stop, dtype=float)
+        t *= x
+        t += self.log_coeffs(stop)
+        return t
 
     def __repr__(self):  # pragma: no cover
         return f"PowerSeries({self.label!r}, radius={self.radius})"
 
 
-def _find_horizon(t: np.ndarray, log_tail_tol: float) -> _Scan | None:
-    """Locate the smallest accepted horizon within a computed term prefix.
-
-    Accepts the smallest ``N`` strictly beyond the running central index such
-    that the 50 terms after ``N`` each sit below ``running_max +
-    log_tail_tol``.  Ties for the max break upward.
-    """
-    cm = np.maximum.accumulate(t)
-    if cm[-1] == LOG_ZERO:
-        return None
-    small = t < cm + log_tail_tol
-    notsmall = np.flatnonzero(~small)
-    if notsmall.size == 0:
-        return None
-    runs = np.empty(notsmall.size, dtype=np.int64)
-    runs[:-1] = np.diff(notsmall) - 1
-    runs[-1] = t.size - notsmall[-1] - 1
-    idx = np.arange(t.size)
-    achieves = np.where(t == cm, idx, -1)
-    nu_run = np.maximum.accumulate(achieves)
-    for i in np.flatnonzero(runs >= TAIL_RUN):
-        p = int(notsmall[i])
-        nu_p = int(nu_run[p])
-        if nu_p < 0:
-            continue
-        if p > nu_p:
-            horizon = p
-        elif runs[i] >= TAIL_RUN + 1:
-            horizon = p + 1
-        else:
-            continue
-        return _Scan(float(cm[horizon]), int(nu_run[horizon]), horizon)
+def _first_horizon(t: np.ndarray, big: np.ndarray) -> _Scan | None:
+    """Smallest accepted horizon, given ``big[n] = t[n] >= threshold[n]``."""
+    # Stretches of constant ``big``: a stretch of small terms that starts at
+    # ``edges[i]`` ends a run of big ones at ``p = edges[i] - 1``.
+    edges = np.flatnonzero(big[1:] != big[:-1]) + 1
+    lengths = np.diff(edges, append=t.size)
+    for i in np.flatnonzero(~big[edges] & (lengths >= TAIL_RUN)):
+        p = int(edges[i]) - 1
+        # Central index up to p: the last index holding max(t[:p+1]).  The
+        # horizon is p when p lies beyond it; when p is the central index
+        # itself, p + 1 qualifies if one more small term follows.
+        nu = p - int(np.argmax(t[p::-1] == t[:p + 1].max()))
+        if p > nu:
+            return _Scan(float(t[nu]), nu, p)
+        if lengths[i] >= TAIL_RUN + 1:
+            if t[p + 1] >= t[p]:
+                nu = p + 1
+            return _Scan(float(t[nu]), nu, p + 1)
     return None
 
 
-def _scan(series: PowerSeries, x: float, tol: float) -> _Scan:
+def _find_horizons(t: np.ndarray, log_tail_tols) -> list:
+    """Smallest accepted horizon within a term prefix, per tolerance.
+
+    Accepts the smallest ``N`` strictly beyond the running central index such
+    that the 50 terms after ``N`` each sit below ``running_max +
+    log_tail_tol``.  Ties for the max break upward.  ``None`` marks a
+    tolerance with no accepted horizon inside ``t``.
+
+    The running max at an index lies between the max before its block and
+    the max at the block's end.  Rounding is monotone, so a block whose
+    minimum clears ``end_max + log_tail_tol`` is all big, one whose maximum
+    stays below ``prior_max + log_tail_tol`` is all small, and only the
+    blocks in between need the running max term by term.
+    """
+    starts = np.arange(0, t.size, _BLOCK)
+    bmax = np.maximum.reduceat(t, starts)
+    bmin = np.minimum.reduceat(t, starts)
+    end_max = np.maximum.accumulate(bmax)
+    prior_max = np.concatenate(([LOG_ZERO], end_max[:-1]))
+    found = {}
+    for ltt in log_tail_tols:
+        if ltt in found:
+            continue
+        all_big = bmin >= end_max + ltt
+        big = np.repeat(all_big, _BLOCK)[:t.size]
+        for b in np.flatnonzero(~all_big & (bmax >= prior_max + ltt)):
+            lo = b * _BLOCK
+            blk = t[lo:lo + _BLOCK]
+            thr = np.maximum.accumulate(blk)
+            np.maximum(thr, prior_max[b], out=thr)
+            thr += ltt
+            big[lo:lo + _BLOCK] = blk >= thr
+        found[ltt] = _first_horizon(t, big)
+    return [found[ltt] for ltt in log_tail_tols]
+
+
+def _find_horizon(t: np.ndarray, log_tail_tol: float) -> _Scan | None:
+    """Smallest accepted horizon within ``t`` for one tolerance."""
+    return _find_horizons(t, [log_tail_tol])[0]
+
+
+def _require_nonzero(series: PowerSeries) -> None:
     if series._known_all_zero:
         raise DegenerateSeriesError(
             f"series {series.label!r} has no nonzero coefficient"
         )
-    log_tail_tol = math.log(tol / TAIL_RUN)
-    stop = _FIRST_WINDOW
+
+
+def _scan(series: PowerSeries, x: float, tols,
+          start: int = _FIRST_WINDOW) -> tuple:
+    """Scan one window of term logs at ``x = log r`` for every tolerance.
+
+    The window starts at ``start`` terms (at least 512, at most
+    ``HARD_CAP``) and doubles until each tolerance in ``tols`` has an
+    accepted horizon inside it.  Returns ``(scans, t, stop)``: one
+    :class:`_Scan` per tolerance, the term logs of the final window and its
+    size, which is the next radius's start.
+    """
+    _require_nonzero(series)
+    log_tail_tols = [math.log(tol / TAIL_RUN) for tol in tols]
+    stop = min(max(start, _FIRST_WINDOW), HARD_CAP)
     while True:
-        stop = min(stop, HARD_CAP)
         t = series._terms(x, stop)
-        found = _find_horizon(t, log_tail_tol)
-        if found is not None:
-            return found
+        scans = _find_horizons(t, log_tail_tols)
+        if None not in scans:
+            return scans, t, stop
         if stop >= HARD_CAP:
             raise TruncationError(
                 f"no certified horizon for {series.label!r} at log r={x:g} "
                 f"within {HARD_CAP} terms",
                 horizon=stop,
             )
-        stop *= 2
+        stop = min(2 * stop, HARD_CAP)
 
 
 def _check_radius(series: PowerSeries, r: float) -> None:
@@ -248,19 +303,17 @@ def truncation_horizon(series: PowerSeries, r: float, tol: float) -> int:
     if r == 0:
         deg = series.monomial_degree
         return (deg if deg is not None else 0) + 1
-    return _scan(series, math.log(r), tol).horizon
+    (s,), _, _ = _scan(series, math.log(r), (tol,))
+    return s.horizon
 
 
 def log_max_term(series: PowerSeries, r: float) -> MaxTermResult:
     """Max term log and central index at radius ``r``; ties break upward."""
     _check_radius(series, r)
-    if series._known_all_zero:
-        raise DegenerateSeriesError(
-            f"series {series.label!r} has no nonzero coefficient"
-        )
+    _require_nonzero(series)
     if r == 0:
         return MaxTermResult(series.log_coeff(0), 0)
-    s = _scan(series, math.log(r), DEFAULT_TOL)
+    (s,), _, _ = _scan(series, math.log(r), (DEFAULT_TOL,))
     return MaxTermResult(s.log_mu, s.nu)
 
 
@@ -268,15 +321,28 @@ def log_positive_value(series: PowerSeries, r: float,
                        tol: float = DEFAULT_TOL) -> float:
     """log of ``sum_n |a_n| r^n`` with relative truncation error <= tol."""
     _check_radius(series, r)
-    if series._known_all_zero:
-        raise DegenerateSeriesError(
-            f"series {series.label!r} has no nonzero coefficient"
-        )
+    _require_nonzero(series)
     if r == 0:
         return series.log_coeff(0)
-    x = math.log(r)
-    s = _scan(series, x, tol)
-    return log_sum_exp(series._terms(x, s.horizon + 1))
+    (s,), t, _ = _scan(series, math.log(r), (tol,))
+    return log_sum_exp(t[:s.horizon + 1])
+
+
+def _max_term_and_value(series: PowerSeries, r: float, tol: float,
+                        start: int) -> tuple:
+    """:func:`log_max_term` and :func:`log_positive_value` from one window.
+
+    Returns ``(max_term, log_value, stop)``; ``stop`` is the final window
+    size, to pass as the next radius's ``start``.
+    """
+    _check_radius(series, r)
+    _require_nonzero(series)
+    if r == 0:
+        a0 = series.log_coeff(0)
+        return MaxTermResult(a0, 0), a0, start
+    (mt, s), t, stop = _scan(series, math.log(r), (DEFAULT_TOL, tol), start)
+    return (MaxTermResult(mt.log_mu, mt.nu), log_sum_exp(t[:s.horizon + 1]),
+            stop)
 
 
 def max_modulus_sampled(
@@ -296,16 +362,12 @@ def max_modulus_sampled(
     _check_radius(series, r)
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    if series._known_all_zero:
-        raise DegenerateSeriesError(
-            f"series {series.label!r} has no nonzero coefficient"
-        )
+    _require_nonzero(series)
     if r == 0:
         return series.log_coeff(0)
-    x = math.log(r)
-    s = _scan(series, x, tol)
-    n = np.arange(s.horizon + 1, dtype=float)
-    t = series._terms(x, s.horizon + 1)
+    (s,), t, _ = _scan(series, math.log(r), (tol,))
+    t = t[:s.horizon + 1]
+    n = np.arange(t.size, dtype=float)
     m = float(np.max(t))
     w = np.exp(t - m)
     if phases is None:

@@ -1,12 +1,13 @@
+import math
 import os
 
 import pytest
 
-from wvlab import run_experiment
+from wvlab import family, run_experiment, stats
 from wvlab.cli import main
 from wvlab.config import parse_config, parse_psi
 from wvlab.errors import ValidationError
-from wvlab.reports import CSV_VERSION_LINE
+from wvlab.reports import CSV_VERSION_LINE, render_csv
 
 
 def read(path):
@@ -124,6 +125,22 @@ def test_cli_stats_geometric_x(capsys):
     r, g, g1, g2 = (float(v) for v in rows[2].split(","))
     assert g1 == pytest.approx(1.0, abs=1e-3)
     assert g2 == pytest.approx(2.0, abs=1e-3)
+
+
+def test_cli_stats_decreasing_x_matches_cold_points(capsys):
+    # Each x starts its scan from the previous x's window; going down the
+    # radii must still give exactly the cold per-point statistics.
+    xs = [-0.001, -0.01, -0.05, -0.3, -2.0]
+    code = main(["stats", "--family", "suleimanov", "--epsilon", "0.5",
+                 "--x=" + ",".join(repr(x) for x in xs)])
+    assert code == 0
+    series = family("suleimanov", epsilon=0.5)
+    cold = []
+    for x in xs:
+        st = stats(series, x)
+        cold.append((math.exp(x), st.g, st.g1, st.g2))
+    assert capsys.readouterr().out == render_csv(["r", "g", "g1", "g2"],
+                                                 cold)
 
 
 def test_cli_measure_unit_interval(tmp_path, capsys):

@@ -7,9 +7,12 @@ from wvlab import (
     ValidationError,
     bound_spec,
     constant_sweep,
+    evaluate_grid,
     family,
     h_disk,
     h_unit,
+    log_max_term,
+    log_positive_value,
     optimality_check,
     psi_logpow,
     psi_pow,
@@ -223,3 +226,19 @@ def test_violation_measure_stable_under_refinement(geometric_series):
                               grid.refined(2))
     m1, m2 = res1.measure.value, res2.measure.value
     assert abs(m1 - m2) <= 0.2 * max(m1, m2)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("family_id,params", [
+    ("suleimanov", {"epsilon": 0.5}),
+    ("kovari", {"rho": 1}),
+])
+def test_evaluate_grid_two_tolerances_match_per_point(family_id, params, tol):
+    # nu and log_mu come from the default tolerance, log_M from ``tol``;
+    # the chained one-window scans must reproduce the per-point calls.
+    series = family(family_id, **params)
+    grid = RadialGrid.gap_span(0.0, 0.995, 12)  # r = 0 takes no scan
+    for ev in evaluate_grid(series, grid, tol):
+        mt = log_max_term(series, ev.r)
+        assert (ev.log_mu, ev.nu) == (mt.log_mu, mt.central_index)
+        assert ev.log_M == log_positive_value(series, ev.r, tol)

@@ -1,0 +1,145 @@
+"""The one-window horizon kernel against the original per-scan search."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wvlab import PowerSeries, family
+from wvlab import series as series_mod
+from wvlab.series import TAIL_RUN, _find_horizon, _find_horizons, _scan, \
+    _Scan
+
+LOG_ZERO = -math.inf
+
+
+def oracle_find_horizon(t, log_tail_tol):
+    """The original search: running-max, achiever and run-length arrays."""
+    cm = np.maximum.accumulate(t)
+    if cm[-1] == LOG_ZERO:
+        return None
+    small = t < cm + log_tail_tol
+    notsmall = np.flatnonzero(~small)
+    if notsmall.size == 0:
+        return None
+    runs = np.empty(notsmall.size, dtype=np.int64)
+    runs[:-1] = np.diff(notsmall) - 1
+    runs[-1] = t.size - notsmall[-1] - 1
+    idx = np.arange(t.size)
+    achieves = np.where(t == cm, idx, -1)
+    nu_run = np.maximum.accumulate(achieves)
+    for i in np.flatnonzero(runs >= TAIL_RUN):
+        p = int(notsmall[i])
+        nu_p = int(nu_run[p])
+        if nu_p < 0:
+            continue
+        if p > nu_p:
+            horizon = p
+        elif runs[i] >= TAIL_RUN + 1:
+            horizon = p + 1
+        else:
+            continue
+        return _Scan(float(cm[horizon]), int(nu_run[horizon]), horizon)
+    return None
+
+
+def oracle_scan(series, x, tol):
+    """The original scan: a fresh window from 512 terms for one tolerance."""
+    log_tail_tol = math.log(tol / TAIL_RUN)
+    stop = 512
+    while True:
+        found = oracle_find_horizon(series._terms(x, stop), log_tail_tol)
+        if found is not None:
+            return found
+        stop *= 2
+
+
+# Integer-valued terms make exact ties, and exact hits on the threshold
+# ``running_max + log_tail_tol``, common.
+_value = st.integers(-40, 0).map(float)
+_segment = st.one_of(
+    st.lists(_value, min_size=1, max_size=30),                  # bumps
+    st.tuples(_value, st.integers(2, 6)).map(lambda p: [p[0]] * p[1]),
+    st.tuples(st.sampled_from([-200.0, LOG_ZERO]),              # tail runs
+              st.sampled_from([TAIL_RUN - 1, TAIL_RUN, TAIL_RUN + 1,
+                               TAIL_RUN + 2])).map(lambda p: [p[0]] * p[1]),
+)
+_terms = st.tuples(
+    st.integers(0, 60),                                         # -inf lead
+    st.lists(_segment, min_size=1, max_size=10),
+).map(lambda p: np.array([LOG_ZERO] * p[0] + sum(p[1], []), dtype=float))
+_log_tail_tol = st.sampled_from([-30.0, -10.0, -5.0, -1.0, 0.0, 3.0])
+# Block sizes small enough that the arrays span many all-big, all-small and
+# mixed blocks, plus the production size.
+_block = st.sampled_from([1, 2, 3, 8, 37, series_mod._BLOCK])
+
+
+@settings(max_examples=500, deadline=None)
+@given(t=_terms, log_tail_tol=_log_tail_tol, block=_block)
+def test_find_horizon_matches_original(t, log_tail_tol, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_mod, "_BLOCK", block)
+        assert _find_horizon(t, log_tail_tol) == \
+            oracle_find_horizon(t, log_tail_tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_terms, tols=st.lists(_log_tail_tol, min_size=1, max_size=3),
+       block=_block)
+def test_find_horizons_matches_each_tolerance(t, tols, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_mod, "_BLOCK", block)
+        assert _find_horizons(t, tols) == \
+            [oracle_find_horizon(t, ltt) for ltt in tols]
+
+
+def test_find_horizon_leaves_terms_untouched():
+    t = np.array([0.0, 1.0, -5.0] + [-100.0] * 60)
+    before = t.copy()
+    _find_horizons(t, [-10.0, -3.0])
+    assert np.array_equal(t, before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_terms, k=st.integers(0, 4),
+       tols=st.lists(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]),
+                     min_size=1, max_size=2), block=_block)
+def test_kernel_matches_original_scan(t, k, tols, block):
+    if not np.any(t > LOG_ZERO):
+        return  # an all-zero series is refused before any scan
+    series = PowerSeries.from_log_coeffs(t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_mod, "_BLOCK", block)
+        scans, window, stop = _scan(series, 0.0, tols, 512 * 2 ** k)
+    assert scans == [oracle_scan(series, 0.0, tol) for tol in tols]
+    assert window.size == stop
+    assert all(s.horizon + TAIL_RUN < stop for s in scans)
+
+
+@pytest.mark.parametrize("family_id,params,r", [
+    ("suleimanov", {"epsilon": 0.5}, 0.99),
+    ("kovari", {"rho": 1}, 0.99),
+    ("geometric", {}, 0.995),
+    ("exp", {}, 300.0),
+])
+def test_kernel_result_independent_of_start(family_id, params, r,
+                                            monkeypatch):
+    # A smaller cap keeps the over-cap start cheap; the kernel must read
+    # the cap at call time.
+    monkeypatch.setattr(series_mod, "HARD_CAP", 2 ** 18)
+    series = family(family_id, **params)
+    x = math.log(r)
+    tols = (1e-9, 1e-15)
+    expect = [oracle_scan(series, x, tol) for tol in tols]
+    cold, _, cold_stop = _scan(series, x, tols)
+    assert cold == expect
+    for k in range(10):
+        scans, t, stop = _scan(series, x, tols, 512 * 2 ** k)
+        assert scans == expect
+        assert stop == max(cold_stop, 512 * 2 ** k)
+        assert t.size == stop
+    scans, t, stop = _scan(series, x, tols, 2 ** 19)
+    assert scans == expect
+    assert stop == t.size == 2 ** 18
