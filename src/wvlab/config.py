@@ -36,11 +36,12 @@ from dataclasses import dataclass
 from .bounds import BoundSpec, HSpec, PsiSpec, bound_spec, h_by_id, \
     psi_exphalf, psi_iter, psi_logpow, psi_pow, psi_square
 from .errors import ValidationError
-from .experiments import RadialGrid
+from .experiments import MODE_TABLE, RadialGrid
 from .families import FamilySpec
 from .series import DEFAULT_TOL
 
-MODES = ("eval", "stats", "check", "lemma", "sweep", "optimality")
+MODES = tuple(MODE_TABLE)
+GRID_Q = 0.9  # [grid] q of a gap grid when the config gives none
 
 
 def parse_psi(text: str) -> PsiSpec:
@@ -69,21 +70,45 @@ def parse_psi(text: str) -> PsiSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated inputs for one experiment run."""
+    """Validated inputs for one experiment run.
+
+    Both ``wvlab <mode>`` and ``wvlab report`` build one through
+    ``given``.  ``x`` (log radii in any order) replaces the grid; only
+    ``wvlab stats --x`` sets it.
+    """
 
     mode: str
     label: str
     family: FamilySpec
-    grid: RadialGrid
+    grid: RadialGrid | None = None
     bound: BoundSpec | None = None
     measure_h: tuple = ()
-    lemma_c: float | None = None
+    lemma_c: float = math.sqrt(3.0)
     lemma_psi: PsiSpec | None = None
     lemma_h: HSpec | None = None
     lemma_target: str | None = None
     sweep_budget: float | None = None
     sweep_h: HSpec | None = None
     tol: float = DEFAULT_TOL
+    x: tuple | None = None
+
+    def __post_init__(self):
+        budgeted = {"psi": self.lemma_psi, "h": self.lemma_h,
+                    "target": self.lemma_target}
+        missing = [k for k, v in budgeted.items() if v is None]
+        if 0 < len(missing) < len(budgeted):
+            raise ValidationError(
+                "the budgeted lemma set needs psi, h and target; missing "
+                + ", ".join(missing)
+            )
+        if self.x is not None and self.grid is not None:
+            raise ValidationError(
+                "give either x = log r values or a grid, not both")
+
+    @classmethod
+    def given(cls, **fields) -> "ExperimentConfig":
+        """The config of the inputs given; a None field takes its default."""
+        return cls(**{k: v for k, v in fields.items() if v is not None})
 
 
 class _Section:
@@ -156,7 +181,7 @@ def _parse_grid(sec: _Section) -> RadialGrid:
         return RadialGrid.geometric(start, end, count, R=radius)
     if scheme == "gap":
         r0 = sec.take_float("r0", required=True)
-        q = sec.take_float("q", default=0.9)
+        q = sec.take_float("q", default=GRID_Q)
         count = sec.take_int("count", required=True)
         radius = sec.take_float("radius", default=1.0)
         sec.finish()
@@ -174,6 +199,12 @@ def _parse_bound(sec: _Section) -> BoundSpec:
     psi1 = sec.take("psi1")
     psi2 = sec.take("psi2")
     sec.finish()
+    return make_bound(bid, delta, n, C, h, psi1, psi2)
+
+
+def make_bound(bid: str, delta=None, n=None, C=None, h=None, psi1=None,
+               psi2=None) -> BoundSpec:
+    """``bound_spec`` with the weight ``h`` and the psi specs as text."""
     return bound_spec(
         bid, delta=delta, n=n, C=C,
         h=h_by_id(h) if h else None,
@@ -207,35 +238,32 @@ def parse_config(text: str) -> ExperimentConfig:
     tol = exp.take_float("tol", default=DEFAULT_TOL)
     exp.finish()
 
-    family = _parse_family(need("family"))
-    grid = _parse_grid(need("grid"))
-
-    bound = None
+    fields = dict(mode=mode, label=label, tol=tol,
+                  family=_parse_family(need("family")),
+                  grid=_parse_grid(need("grid")))
     if "bound" in sections:
-        bound = _parse_bound(sections["bound"])
-    measure_h: tuple = ()
+        fields["bound"] = _parse_bound(sections["bound"])
     if "measure" in sections:
         sec = sections["measure"]
         raw = sec.take("h", required=True)
-        measure_h = tuple(h_by_id(p.strip()) for p in raw.split(","))
+        fields["measure_h"] = tuple(h_by_id(p.strip())
+                                    for p in raw.split(","))
         sec.finish()
-    lemma_c = lemma_psi = lemma_h = lemma_target = None
     if "lemma" in sections:
         sec = sections["lemma"]
-        lemma_c = sec.take_float("c", default=math.sqrt(3.0))
+        fields["lemma_c"] = sec.take_float("c")
         psi_raw = sec.take("psi")
-        lemma_psi = parse_psi(psi_raw) if psi_raw else None
+        fields["lemma_psi"] = parse_psi(psi_raw) if psi_raw else None
         h_raw = sec.take("h")
-        lemma_h = h_by_id(h_raw) if h_raw else None
-        lemma_target = sec.take("target")
-        if lemma_target not in (None, "g", "gprime"):
+        fields["lemma_h"] = h_by_id(h_raw) if h_raw else None
+        fields["lemma_target"] = sec.take("target")
+        if fields["lemma_target"] not in (None, "g", "gprime"):
             raise ValidationError("config [lemma] target must be g or gprime")
         sec.finish()
-    sweep_budget = sweep_h = None
     if "sweep" in sections:
         sec = sections["sweep"]
-        sweep_budget = sec.take_float("budget", required=True)
-        sweep_h = h_by_id(sec.take("h", required=True))
+        fields["sweep_budget"] = sec.take_float("budget", required=True)
+        fields["sweep_h"] = h_by_id(sec.take("h", required=True))
         sec.finish()
 
     known = {"experiment", "family", "grid", "bound", "measure", "lemma",
@@ -244,14 +272,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if extra:
         raise ValidationError(f"config has unknown sections {sorted(extra)}")
 
-    if mode in ("check", "sweep") and bound is None:
+    if mode in ("check", "sweep") and "bound" not in fields:
         raise ValidationError(f"mode {mode!r} needs a [bound] section")
-    if mode == "sweep" and sweep_budget is None:
+    if mode == "sweep" and "sweep_budget" not in fields:
         raise ValidationError("mode 'sweep' needs a [sweep] section")
-
-    return ExperimentConfig(
-        mode=mode, label=label, family=family, grid=grid, bound=bound,
-        measure_h=measure_h, lemma_c=lemma_c, lemma_psi=lemma_psi,
-        lemma_h=lemma_h, lemma_target=lemma_target,
-        sweep_budget=sweep_budget, sweep_h=sweep_h, tol=tol,
-    )
+    return ExperimentConfig.given(**fields)

@@ -7,26 +7,34 @@ lower-bound constant for the extremal families.
 
 Violation sets are per-cell grid estimates (sampled at the left endpoint),
 reported as estimates; grid-refinement stability is the quality control.
+
+``MODE_TABLE`` maps each grid mode (eval, stats, check, lemma, sweep,
+optimality) to the one function that computes its CSV, its CLI diagnostics
+and its summary lines; ``wvlab <mode>`` and ``run_experiment`` (``wvlab
+report``) both call it, so the two surfaces write identical CSVs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundSpec, HSpec, PsiSpec, eval_bound, psi_eval, psi_tail
 from .errors import DomainError, InvariantViolation, ValidationError
+from .families import make_family
 from .measures import DEFAULT_MEASURE_TOL, IntervalSet, MeasureOutcome, \
     h_log_measure
-from .rosenbloom import stats_grid
+from .rosenbloom import stats_grid, verify_pointwise_lemma
 from .series import _FIRST_WINDOW, DEFAULT_TOL, PowerSeries, \
     _max_term_and_value
 
 SWEEP_C_MIN = 1e-3
 SWEEP_C_MAX = 1e9
-SWEEP_STEP = 10.0 ** 0.125
+SWEEP_STEPS_PER_DECADE = 8
+SWEEP_STEP = 10.0 ** (1 / SWEEP_STEPS_PER_DECADE)
 
 
 @dataclass(frozen=True)
@@ -130,12 +138,11 @@ class PointEval:
 
 
 def evaluate_grid(series: PowerSeries, grid: RadialGrid,
-                  tol: float = DEFAULT_TOL, jobs: int = 1) -> list:
+                  tol: float = DEFAULT_TOL) -> list:
     """Per-point max term and positive value, in grid order.
 
     One scan per radius, each starting from the previous radius's final
-    window.  The chain is serial; ``jobs`` is accepted for compatibility and
-    ignored.
+    window.
     """
     out = []
     start = _FIRST_WINDOW
@@ -187,7 +194,6 @@ def violation_set(
     grid: RadialGrid,
     measure_h: list | None = None,
     tol: float = DEFAULT_TOL,
-    jobs: int = 1,
 ) -> ViolationReport:
     """Estimate the set where log M exceeds the bound, cell by cell.
 
@@ -199,7 +205,7 @@ def violation_set(
             "lower bounds go through optimality_check, not violation_set"
         )
     _reject_monomial(series, "violation_set")
-    evals = evaluate_grid(series, grid, tol, jobs)
+    evals = evaluate_grid(series, grid, tol)
     margins = []
     undefined = []
     mask = [False] * (len(grid.points) - 1)
@@ -254,7 +260,6 @@ def standard_lemma_set(
     target: str,
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
-    jobs: int = 1,
 ) -> LemmaSetResult:
     """Grid estimate of the set where a derivative beats h * psi(value).
 
@@ -329,7 +334,6 @@ def constant_sweep(
     h: HSpec,
     measure_budget: float,
     tol: float = DEFAULT_TOL,
-    jobs: int = 1,
 ) -> SweepResult:
     """Smallest C on a log-spaced sweep whose violation measure fits a budget.
 
@@ -344,7 +348,7 @@ def constant_sweep(
         bound = BoundSpec(bound.bound_id, delta=bound.delta, n=bound.n, C=1.0,
                           h=bound.h, psi1=bound.psi1, psi2=bound.psi2)
     _reject_monomial(series, "constant_sweep")
-    evals = evaluate_grid(series, grid, tol, jobs)
+    evals = evaluate_grid(series, grid, tol)
     deficits = []
     undefined = []
     for ev in evals:
@@ -360,7 +364,8 @@ def constant_sweep(
     for k in range(len(pts) - 1):
         single = IntervalSet.from_pairs([(pts[k], pts[k + 1])], grid.R)
         cell_measure[k] = h_log_measure(single, h).require_value()
-    n_c = int(round(math.log10(SWEEP_C_MAX / SWEEP_C_MIN) * 8)) + 1
+    n_c = int(round(math.log10(SWEEP_C_MAX / SWEEP_C_MIN)
+                    * SWEEP_STEPS_PER_DECADE)) + 1
     trajectory = []
     c_star = None
     for i in range(n_c):
@@ -398,7 +403,6 @@ def optimality_check(
     series: PowerSeries,
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
-    jobs: int = 1,
     refine_factor: int = 2,
 ) -> OptimalityResult:
     """Fit the largest constant under M >= C * mu/(1-r) * sqrt(log(mu/(1-r))).
@@ -413,7 +417,7 @@ def optimality_check(
     _reject_monomial(series, "optimality_check")
 
     def log_ratios(g: RadialGrid):
-        evals = evaluate_grid(series, g, tol, jobs)
+        evals = evaluate_grid(series, g, tol)
         out = []
         skipped = 0
         for ev in evals:
@@ -450,114 +454,136 @@ def optimality_check(
 
 
 # ---------------------------------------------------------------------------
-# Config-driven runs
+# The mode table, shared by ``wvlab <mode>`` and ``wvlab report``.  Each
+# entry takes the series and a validated ``ExperimentConfig`` and returns
+# (CSV header, CSV rows, CLI stderr lines, summary lines).
 
 
-def _measure_lines(measures: dict) -> list:
-    lines = []
-    for h_id, outcome in sorted(measures.items()):
+def _mode_eval(series: PowerSeries, config) -> tuple:
+    evals = evaluate_grid(series, config.grid, config.tol)
+    return (["r", "log_mu", "nu", "log_M"],
+            [(e.r, e.log_mu, e.nu, e.log_M) for e in evals],
+            [], [f"points = {len(evals)}"])
+
+
+def _mode_stats(series: PowerSeries, config) -> tuple:
+    if config.x is None:
+        rs = config.grid.points
+        xs = [math.log(r) for r in rs]
+    else:
+        xs = config.x
+        rs = [math.exp(x) for x in xs]
+    rows = [(r, st.g, st.g1, st.g2)
+            for r, st in zip(rs, stats_grid(series, xs, config.tol))]
+    return ["r", "g", "g1", "g2"], rows, [], [f"points = {len(rows)}"]
+
+
+def _mode_check(series: PowerSeries, config) -> tuple:
+    report = violation_set(series, config.bound, config.grid,
+                           measure_h=config.measure_h, tol=config.tol)
+    cells = len(report.E_est.intervals)
+    measures = []
+    for h_id, outcome in sorted(report.measure_by.items()):
         if outcome.divergent:
-            lines.append(f"measure[{h_id}] = DIVERGENT ({outcome.note})")
+            measures.append(f"measure[{h_id}] = DIVERGENT ({outcome.note})")
         else:
-            lines.append(f"measure[{h_id}] = {outcome.value:.12g}")
-    return lines
+            measures.append(f"measure[{h_id}] = {outcome.value:.12g}")
+    diag = [f"bound {report.bound}: {report.violation_count} violating "
+            f"points, {cells} cells", *measures]
+    diag += [f"undefined at r={r:.12g}: {msg}"
+             for r, msg in report.undefined_points]
+    summary = [f"bound = {report.bound}",
+               f"violating_points = {report.violation_count}",
+               f"violation_cells = {cells}", *measures]
+    if report.undefined_points:
+        summary.append(
+            f"undefined at {len(report.undefined_points)} grid points")
+    return (["r", "log_M", "log_bound", "slack"],
+            [(m.r, m.log_M, m.log_bound, m.slack) for m in report.margins],
+            diag, summary)
 
 
-def run_experiment(config, out_dir, jobs: int = 1) -> dict:
-    """Execute the configured pipeline; write CSV plus summary, return paths.
+def _mode_lemma(series: PowerSeries, config) -> tuple:
+    points = verify_pointwise_lemma(
+        series, [math.log(r) for r in config.grid.points], config.lemma_c,
+        config.tol)
+    header = ["x", "r", "g", "g1", "g2", "log_mu", "log_window",
+              "count_bound", "margin_chebyshev", "margin_count",
+              "c_constant", "holds"]
+    rows = [(p.x, math.exp(p.x), p.g, p.g1, p.g2, p.log_mu, p.log_window,
+             p.count_bound, p.margin_chebyshev, p.margin_count, p.c_constant,
+             p.holds) for p in points]
+    diag = []
+    summary = [f"c = {config.lemma_c:.12g}",
+               f"chain_holds_everywhere = {all(p.holds for p in points)}"]
+    if config.lemma_psi is not None:  # psi, h and target come together
+        res = standard_lemma_set(series, config.lemma_psi, config.lemma_h,
+                                 config.lemma_target, config.grid, config.tol)
+        diag.append(f"budgeted set measure = {res.measure.value:.12g}, "
+                    f"budget = {res.budget:.12g}")
+        summary.append(f"budgeted set: target={res.target} "
+                       f"measure={res.measure.value:.12g} "
+                       f"budget={res.budget:.12g}")
+    return header, rows, diag, summary
+
+
+def _mode_sweep(series: PowerSeries, config) -> tuple:
+    res = constant_sweep(series, config.bound, config.grid, config.sweep_h,
+                         config.sweep_budget, config.tol)
+    if res.c_star is None:
+        c_star = "not found in sweep range"
+        diag = ["C_star not found in sweep range (valid outcome)"]
+    else:
+        c_star = f"{res.c_star:.12g}"
+        diag = [f"C_star = {c_star}"]
+    return (["C", "measure"], [(C, m) for C, m, _ in res.trajectory], diag,
+            [f"budget = {res.budget:.12g} under h={res.h_id}",
+             f"C_star = {c_star}"])
+
+
+def _mode_optimality(series: PowerSeries, config) -> tuple:
+    res = optimality_check(series, config.grid, config.tol)
+    diag = [f"C_low = {res.c_low:.12g} (refined {res.c_low_refined:.12g}, "
+            f"rel change {res.rel_change:.4g}, argmin r={res.argmin_r:.12g})"]
+    summary = [f"C_low = {res.c_low:.12g}",
+               f"C_low_refined = {res.c_low_refined:.12g}",
+               f"rel_change = {res.rel_change:.12g}"]
+    if res.outside_model_families:
+        flag = "flag: family is outside the extremal model families"
+        diag.append(flag)
+        summary.append(flag)
+    return ["r", "log_ratio"], res.rows, diag, summary
+
+
+MODE_TABLE = {
+    "eval": _mode_eval,
+    "stats": _mode_stats,
+    "check": _mode_check,
+    "lemma": _mode_lemma,
+    "sweep": _mode_sweep,
+    "optimality": _mode_optimality,
+}
+
+
+def run_experiment(config, out_dir) -> dict:
+    """Execute the configured mode; write CSV plus summary, return paths.
 
     Output is deterministic: identical configs produce byte-identical files.
     """
-    import os
-
-    from .families import make_family
+    # Imported here: reports reads this module's sweep constants.
     from .reports import render_summary, write_csv
-    from .rosenbloom import verify_pointwise_lemma
 
     os.makedirs(out_dir, exist_ok=True)
     series = make_family(config.family)
-    label = config.label
-    csv_path = os.path.join(out_dir, f"{label}.csv")
-    summary_path = os.path.join(out_dir, f"{label}.summary.txt")
+    header, rows, _, summary = MODE_TABLE[config.mode](series, config)
+    csv_path = os.path.join(out_dir, f"{config.label}.csv")
+    summary_path = os.path.join(out_dir, f"{config.label}.summary.txt")
+    write_csv(csv_path, header, rows)
+    grid = config.grid
     lines = [f"mode = {config.mode}", f"family = {series.label}",
-             f"grid = {config.grid.scheme} r0={config.grid.r0:.12g} "
-             f"q={config.grid.q:.12g} count={config.grid.count}"]
-
-    if config.mode == "eval":
-        evals = evaluate_grid(series, config.grid, config.tol, jobs)
-        write_csv(csv_path, ["r", "log_mu", "nu", "log_M"],
-                  [(e.r, e.log_mu, e.nu, e.log_M) for e in evals])
-        lines.append(f"points = {len(evals)}")
-    elif config.mode == "stats":
-        sts = stats_grid(series, [math.log(r) for r in config.grid.points],
-                         config.tol)
-        rows = [(r, st.g, st.g1, st.g2)
-                for r, st in zip(config.grid.points, sts)]
-        write_csv(csv_path, ["r", "g", "g1", "g2"], rows)
-        lines.append(f"points = {len(rows)}")
-    elif config.mode == "check":
-        report = violation_set(series, config.bound, config.grid,
-                               measure_h=list(config.measure_h),
-                               tol=config.tol, jobs=jobs)
-        write_csv(csv_path, ["r", "log_M", "log_bound", "slack"],
-                  [(m.r, m.log_M, m.log_bound, m.slack)
-                   for m in report.margins])
-        lines.append(f"bound = {report.bound}")
-        lines.append(f"violating_points = {report.violation_count}")
-        lines.append(f"violation_cells = {len(report.E_est.intervals)}")
-        lines += _measure_lines(report.measure_by)
-        if report.undefined_points:
-            lines.append(
-                f"undefined at {len(report.undefined_points)} grid points"
-            )
-    elif config.mode == "lemma":
-        c = config.lemma_c if config.lemma_c else math.sqrt(3.0)
-        x_grid = [math.log(r) for r in config.grid.points]
-        reports_rows = verify_pointwise_lemma(series, x_grid, c, config.tol)
-        write_csv(
-            csv_path,
-            ["x", "r", "g", "g1", "g2", "log_mu", "log_window",
-             "count_bound", "margin_chebyshev", "margin_count",
-             "c_constant", "holds"],
-            [(p.x, math.exp(p.x), p.g, p.g1, p.g2, p.log_mu, p.log_window,
-              p.count_bound, p.margin_chebyshev, p.margin_count,
-              p.c_constant, p.holds) for p in reports_rows],
-        )
-        lines.append(f"c = {c:.12g}")
-        lines.append(
-            f"chain_holds_everywhere = {all(p.holds for p in reports_rows)}"
-        )
-        if config.lemma_psi is not None and config.lemma_h is not None \
-                and config.lemma_target is not None:
-            res = standard_lemma_set(series, config.lemma_psi, config.lemma_h,
-                                     config.lemma_target, config.grid,
-                                     config.tol, jobs)
-            lines.append(
-                f"budgeted set: target={res.target} "
-                f"measure={res.measure.value:.12g} budget={res.budget:.12g}"
-            )
-    elif config.mode == "sweep":
-        res = constant_sweep(series, config.bound, config.grid,
-                             config.sweep_h, config.sweep_budget,
-                             config.tol, jobs)
-        write_csv(csv_path, ["C", "measure"],
-                  [(C, m) for C, m, _ in res.trajectory])
-        lines.append(f"budget = {res.budget:.12g} under h={res.h_id}")
-        lines.append(
-            "C_star = " + (f"{res.c_star:.12g}" if res.c_star is not None
-                           else "not found in sweep range")
-        )
-    elif config.mode == "optimality":
-        res = optimality_check(series, config.grid, config.tol, jobs)
-        write_csv(csv_path, ["r", "log_ratio"], res.rows)
-        lines.append(f"C_low = {res.c_low:.12g}")
-        lines.append(f"C_low_refined = {res.c_low_refined:.12g}")
-        lines.append(f"rel_change = {res.rel_change:.12g}")
-        if res.outside_model_families:
-            lines.append("flag: family is outside the extremal model families")
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown mode {config.mode!r}")
-
+             f"grid = {grid.scheme} r0={grid.r0:.12g} q={grid.q:.12g} "
+             f"count={grid.count}", *summary]
     with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(render_summary(f"wvlab {config.mode}: {label}", lines))
+        fh.write(render_summary(f"wvlab {config.mode}: {config.label}",
+                                lines))
     return {"csv": csv_path, "summary": summary_path}

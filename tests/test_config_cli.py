@@ -1,13 +1,18 @@
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 from wvlab import family, run_experiment, stats
 from wvlab.cli import main
-from wvlab.config import parse_config, parse_psi
+from wvlab.config import GRID_Q, parse_config, parse_psi
 from wvlab.errors import ValidationError
-from wvlab.reports import CSV_VERSION_LINE, render_csv
+from wvlab.experiments import SWEEP_C_MAX, SWEEP_C_MIN, SWEEP_STEP
+from wvlab.measures import DEFAULT_MEASURE_TOL, DIVERGENCE_THRESHOLD
+from wvlab.reports import CSV_VERSION_LINE, DEFAULTS, render_csv
+from wvlab.series import DEFAULT_TOL, HARD_CAP, TAIL_RUN
 
 
 def read(path):
@@ -68,6 +73,45 @@ def test_parse_config_diagnostics():
         parse_config(BASE_CONFIG.replace("[bound]", "[bound_zzz]"))
     with pytest.raises(ValidationError):  # a grid with no room is rejected
         parse_config(BASE_CONFIG.replace("count = 40", "count = 1"))
+
+
+@pytest.mark.parametrize("lemma,missing", [
+    ("psi = pow:1\nh = unit\n", "missing target"),
+    ("target = g\n", "missing psi, h"),
+])
+def test_parse_config_rejects_partial_budgeted_set(lemma, missing):
+    text = BASE_CONFIG.replace("mode = check", "mode = lemma")
+    with pytest.raises(ValidationError) as err:
+        parse_config(text + "\n[lemma]\n" + lemma)
+    assert missing in str(err.value)
+    # c alone asks for no budgeted set
+    assert parse_config(text + "\n[lemma]\nc = 2\n").lemma_c == 2.0
+
+
+def test_defaults_block_comes_from_the_constants():
+    assert float(DEFAULTS["tol"]) == DEFAULT_TOL
+    assert float(DEFAULTS["measure_tol"]) == DEFAULT_MEASURE_TOL
+    assert float(DEFAULTS["grid_q"]) == GRID_Q
+    no_q = BASE_CONFIG.replace("q = 0.9\n", "")
+    assert parse_config(no_q).grid.q == GRID_Q
+    lo, rest = DEFAULTS["sweep_range"].split("..")
+    hi, step = rest.split(" step 10^(1/")
+    assert (float(lo), float(hi)) == (SWEEP_C_MIN, SWEEP_C_MAX)
+    assert 10.0 ** (1 / int(step.rstrip(")"))) == SWEEP_STEP
+    assert float(DEFAULTS["divergence_threshold"]) == DIVERGENCE_THRESHOLD
+    assert int(DEFAULTS["truncation_run"]) == TAIL_RUN
+    assert int(DEFAULTS["truncation_cap"]) == HARD_CAP
+    # the printed strings, byte for byte
+    assert DEFAULTS == {
+        "tol": "1e-09",
+        "measure_tol": "1e-09",
+        "grid_q": "0.9",
+        "sweep_range": "1e-03..1e+09 step 10^(1/8)",
+        "divergence_threshold": "1e+06",
+        "truncation_run": "50",
+        "truncation_cap": "100000000",
+        "samples": "64",
+    }
 
 
 def test_parse_psi_specs():
@@ -193,6 +237,35 @@ def test_cli_invariant_violation_maps_to_3(monkeypatch, tmp_path):
                  "--psi", "pow:1", "--h", "unit", "--target", "gprime",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["lemma", "--family", "exp", "--grid-geo", "2:50:10", "--psi", "pow:1",
+      "--h", "unit"], "missing target"),
+    (["lemma", "--family", "exp", "--grid-geo", "2:50:10",
+      "--target", "g"], "missing psi, h"),
+    (["stats", "--family", "exp", "--x", "1,2", "--grid-gap", "0.5:0.9:5"],
+     "not both"),
+])
+def test_cli_rejects_partly_given_inputs(argv, needle, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wvlab", "eval", "--family", "exp",
+         "--grid-geo", "2:4:3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == [CSV_VERSION_LINE,
+                                            "r,log_mu,nu,log_M"]
 
 
 def test_cli_check_and_sweep(tmp_path):
