@@ -1,13 +1,13 @@
 """Command-line surface.
 
 Subcommands: eval, stats, check, lemma, measure, sweep, optimality, report.
-The six grid modes turn their flags into an ``ExperimentConfig`` and run
-the same ``experiments.MODE_TABLE`` entry as ``report``, so ``wvlab <mode>``
-and ``wvlab report`` write identical CSVs.  Data goes to files or standard
-output; diagnostics go to standard error.  Exit codes: 0 success, 2
-validation error, 3 numeric invariant violation, 4 numeric-domain or
-truncation failure.  Runs are serial; ``--jobs`` is accepted for
-compatibility and never read.
+A grid mode writes its flags as the config sections a file would hold (a
+flag with ``dest="section.key"`` is that key) and runs what ``wvlab report``
+runs: ``config.config_from_sections``, then the ``experiments.MODE_TABLE``
+entry.  Data goes to files or standard output; diagnostics go to standard
+error.  Exit codes: 0 success, 2 validation error, 3 numeric invariant
+violation, 4 numeric-domain or truncation failure.  Runs are serial;
+``--jobs`` is accepted for compatibility and never read.
 """
 
 from __future__ import annotations
@@ -17,71 +17,40 @@ import sys
 
 from . import experiments
 from .bounds import h_by_id
-from .config import ExperimentConfig, make_bound, parse_config, parse_psi
+from .config import config_from_sections, parse_config, parse_float
 from .errors import (
     DomainError,
     InvariantViolation,
     TruncationError,
     ValidationError,
 )
-from .families import FamilySpec, make_family
+from .families import FAMILY_IDS, FAMILY_PARAMS, FamilySpec, make_family
 from .measures import IntervalSet, final_density, h_log_measure, log_density
 from .reports import defaults_block, render_csv
 from .series import DEFAULT_TOL
+
+# ``--grid-<scheme>`` takes the values of these [grid] keys, colon-separated.
+_GRID_FLAGS = {"geo": ("start", "end", "count"), "gap": ("r0", "q", "count")}
 
 
 def _diag(*parts) -> None:
     print(*parts, file=sys.stderr)
 
 
-def _family_from_args(args) -> FamilySpec:
-    params = {}
-    for key in ("rho", "epsilon", "coeff", "degree", "radius"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    if getattr(args, "formula", None) is not None:
-        params["formula"] = args.formula
-    return FamilySpec(args.family, params)
-
-
-def _grid_from_args(args, default_R: float) -> experiments.RadialGrid | None:
-    if args.grid_geo and args.grid_gap:
-        raise ValidationError("give either --grid-geo or --grid-gap, not both")
-    if args.grid_geo:
-        parts = args.grid_geo.split(":")
-        if len(parts) != 3:
-            raise ValidationError("--grid-geo wants start:end:count")
-        start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return experiments.RadialGrid.geometric(start, end, count,
-                                                R=default_R)
-    if args.grid_gap:
-        parts = args.grid_gap.split(":")
-        if len(parts) != 3:
-            raise ValidationError("--grid-gap wants r0:q:count")
-        r0, q, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return experiments.RadialGrid.geometric_in_gap(r0, q, count,
-                                                       R=default_R)
-    if getattr(args, "x", None):  # stats --x needs no grid
-        return None
-    raise ValidationError("a grid is required: --grid-geo or --grid-gap")
-
-
 def _add_mode_parser(sub, mode: str, help_text: str):
     """A grid mode's subcommand with the family, grid and common flags."""
     p = sub.add_parser(mode, help=help_text)
-    p.add_argument("--family", required=True,
-                   help="exp|geometric|monomial|kovari|suleimanov|formula")
-    p.add_argument("--rho", type=float, help="kovari exponent (> 0)")
-    p.add_argument("--epsilon", type=float,
-                   help="suleimanov exponent (in (0,1))")
-    p.add_argument("--coeff", type=float, help="monomial coefficient")
-    p.add_argument("--degree", type=float, help="monomial degree")
-    p.add_argument("--radius", type=float, help="formula family radius")
-    p.add_argument("--formula", help="log-coefficient formula in n")
-    p.add_argument("--grid-geo", help="start:end:count (radius grows)")
-    p.add_argument("--grid-gap", help="r0:q:count (gap to R shrinks)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--family", dest="family.id", required=True,
+                   help="|".join(FAMILY_IDS))
+    for fid, params in FAMILY_PARAMS.items():
+        for name, (_, desc) in params.items():
+            p.add_argument(f"--{name}", dest=f"family.{name}",
+                           help=f"{fid}: {desc}")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--grid-geo", help="start:end:count (radius grows)")
+    grid.add_argument("--grid-gap", help="r0:q:count (gap to R shrinks)")
+    p.add_argument("--tol", dest="experiment.tol",
+                   help=f"default {DEFAULT_TOL:g}")
     p.add_argument("--jobs", type=int, default=1)  # accepted, never read
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(func=_cmd_mode)
@@ -89,45 +58,44 @@ def _add_mode_parser(sub, mode: str, help_text: str):
 
 
 def _add_bound_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound", required=True)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--C", type=float)
-    p.add_argument("--h", help="h weight for main/sk4 bounds")
-    p.add_argument("--psi1", help="psi spec, e.g. pow:1 or exphalf")
-    p.add_argument("--psi2")
+    p.add_argument("--bound", dest="bound.id", required=True)
+    for key in ("delta", "n", "C"):
+        p.add_argument(f"--{key}", dest=f"bound.{key}")
+    p.add_argument("--h", dest="bound.h", help="h weight for main/sk4 bounds")
+    p.add_argument("--psi1", dest="bound.psi1",
+                   help="psi spec, e.g. pow:1 or exphalf")
+    p.add_argument("--psi2", dest="bound.psi2")
 
 
-def _config_from_args(args, family: FamilySpec,
-                      radius: float) -> ExperimentConfig:
-    """The mode's flags as the config that ``wvlab report`` would read."""
-    mode = args.command
-    fields = dict(mode=mode, label=mode, family=family,
-                  grid=_grid_from_args(args, radius), tol=args.tol)
-    if mode in ("check", "sweep"):
-        fields["bound"] = make_bound(args.bound, args.delta, args.n, args.C,
-                                     args.h, args.psi1, args.psi2)
-    if mode == "check" and args.measure_h:
-        fields["measure_h"] = tuple(h_by_id(p.strip())
-                                    for p in args.measure_h.split(","))
-    if mode == "stats" and args.x:
-        fields["x"] = tuple(float(p) for p in args.x.split(","))
-    if mode == "lemma":
-        fields.update(lemma_c=args.c, lemma_target=args.target,
-                      lemma_psi=parse_psi(args.psi) if args.psi else None,
-                      lemma_h=h_by_id(args.h) if args.h else None)
-    if mode == "sweep":
-        fields.update(sweep_h=h_by_id(args.sweep_h),
-                      sweep_budget=args.budget)
-    return ExperimentConfig.given(**fields)
+def _sections_from_args(args) -> dict:
+    """The mode's flags as the config sections ``wvlab report`` reads."""
+    sections = {"experiment": {"mode": args.command, "label": args.command}}
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            sections.setdefault(section, {})[key] = value
+    for scheme, keys in _GRID_FLAGS.items():
+        text = getattr(args, f"grid_{scheme}")
+        if text:
+            fields = text.split(":")
+            if len(fields) != len(keys):
+                raise ValidationError(
+                    f"--grid-{scheme} wants {':'.join(keys)}")
+            sections["grid"] = {"scheme": scheme, **dict(zip(keys, fields))}
+    return sections
 
 
 def _cmd_mode(args) -> int:
-    family = _family_from_args(args)
-    series = make_family(family)
-    config = _config_from_args(args, family, series.radius)
-    run_mode = experiments.MODE_TABLE[config.mode]
-    header, rows, diag, _ = run_mode(series, config)
+    sections = _sections_from_args(args)
+    family = dict(sections["family"])
+    series = make_family(FamilySpec(family.pop("id"), family))
+    if "grid" in sections:  # the grid's R is the family's radius
+        sections["grid"]["radius"] = series.radius
+    x = None
+    if getattr(args, "x", None):  # stats --x: log radii in place of a grid
+        x = tuple(parse_float(v, "--x value") for v in args.x.split(","))
+    config = config_from_sections(sections, x)
+    header, rows, diag, _ = experiments.MODE_TABLE[config.mode](series, config)
     text = render_csv(header, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -189,13 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_mode_parser(sub, "check", "violation-set CSV for a bound")
     _add_bound_flags(p)
-    p.add_argument("--measure-h", help="comma list of h ids to measure under")
+    p.add_argument("--measure-h", dest="measure.h",
+                   help="comma list of h ids to measure under")
 
     p = _add_mode_parser(sub, "lemma", "pointwise chain CSV plus budgeted set")
-    p.add_argument("--c", type=float, help="default sqrt(3)")
-    p.add_argument("--psi", help="psi spec for the budgeted set")
-    p.add_argument("--h", help="h weight for the budgeted set")
-    p.add_argument("--target", choices=("g", "gprime"))
+    p.add_argument("--c", dest="lemma.c", help="default sqrt(3)")
+    p.add_argument("--psi", dest="lemma.psi",
+                   help="psi spec for the budgeted set")
+    p.add_argument("--h", dest="lemma.h", help="h weight for the budgeted set")
+    p.add_argument("--target", dest="lemma.target", help="g or gprime")
 
     p = sub.add_parser("measure", help="measure/density of an interval set")
     p.add_argument("--set", required=True, help="interval-set text file")
@@ -209,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_mode_parser(sub, "sweep", "constant sweep trajectory CSV")
     _add_bound_flags(p)
-    p.add_argument("--sweep-h", required=True)
-    p.add_argument("--budget", type=float, required=True)
+    p.add_argument("--sweep-h", dest="sweep.h", required=True)
+    p.add_argument("--budget", dest="sweep.budget", required=True)
 
     _add_mode_parser(sub, "optimality", "lower-bound constant summary")
 
@@ -246,3 +216,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

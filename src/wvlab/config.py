@@ -25,6 +25,9 @@ headers; lists are comma-separated.  Example::
 
     [measure]
     h = disklog, disk
+
+``config_from_sections`` validates the sections of a file and the flags of
+``wvlab <mode>``, which the CLI writes as the same sections.
 """
 
 from __future__ import annotations
@@ -70,10 +73,10 @@ def parse_psi(text: str) -> PsiSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated inputs for one experiment run.
+    """Validated inputs for one experiment run, built by
+    ``config_from_sections``.
 
-    Both ``wvlab <mode>`` and ``wvlab report`` build one through
-    ``given``.  ``x`` (log radii in any order) replaces the grid; only
+    ``x`` (log radii in any order) replaces the grid; only
     ``wvlab stats --x`` sets it.
     """
 
@@ -92,23 +95,13 @@ class ExperimentConfig:
     tol: float = DEFAULT_TOL
     x: tuple | None = None
 
-    def __post_init__(self):
-        budgeted = {"psi": self.lemma_psi, "h": self.lemma_h,
-                    "target": self.lemma_target}
-        missing = [k for k, v in budgeted.items() if v is None]
-        if 0 < len(missing) < len(budgeted):
-            raise ValidationError(
-                "the budgeted lemma set needs psi, h and target; missing "
-                + ", ".join(missing)
-            )
-        if self.x is not None and self.grid is not None:
-            raise ValidationError(
-                "give either x = log r values or a grid, not both")
 
-    @classmethod
-    def given(cls, **fields) -> "ExperimentConfig":
-        """The config of the inputs given; a None field takes its default."""
-        return cls(**{k: v for k, v in fields.items() if v is not None})
+def parse_float(raw, what: str) -> float:
+    """``float(raw)``; a ValidationError names ``what`` if it is no number."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValidationError(f"{what} = {raw!r} is not a number") from None
 
 
 class _Section:
@@ -131,22 +124,21 @@ class _Section:
         raw = self.take(key, required, None)
         if raw is None:
             return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(
-                f"config [{self.name}] {key} = {raw!r} is not a number"
-            ) from None
+        return parse_float(raw, f"config [{self.name}] {key}")
 
     def take_int(self, key: str, required: bool = False, default=None):
         v = self.take_float(key, required, None)
         if v is None:
             return default
-        if v != int(v):
+        if not v.is_integer():  # also rejects inf and nan
             raise ValidationError(
                 f"config [{self.name}] {key} must be an integer"
             )
         return int(v)
+
+    def take_rest(self) -> dict:
+        rest, self._map = self._map, {}
+        return rest
 
     def finish(self):
         if self._map:
@@ -154,20 +146,6 @@ class _Section:
                 f"config section [{self.name}] has unknown keys "
                 f"{sorted(self._map)}"
             )
-
-
-def _parse_family(sec: _Section) -> FamilySpec:
-    fid = sec.take("id", required=True)
-    params = {}
-    for key in ("rho", "epsilon", "coeff", "degree", "radius"):
-        v = sec.take_float(key)
-        if v is not None:
-            params[key] = v
-    formula = sec.take("formula")
-    if formula is not None:
-        params["formula"] = formula
-    sec.finish()
-    return FamilySpec(fid, params)
 
 
 def _parse_grid(sec: _Section) -> RadialGrid:
@@ -199,12 +177,6 @@ def _parse_bound(sec: _Section) -> BoundSpec:
     psi1 = sec.take("psi1")
     psi2 = sec.take("psi2")
     sec.finish()
-    return make_bound(bid, delta, n, C, h, psi1, psi2)
-
-
-def make_bound(bid: str, delta=None, n=None, C=None, h=None, psi1=None,
-               psi2=None) -> BoundSpec:
-    """``bound_spec`` with the weight ``h`` and the psi specs as text."""
     return bound_spec(
         bid, delta=delta, n=n, C=C,
         h=h_by_id(h) if h else None,
@@ -214,14 +186,29 @@ def make_bound(bid: str, delta=None, n=None, C=None, h=None, psi1=None,
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """The experiment of a config file's text."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (C vs c)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"config parse error: {exc}") from None
-    sections = {name: _Section(name, parser[name])
-                for name in parser.sections()}
+    return config_from_sections({name: parser[name]
+                                 for name in parser.sections()})
+
+
+def config_from_sections(sections, x=None) -> ExperimentConfig:
+    """The experiment of ``sections``: name -> {key: value}, each value
+    text as in a file, or a number.
+
+    ``x`` (log radii, from ``wvlab stats --x`` only) replaces ``[grid]``.
+    """
+    extra = set(sections) - {"experiment", "family", "grid", "bound",
+                             "measure", "lemma", "sweep"}
+    if extra:
+        raise ValidationError(f"config has unknown sections {sorted(extra)}")
+    sections = {name: _Section(name, pairs)
+                for name, pairs in sections.items()}
 
     def need(name: str) -> _Section:
         if name not in sections:
@@ -234,13 +221,17 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValidationError(
             f"config [experiment] mode must be one of {MODES}, got {mode!r}"
         )
-    label = exp.take("label", default=mode)
-    tol = exp.take_float("tol", default=DEFAULT_TOL)
+    fields = dict(mode=mode, label=exp.take("label", default=mode),
+                  tol=exp.take_float("tol"), x=x)
     exp.finish()
-
-    fields = dict(mode=mode, label=label, tol=tol,
-                  family=_parse_family(need("family")),
-                  grid=_parse_grid(need("grid")))
+    family = need("family")  # the id, then the parameters FamilySpec checks
+    fields["family"] = FamilySpec(family.take("id", required=True),
+                                  family.take_rest())
+    if x is None:
+        fields["grid"] = _parse_grid(need("grid"))
+    elif "grid" in sections:
+        raise ValidationError(
+            "give either x = log r values or a grid, not both")
     if "bound" in sections:
         fields["bound"] = _parse_bound(sections["bound"])
     if "measure" in sections:
@@ -260,20 +251,22 @@ def parse_config(text: str) -> ExperimentConfig:
         if fields["lemma_target"] not in (None, "g", "gprime"):
             raise ValidationError("config [lemma] target must be g or gprime")
         sec.finish()
+        budgeted = ("psi", "h", "target")
+        missing = [k for k in budgeted if fields[f"lemma_{k}"] is None]
+        if 0 < len(missing) < len(budgeted):
+            raise ValidationError(
+                "the budgeted lemma set needs psi, h and target; missing "
+                + ", ".join(missing)
+            )
     if "sweep" in sections:
         sec = sections["sweep"]
         fields["sweep_budget"] = sec.take_float("budget", required=True)
         fields["sweep_h"] = h_by_id(sec.take("h", required=True))
         sec.finish()
 
-    known = {"experiment", "family", "grid", "bound", "measure", "lemma",
-             "sweep"}
-    extra = set(sections) - known
-    if extra:
-        raise ValidationError(f"config has unknown sections {sorted(extra)}")
-
     if mode in ("check", "sweep") and "bound" not in fields:
         raise ValidationError(f"mode {mode!r} needs a [bound] section")
     if mode == "sweep" and "sweep_budget" not in fields:
         raise ValidationError("mode 'sweep' needs a [sweep] section")
-    return ExperimentConfig.given(**fields)
+    return ExperimentConfig(**{k: v for k, v in fields.items()
+                               if v is not None})

@@ -55,6 +55,9 @@ class RadialGrid:
 
     def __post_init__(self):
         pts = self.points
+        if not all(map(math.isfinite, pts)):
+            raise ValidationError(
+                f"{self.scheme} grid with R={self.R:g} has non-finite radii")
         if len(pts) < 2:
             raise ValidationError("grid needs at least two points")
         if any(b <= a for a, b in zip(pts, pts[1:])):

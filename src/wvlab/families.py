@@ -6,10 +6,13 @@ formulas:
 * ``exp``          log|a_n| = -log n!, infinite radius
 * ``geometric``    log|a_n| = 0, radius 1
 * ``monomial``     a single nonzero coefficient ``c * z^k``
-* ``kovari``       coefficients of exp((1-z)^-rho), rho > 0, radius 1
-* ``suleimanov``   log|a_n| = n^eps for n >= 1 (a_0 = 0), 0 < eps < 1, radius 1
+* ``kovari``       coefficients of exp((1-z)^-rho), radius 1
+* ``suleimanov``   log|a_n| = n^epsilon for n >= 1 (a_0 = 0), radius 1
 * ``formula``      a user formula for log|a_n| in a restricted expression
-                   language over n (see README)
+                   language over n (see README), with a given radius
+
+``FAMILY_PARAMS`` declares each family's parameters once; ``make_family``
+builds from the values they check.
 
 The ``kovari`` coefficients grow sub-factorially but overflow floats well
 before interesting radii, so the recurrences run on linearly scaled values
@@ -30,96 +33,18 @@ from .errors import ValidationError
 from .logdomain import LOG_ZERO
 from .series import CoefficientSource, PowerSeries, VectorizedSource
 
-FAMILY_IDS = ("exp", "geometric", "monomial", "kovari", "suleimanov", "formula")
-
 _RESCALE_THRESHOLD = 1e200
 _RESCALE_SHIFT = 230.0  # exp(-230) ~ 1e-100 per rescale
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Identifier plus named parameters for one function family."""
-
-    family_id: str
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family_id not in FAMILY_IDS:
-            raise ValidationError(
-                f"unknown family {self.family_id!r}; choose from {FAMILY_IDS}"
-            )
-        _validators[self.family_id](dict(self.params))
-
-
-def _require_float(params: dict, key: str, cond, desc: str) -> float:
-    if key not in params:
-        raise ValidationError(f"family parameter {key!r} is required ({desc})")
-    try:
-        v = float(params[key])
-    except (TypeError, ValueError):
-        raise ValidationError(f"family parameter {key!r} must be a number")
-    if not cond(v):
-        raise ValidationError(f"family parameter {key!r}={v} must satisfy {desc}")
-    return v
-
-
-def _validate_exp(params):
-    if params:
-        raise ValidationError("family 'exp' takes no parameters")
-
-
-def _validate_geometric(params):
-    if params:
-        raise ValidationError("family 'geometric' takes no parameters")
-
-
-def _validate_monomial(params):
-    _require_float(params, "coeff", lambda c: c != 0 and math.isfinite(c),
-                   "nonzero finite")
-    k = _require_float(params, "degree", lambda k: k >= 0 and k == int(k),
-                       "integer >= 0")
-    params.pop("coeff"), params.pop("degree")
-    if params:
-        raise ValidationError(f"unexpected monomial parameters {sorted(params)}")
-    return int(k)
-
-
-def _validate_kovari(params):
-    _require_float(params, "rho", lambda v: v > 0 and math.isfinite(v), "> 0")
-    params.pop("rho")
-    if params:
-        raise ValidationError(f"unexpected kovari parameters {sorted(params)}")
-
-
-def _validate_suleimanov(params):
-    _require_float(params, "epsilon", lambda v: 0 < v < 1, "in (0, 1)")
-    params.pop("epsilon")
-    if params:
-        raise ValidationError(
-            f"unexpected suleimanov parameters {sorted(params)}"
-        )
-
-
-def _validate_formula(params):
-    text = params.pop("formula", None)
-    if not isinstance(text, str) or not text.strip():
-        raise ValidationError("family 'formula' requires a formula string")
-    _compile_formula(text)
-    if "radius" in params:
-        _require_float(params, "radius", lambda v: v > 0, "> 0")
-        params.pop("radius")
-    if params:
-        raise ValidationError(f"unexpected formula parameters {sorted(params)}")
-
-
-_validators = {
-    "exp": _validate_exp,
-    "geometric": _validate_geometric,
-    "monomial": _validate_monomial,
-    "kovari": _validate_kovari,
-    "suleimanov": _validate_suleimanov,
-    "formula": _validate_formula,
-}
+def _number(cond, default=None):
+    """A check: a float that satisfies ``cond``; ``default`` if not given."""
+    def check(value):
+        v = float(default if value is None else value)
+        if not cond(v):
+            raise ValueError(v)
+        return v
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +123,68 @@ def _compile_formula(text: str):
                                np.shape(n_array)).copy()
 
     return fn
+
+
+# ---------------------------------------------------------------------------
+# Each family's parameters: name -> (check, description).  A check maps the
+# given value (None when absent) to the checked one; TypeError or ValueError
+# means the value is not what the description says.  A parameter's CLI flag
+# and config key are its name.
+FAMILY_PARAMS = {
+    "exp": {},
+    "geometric": {},
+    "monomial": {
+        "coeff": (_number(lambda c: c != 0 and math.isfinite(c)),
+                  "a nonzero finite coefficient c"),
+        "degree": (_number(lambda k: k >= 0 and k.is_integer()),
+                   "an integer degree k >= 0"),
+    },
+    "kovari": {
+        "rho": (_number(lambda v: v > 0 and math.isfinite(v)),
+                "a finite exponent rho > 0"),
+    },
+    "suleimanov": {
+        "epsilon": (_number(lambda v: 0 < v < 1), "an exponent in (0, 1)"),
+    },
+    "formula": {
+        "formula": (_compile_formula, "an expression in n for log|a_n|"),
+        "radius": (_number(lambda v: v > 0, default=math.inf),
+                   "a radius > 0 (default inf)"),
+    },
+}
+FAMILY_IDS = tuple(FAMILY_PARAMS)
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Identifier plus named parameters for one function family."""
+
+    family_id: str
+    params: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_params(self.family_id, self.params)
+
+
+def _check_params(family_id: str, params: Mapping) -> dict:
+    """A family's checked parameters: floats, and the compiled formula."""
+    if family_id not in FAMILY_PARAMS:
+        raise ValidationError(
+            f"unknown family {family_id!r}; choose from {FAMILY_IDS}"
+        )
+    table = FAMILY_PARAMS[family_id]
+    extra = sorted(set(params) - set(table))
+    if extra:
+        raise ValidationError(f"unexpected {family_id} parameters {extra}")
+    checked = {}
+    for key, (check, desc) in table.items():
+        try:
+            checked[key] = check(params.get(key))
+        except (TypeError, ValueError):
+            got = f"got {params[key]!r}" if key in params else "none given"
+            raise ValidationError(
+                f"family parameter {key!r} must be {desc}; {got}") from None
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +312,8 @@ class _KovariRho1Source(CoefficientSource):
 # ---------------------------------------------------------------------------
 
 def make_family(spec: FamilySpec) -> PowerSeries:
-    """Build the series described by ``spec``."""
-    p = dict(spec.params)
+    """Build the series described by ``spec`` from its checked parameters."""
+    p = _check_params(spec.family_id, spec.params)
     fid = spec.family_id
     if fid == "exp":
         return PowerSeries(
@@ -339,8 +326,8 @@ def make_family(spec: FamilySpec) -> PowerSeries:
             1.0, "geometric", family_id="geometric",
         )
     if fid == "monomial":
-        c = float(p["coeff"])
-        k = int(float(p["degree"]))
+        c = p["coeff"]
+        k = int(p["degree"])
         values = np.full(k + 1, LOG_ZERO)
         values[k] = math.log(abs(c))
         s = PowerSeries.from_log_coeffs(
@@ -349,13 +336,13 @@ def make_family(spec: FamilySpec) -> PowerSeries:
         s.family_id = "monomial"
         return s
     if fid == "kovari":
-        rho = float(p["rho"])
+        rho = p["rho"]
         source = _KovariRho1Source() if rho == 1.0 else _ScaledExpSource(
             lambda count, _r=rho: binomial_series(_r, count)
         )
         return PowerSeries(source, 1.0, f"kovari({rho:g})", family_id="kovari")
     if fid == "suleimanov":
-        eps = float(p["epsilon"])
+        eps = p["epsilon"]
 
         def log_coeff(n, _e=eps):
             n = np.asarray(n, dtype=float)
@@ -368,15 +355,13 @@ def make_family(spec: FamilySpec) -> PowerSeries:
             f"suleimanov({eps:g})", family_id="suleimanov",
         )
     if fid == "formula":
-        text = str(p["formula"])
-        radius = float(p.get("radius", math.inf))
-        fn = _compile_formula(text)
+        text, fn = spec.params["formula"], p["formula"]
         probe = fn(np.arange(8, dtype=float))
         if np.isnan(probe).any() or np.isposinf(probe).any():
             raise ValidationError(
                 "formula must evaluate to a finite value or -inf at small n"
             )
-        return PowerSeries(VectorizedSource(fn), radius,
+        return PowerSeries(VectorizedSource(fn), p["radius"],
                            f"formula({text})", family_id="formula")
     raise ValidationError(f"unknown family {fid!r}")  # pragma: no cover
 

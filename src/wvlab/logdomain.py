@@ -14,10 +14,6 @@ import numpy as np
 LOG_ZERO = float("-inf")
 
 
-def is_log_zero(x: float) -> bool:
-    return x == LOG_ZERO
-
-
 _FSUM_CUTOFF = 1 << 17
 
 

@@ -263,9 +263,14 @@ def _scan(series: PowerSeries, x: float, tols,
     ``HARD_CAP``) and doubles until each tolerance in ``tols`` has an
     accepted horizon inside it.  Returns ``(scans, t, stop)``: one
     :class:`_Scan` per tolerance, the term logs of the final window and its
-    size, which is the next radius's start.
+    size, which is the next radius's start.  Every evaluation passes here,
+    so this rejects a tolerance that is not finite and > 0.
     """
     _require_nonzero(series)
+    for tol in tols:
+        if not 0 < tol < math.inf:  # also rejects nan
+            raise ValidationError(
+                f"tolerance must be finite and > 0, got {tol!r}")
     log_tail_tols = [math.log(tol / TAIL_RUN) for tol in tols]
     stop = min(max(start, _FIRST_WINDOW), HARD_CAP)
     while True:

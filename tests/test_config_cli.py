@@ -254,18 +254,68 @@ def test_cli_rejects_partly_given_inputs(argv, needle, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,needle", [
+    # malformed numbers
+    (["eval", "--family", "exp", "--grid-geo", "a:b:3"], "[grid] start"),
+    (["eval", "--family", "exp", "--grid-geo", "2:10:3.5"], "[grid] count"),
+    (["eval", "--family", "geometric", "--grid-gap", "0.5:0.5:x"],
+     "[grid] count"),
+    (["stats", "--family", "exp", "--x", "1,abc"], "--x"),
+    # a gap grid on an infinite disk has no finite radii
+    (["eval", "--family", "exp", "--grid-gap", "0.5:0.5:3"], "R=inf"),
+    # tolerances that are not finite and > 0
+    (["eval", "--family", "exp", "--grid-geo", "2:10:3", "--tol", "0"],
+     "tolerance"),
+    (["eval", "--family", "exp", "--grid-geo", "2:10:3", "--tol=-1"],
+     "tolerance"),
+    (["eval", "--family", "exp", "--grid-geo", "2:10:3", "--tol", "inf"],
+     "tolerance"),
+    (["lemma", "--family", "exp", "--grid-geo", "2:10:3", "--tol", "nan"],
+     "tolerance"),
+])
+def test_cli_malformed_input_exits_2(argv, needle, tmp_path, capsys,
+                                     monkeypatch):
+    from wvlab import series as series_mod
+
+    # An unchecked tolerance of inf scans up to HARD_CAP terms; keep the
+    # cap small so that a regression fails fast instead of allocating.
+    monkeypatch.setattr(series_mod, "HARD_CAP", 1 << 16)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new,needle", [
+    ("count = 40", "count = inf", "[grid] count"),
+    ("count = 40", "count = nan", "[grid] count"),
+    ("count = 40", "count = 1e400", "[grid] count"),
+    ("label = demo", "label = demo\ntol = 0", "tolerance"),
+])
+def test_report_malformed_input_exits_2(old, new, needle, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE_CONFIG.replace(old, new), encoding="utf-8")
+    code = main(["report", "--config", str(cfg), "--out-dir",
+                 str(tmp_path / "out")])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out" / "demo.csv").exists()
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "wvlab", "eval", "--family", "exp",
-         "--grid-geo", "2:4:3"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[:2] == [CSV_VERSION_LINE,
-                                            "r,log_mu,nu,log_M"]
+    for module in ("wvlab", "wvlab.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "eval", "--family", "exp",
+             "--grid-geo", "2:4:3"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert proc.stdout.splitlines()[:2] == [CSV_VERSION_LINE,
+                                                "r,log_mu,nu,log_M"]
 
 
 def test_cli_check_and_sweep(tmp_path):

@@ -41,6 +41,8 @@ def test_grid_validation():
         RadialGrid.geometric_in_gap(0.5, 1.1, 10)
     with pytest.raises(ValidationError):
         RadialGrid.geometric(0.5, 0.9, 10, R=0.8)  # exceeds R
+    with pytest.raises(ValidationError, match="R=inf"):  # radii inf - inf
+        RadialGrid.geometric_in_gap(0.5, 0.5, 3, R=math.inf)
 
 
 def test_grid_refinement_nests():

@@ -7,6 +7,7 @@ surfaces must write the same CSV bytes.
 import pytest
 
 from wvlab.cli import main
+from wvlab.families import FAMILY_PARAMS
 
 CASES = {
     "eval": (
@@ -53,22 +54,122 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(CASES))
-def test_report_and_cli_write_the_same_csv(mode, tmp_path, capsys):
-    argv, sections = CASES[mode]
+def run_both(mode, argv, sections, tmp_path):
+    """Exit codes and CSV paths of ``wvlab <mode>`` and of ``wvlab report``
+    on a config of that mode with ``sections``."""
+    tmp_path.mkdir(exist_ok=True)
     cli_csv = tmp_path / "cli.csv"
-    assert main([mode, *argv, "--out", str(cli_csv)]) == 0
-    cli_err = capsys.readouterr().err.splitlines()
+    cli_code = main([mode, *argv, "--out", str(cli_csv)])
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[experiment]\nmode = {mode}\nlabel = run\n\n{sections}",
                    encoding="utf-8")
-    assert main(["report", "--config", str(cfg), "--out-dir",
-                 str(tmp_path)]) == 0
-    assert (tmp_path / "run.csv").read_bytes() == cli_csv.read_bytes()
+    report_code = main(["report", "--config", str(cfg), "--out-dir",
+                        str(tmp_path)])
+    return cli_code, cli_csv, report_code, tmp_path / "run.csv"
+
+
+@pytest.mark.parametrize("mode", sorted(CASES))
+def test_report_and_cli_write_the_same_csv(mode, tmp_path, capsys):
+    argv, sections = CASES[mode]
+    cli_code, cli_csv, report_code, report_csv = run_both(
+        mode, argv, sections, tmp_path)
+    assert (cli_code, report_code) == (0, 0)
+    assert report_csv.read_bytes() == cli_csv.read_bytes()
     if mode == "check":
+        cli_err = capsys.readouterr().err.splitlines()
         summary = (tmp_path / "run.summary.txt").read_text(encoding="utf-8")
         measures = [line for line in summary.splitlines()
                     if line.startswith("measure[")]
         assert len(measures) == 2
         assert measures == [line for line in cli_err
                             if line.startswith("measure[")]
+
+
+FORMULA_FAMILY = ["--family", "formula", "--formula=-n*log(2)", "--radius",
+                  "2"]
+FORMULA_SECTIONS = ("[family]\nid = formula\nformula = -n*log(2)\n"
+                    "radius = 2\n\n"
+                    "[grid]\nscheme = gap\nr0 = 0.5\nq = 0.8\ncount = 12\n")
+
+
+@pytest.mark.parametrize("mode", ["eval", "stats"])
+def test_cli_grid_radius_is_the_family_radius(mode, tmp_path):
+    # On the command line the grid's R is the family's radius (2 here); a
+    # config [grid] says so with radius = 2, and without it a gap grid
+    # closes in on R = 1 instead.
+    argv = [*FORMULA_FAMILY, "--grid-gap", "0.5:0.8:12"]
+    cli_code, cli_csv, report_code, report_csv = run_both(
+        mode, argv, FORMULA_SECTIONS + "radius = 2\n", tmp_path / "R2")
+    assert (cli_code, report_code) == (0, 0)
+    assert report_csv.read_bytes() == cli_csv.read_bytes()
+    _, _, report_code, report_csv = run_both(mode, argv, FORMULA_SECTIONS,
+                                             tmp_path / "R1")
+    assert report_code == 0
+    assert report_csv.read_bytes() != cli_csv.read_bytes()
+
+
+# Per family parameter: a valid value and an out-of-range one.
+PARAM_VALUES = {
+    ("monomial", "coeff"): ("2", "0"),
+    ("monomial", "degree"): ("3", "1.5"),
+    ("kovari", "rho"): ("1", "-1"),
+    ("suleimanov", "epsilon"): ("0.5", "1"),
+    ("formula", "formula"): ("-n*log(2)", "n +"),
+    ("formula", "radius"): ("2", "0"),
+}
+# A grid inside each family's disk: the CLI flag and the [grid] section.
+GEO = (["--grid-geo", "2:10:3"],
+       "scheme = geo\nstart = 2\nend = 10\ncount = 3\n")
+GAP = (["--grid-gap", "0.5:0.5:3"],
+       "scheme = gap\nr0 = 0.5\nq = 0.5\ncount = 3\n")
+GRIDS = {"exp": GEO, "geometric": GAP, "monomial": GEO, "kovari": GAP,
+         "suleimanov": GAP, "formula": (GAP[0], GAP[1] + "radius = 2\n")}
+
+
+def family_inputs(fid, params):
+    """CLI arguments and config sections of ``eval`` on ``fid``."""
+    flags, grid = GRIDS[fid]
+    argv = ["--family", fid, *(f"--{k}={v}" for k, v in params.items()),
+            *flags]
+    keys = "".join(f"{k} = {v}\n" for k, v in params.items())
+    return argv, f"[family]\nid = {fid}\n{keys}\n[grid]\n{grid}"
+
+
+def valid_params(fid):
+    return {name: PARAM_VALUES[fid, name][0] for name in FAMILY_PARAMS[fid]}
+
+
+def bad_param_cases():
+    for fid, params in FAMILY_PARAMS.items():
+        for name, (check, _) in params.items():
+            yield fid, name, "abc"
+            yield fid, name, PARAM_VALUES[fid, name][1]
+            try:
+                check(None)
+            except (TypeError, ValueError):  # required: missing is an error
+                yield fid, name, None
+
+
+@pytest.mark.parametrize("fid", sorted(FAMILY_PARAMS))
+def test_valid_family_parameters_run_on_both_surfaces(fid, tmp_path):
+    cli_code, cli_csv, report_code, report_csv = run_both(
+        "eval", *family_inputs(fid, valid_params(fid)), tmp_path)
+    assert (cli_code, report_code) == (0, 0)
+    assert report_csv.read_bytes() == cli_csv.read_bytes()
+
+
+@pytest.mark.parametrize("fid,name,value", list(bad_param_cases()))
+def test_bad_family_parameter_exits_2_on_both_surfaces(fid, name, value,
+                                                       tmp_path, capsys):
+    params = valid_params(fid)
+    if value is None:
+        del params[name]
+    else:
+        params[name] = value
+    cli_code, cli_csv, report_code, report_csv = run_both(
+        "eval", *family_inputs(fid, params), tmp_path)
+    err = capsys.readouterr().err.splitlines()
+    assert (cli_code, report_code) == (2, 2)
+    assert len(err) == 2 and all(name in line for line in err)
+    assert err[0] == err[1]  # one validator, one message
+    assert not cli_csv.exists() and not report_csv.exists()

@@ -193,6 +193,23 @@ def test_truncation_cap_reports_failure(geometric_series, monkeypatch):
         log_positive_value(geometric_series, 0.99999)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_bad_tolerance_is_rejected_before_scanning(geometric_series, tol,
+                                                   monkeypatch):
+    from wvlab import RadialGrid, evaluate_grid, stats, series as series_mod
+
+    # An unchecked tolerance of inf scans up to HARD_CAP terms; keep the
+    # cap small so that a regression fails fast instead of allocating.
+    monkeypatch.setattr(series_mod, "HARD_CAP", 1 << 16)
+    grid = RadialGrid.geometric_in_gap(0.5, 0.5, 3)
+    for evaluate in (lambda: log_positive_value(geometric_series, 0.5, tol),
+                     lambda: truncation_horizon(geometric_series, 0.5, tol),
+                     lambda: stats(geometric_series, -0.5, tol),
+                     lambda: evaluate_grid(geometric_series, grid, tol)):
+        with pytest.raises(ValidationError, match="tolerance"):
+            evaluate()
+
+
 def test_concurrent_readers_bitwise_identical(suleimanov_half_series):
     from concurrent.futures import ThreadPoolExecutor
 
