@@ -35,6 +35,15 @@ SWEEP_C_MIN = 1e-3
 SWEEP_C_MAX = 1e9
 SWEEP_STEPS_PER_DECADE = 8
 SWEEP_STEP = 10.0 ** (1 / SWEEP_STEPS_PER_DECADE)
+# Most points a grid may ask for; each point costs at least one scan, and
+# the points are built as one tuple before any runs.
+MAX_GRID_POINTS = 10**6
+
+
+def _check_count(count: int) -> None:
+    if not 2 <= count <= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"need 2 <= count <= {MAX_GRID_POINTS}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +81,7 @@ class RadialGrid:
                   R: float = math.inf) -> "RadialGrid":
         if not (0 < start < end):
             raise ValidationError("need 0 < start < end")
-        if count < 2:
-            raise ValidationError("need count >= 2")
+        _check_count(count)
         q = (end / start) ** (1.0 / (count - 1))
         pts = tuple(start * q ** k for k in range(count))
         return cls(R=R, points=pts, scheme="geometric", r0=start, q=q,
@@ -86,8 +94,7 @@ class RadialGrid:
             raise ValidationError("need 0 <= r0 < R")
         if not (0 < q < 1):
             raise ValidationError("need 0 < q < 1")
-        if count < 2:
-            raise ValidationError("need count >= 2")
+        _check_count(count)
         gap = R - r0
         pts = tuple(R - gap * q ** k for k in range(count))
         return cls(R=R, points=pts, scheme="geometric_in_gap", r0=r0, q=q,
@@ -99,8 +106,7 @@ class RadialGrid:
         """Gap-geometric grid with both endpoints prescribed."""
         if not (0 <= r0 < r_end < R):
             raise ValidationError("need 0 <= r0 < r_end < R")
-        if count < 2:
-            raise ValidationError("need count >= 2")
+        _check_count(count)
         q = ((R - r_end) / (R - r0)) ** (1.0 / (count - 1))
         return cls.geometric_in_gap(r0, q, count, R=R)
 

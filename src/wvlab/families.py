@@ -17,6 +17,9 @@ builds from the values they check.
 The ``kovari`` coefficients grow sub-factorially but overflow floats well
 before interesting radii, so the recurrences run on linearly scaled values
 ``a_n * exp(-shift)`` with a running rescale; logs are taken at the end.
+``kovari(1)`` uses a three-term recurrence run on Python floats in bounded
+chunks; other ``rho`` use the exp-of-series convolution, one contiguous dot
+product per coefficient (``_exp_step``, shared with ``exp_of_series``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from scipy.special import gammaln
 
 from .errors import ValidationError
 from .logdomain import LOG_ZERO
-from .series import CoefficientSource, PowerSeries, VectorizedSource
+from .series import HARD_CAP, CoefficientSource, PowerSeries, \
+    VectorizedSource
 
 _RESCALE_THRESHOLD = 1e200
 _RESCALE_SHIFT = 230.0  # exp(-230) ~ 1e-100 per rescale
@@ -136,8 +140,10 @@ FAMILY_PARAMS = {
     "monomial": {
         "coeff": (_number(lambda c: c != 0 and math.isfinite(c)),
                   "a nonzero finite coefficient c"),
-        "degree": (_number(lambda k: k >= 0 and k.is_integer()),
-                   "an integer degree k >= 0"),
+        # A monomial's coefficient array has k + 1 entries, so k is capped
+        # like every other term count.
+        "degree": (_number(lambda k: 0 <= k < HARD_CAP and k.is_integer()),
+                   f"an integer degree 0 <= k < {HARD_CAP}"),
     },
     "kovari": {
         "rho": (_number(lambda v: v > 0 and math.isfinite(v)),
@@ -198,6 +204,22 @@ def binomial_series(rho: float, count: int) -> np.ndarray:
     return np.exp(gammaln(n + rho) - gammaln(rho) - gammaln(n + 1.0))
 
 
+def _exp_step(kbr: np.ndarray, v: np.ndarray, n: int) -> float:
+    """The n-th value of the exp-of-series recurrence from ``v[:n]``.
+
+    ``n*v_n = sum_{k=1..n} k*b_k*v_{n-k}``.  ``kbr`` holds ``k*b_k``
+    reversed (``kbr[-1 - k] = k*b_k``), so the sum is one dot product of two
+    contiguous slices, which numpy hands to BLAS.
+    """
+    top = kbr.size - 1
+    return float(np.dot(kbr[top - n: top], v[:n])) / n
+
+
+def _reversed_kb(b: np.ndarray) -> np.ndarray:
+    """``k*b_k`` for k = 0..len(b)-1, reversed and contiguous."""
+    return np.ascontiguousarray((b * np.arange(b.size, dtype=float))[::-1])
+
+
 def exp_of_series(b) -> np.ndarray:
     """Taylor coefficients of exp(sum b_k z^k) by the standard recurrence.
 
@@ -210,34 +232,35 @@ def exp_of_series(b) -> np.ndarray:
         raise ValidationError("coefficient sequence must be nonempty")
     if not np.all(np.isfinite(b)) or np.any(b < 0):
         raise ValidationError("exp_of_series requires finite b_k >= 0")
-    kb = b * np.arange(b.size, dtype=float)
+    kbr = _reversed_kb(b)
     a = np.empty(b.size)
     a[0] = math.exp(b[0])
     for n in range(1, b.size):
-        a[n] = float(np.dot(kb[1: n + 1], a[n - 1:: -1])) / n
+        a[n] = _exp_step(kbr, a, n)
     return a
 
 
 class _ScaledExpSource(CoefficientSource):
     """log coefficients of exp(g) where g has nonnegative coefficients.
 
-    Runs the subtraction-free convolution recurrence on scaled linear values,
+    Runs the subtraction-free convolution recurrence (``_exp_step``, one
+    contiguous dot product per coefficient) on scaled linear values,
     rescaling whenever they approach float overflow.
     """
 
     def __init__(self, b_fn):
         self._b_fn = b_fn          # count -> array of b_0..b_{count-1}
-        self._kb = np.empty(0)
+        self._kbr = np.empty(0)    # k*b_k, reversed
         self._v = np.empty(0)      # scaled a_n values
         self._shift = 0.0
         self._logc = np.empty(0)
 
     def _ensure_kb(self, count):
-        if self._kb.size < count:
+        if self._kbr.size < count:
             b = np.asarray(self._b_fn(count), dtype=float)
             if not np.all(np.isfinite(b)) or np.any(b < 0):
                 raise ValidationError("exp-of-series input must be b_k >= 0")
-            self._kb = b * np.arange(count, dtype=float)
+            self._kbr = _reversed_kb(b)
 
     def extend_to(self, stop: int) -> np.ndarray:
         cur = self._logc.size
@@ -259,7 +282,7 @@ class _ScaledExpSource(CoefficientSource):
             if v[n - 1] > _RESCALE_THRESHOLD:
                 v[:n] *= math.exp(-_RESCALE_SHIFT)
                 self._shift += _RESCALE_SHIFT
-            s = float(np.dot(self._kb[1: n + 1], v[n - 1:: -1])) / n
+            s = _exp_step(self._kbr, v, n)
             v[n] = s
             logc[n] = (math.log(s) + self._shift) if s > 0 else LOG_ZERO
         self._v = v
@@ -273,11 +296,16 @@ class _KovariRho1Source(CoefficientSource):
     (1-z)^2 f' = f gives (n+1)a_{n+1} = (2n+1)a_n - (n-1)a_{n-1}, linear time,
     which is what makes horizons of ~1e6 terms near r -> 1 affordable.  Runs
     scaled like the convolution source; cross-checked against it in tests.
+    The recurrence runs on Python floats in chunks of at most ``_CHUNK``
+    values, and their logs are taken per chunk; only the last two scaled
+    values are kept between calls.
     """
 
+    _CHUNK = 1 << 16
+
     def __init__(self):
-        self._v = np.empty(0)
-        self._shift = 0.0
+        self._prev = self._last = 1.0  # scaled a_{n-1}, a_n; a_0 = a_1 = e
+        self._shift = 1.0
         self._logc = np.empty(0)
 
     def extend_to(self, stop: int) -> np.ndarray:
@@ -285,26 +313,28 @@ class _KovariRho1Source(CoefficientSource):
         if stop <= cur:
             return self._logc
         grow = max(stop, 2 * cur, 256)
-        v = np.empty(grow)
-        v[:cur] = self._v
         logc = np.empty(grow)
         logc[:cur] = self._logc
         if cur == 0:
-            v[0] = 1.0
-            v[1] = 1.0
-            self._shift = 1.0  # a_0 = a_1 = e
-            logc[0] = 1.0
-            logc[1] = 1.0
+            logc[:2] = self._shift
             cur = 2
-        shift = self._shift
-        for n in range(cur - 1, grow - 1):
-            if v[n] > _RESCALE_THRESHOLD:
-                v[: n + 1] *= math.exp(-_RESCALE_SHIFT)
+        a, b, shift = self._prev, self._last, self._shift
+        n = cur - 1  # b is the scaled a_n
+        while n < grow - 1:
+            if b > _RESCALE_THRESHOLD:
+                a *= math.exp(-_RESCALE_SHIFT)
+                b *= math.exp(-_RESCALE_SHIFT)
                 shift += _RESCALE_SHIFT
-            v[n + 1] = ((2 * n + 1) * v[n] - (n - 1) * v[n - 1]) / (n + 1)
-            logc[n + 1] = math.log(v[n + 1]) + shift
-        self._shift = shift
-        self._v = v
+            vals = []
+            for k in range(n, min(n + self._CHUNK, grow - 1)):
+                if b > _RESCALE_THRESHOLD:
+                    break
+                a, b = b, ((2 * k + 1) * b - (k - 1) * a) / (k + 1)
+                vals.append(b)
+            logs = np.fromiter(map(math.log, vals), float, len(vals))
+            logc[n + 1: n + 1 + len(vals)] = logs + shift
+            n += len(vals)
+        self._prev, self._last, self._shift = a, b, shift
         self._logc = logc
         return self._logc
 

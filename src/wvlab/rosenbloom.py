@@ -82,7 +82,12 @@ def _point(series: PowerSeries, x: float, tol: float,
     # Moment sums weight the tail by (n - mean)^2, so the scan runs far
     # tighter than the requested tolerance; the horizon only grows by a few
     # dozen indices.
-    (s,), t, stop = _scan(series, x, (tol * 1e-6,), start)
+    moment_tol = tol * 1e-6
+    if not moment_tol > 0:
+        raise ValidationError(
+            f"tolerance must be > 0 and not so small that the moment "
+            f"scans' tol*1e-6 underflows to 0, got {tol!r}")
+    (s,), t, stop = _scan(series, x, (moment_tol,), start)
     t = t[:s.horizon + 1]
     return s, t, log_sum_exp(t), stop
 

@@ -272,6 +272,9 @@ def test_cli_rejects_partly_given_inputs(argv, needle, tmp_path, capsys):
      "tolerance"),
     (["lemma", "--family", "exp", "--grid-geo", "2:10:3", "--tol", "nan"],
      "tolerance"),
+    # a tolerance whose moment scan tolerance tol*1e-6 underflows to 0
+    (["stats", "--family", "exp", "--grid-geo", "2:10:3", "--tol",
+      "1e-320"], "got 1e-320"),
 ])
 def test_cli_malformed_input_exits_2(argv, needle, tmp_path, capsys,
                                      monkeypatch):
@@ -301,6 +304,32 @@ def test_report_malformed_input_exits_2(old, new, needle, tmp_path, capsys):
     assert code == 2
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "out" / "demo.csv").exists()
+
+
+@pytest.mark.parametrize("surface", ["geo", "gap", "config"])
+def test_grid_count_above_the_cap_exits_2(surface, tmp_path, capsys,
+                                          monkeypatch):
+    from wvlab import experiments
+
+    # A small cap, so that a missing check runs a small grid and fails
+    # instead of building a huge one.
+    monkeypatch.setattr(experiments, "MAX_GRID_POINTS", 10)
+    out = tmp_path / "x.csv"
+    if surface == "config":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CONFIG.replace("count = 40", "count = 11"),
+                       encoding="utf-8")
+        out = tmp_path / "out" / "demo.csv"
+        argv = ["report", "--config", str(cfg), "--out-dir", str(out.parent)]
+    else:
+        grid = {"geo": ["--family", "exp", "--grid-geo", "2:10:11"],
+                "gap": ["--family", "geometric", "--grid-gap", "0.5:0.5:11"]}
+        argv = ["eval", *grid[surface], "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "count <= 10, got 11" in err
+    assert not out.exists()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -19,6 +19,7 @@ from wvlab import (
     standard_lemma_set,
     violation_set,
 )
+from wvlab import experiments
 
 
 def test_grid_constructors():
@@ -43,6 +44,16 @@ def test_grid_validation():
         RadialGrid.geometric(0.5, 0.9, 10, R=0.8)  # exceeds R
     with pytest.raises(ValidationError, match="R=inf"):  # radii inf - inf
         RadialGrid.geometric_in_gap(0.5, 0.5, 3, R=math.inf)
+
+
+def test_grid_count_is_capped(monkeypatch):
+    monkeypatch.setattr(experiments, "MAX_GRID_POINTS", 10)
+    for build in (lambda count: RadialGrid.geometric(2.0, 10.0, count),
+                  lambda count: RadialGrid.geometric_in_gap(0.5, 0.5, count),
+                  lambda count: RadialGrid.gap_span(0.5, 0.9, count)):
+        assert len(build(10).points) == 10
+        with pytest.raises(ValidationError, match="count <= 10, got 11"):
+            build(11)
 
 
 def test_grid_refinement_nests():

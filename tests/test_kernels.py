@@ -1,0 +1,298 @@
+"""The array kernels against the scalar loops they replace.
+
+* ``logdomain._exact_sum`` must give the bits of ``math.fsum``.
+* ``families._KovariRho1Source`` must give the bits of the original
+  numpy-scalar loop, copied below as the oracle.
+* ``families._ScaledExpSource`` reorders each dot product, so it is held to
+  the original negative-stride loop within a relative 1e-13.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wvlab import family, log_positive_value
+from wvlab.families import _RESCALE_SHIFT, _RESCALE_THRESHOLD, \
+    _KovariRho1Source, _ScaledExpSource, binomial_series
+from wvlab.logdomain import _FSUM_CUTOFF, _exact_sum, log_sum_exp
+
+LOG_ZERO = -math.inf
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# ---------------------------------------------------------------------------
+# The exactly rounded sum.
+
+
+@st.composite
+def unit_arrays(draw):
+    """Arrays of values in [0, 1]: random 53-bit mantissas at exponents from
+    2**0 down to the subnormals, zeros, and often an exact 1."""
+    size = draw(st.integers(1, _FSUM_CUTOFF))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lowest = draw(st.integers(-1074, 0))  # exponent of the smallest ulp
+    mant = rng.integers(1 << 52, 1 << 53, size, dtype=np.int64)
+    exp = rng.integers(lowest, 1, size)
+    # mant * 2**(exp - 53) lies in [2**(exp-1), 2**exp); ldexp rounds the
+    # values that fall in the subnormal range
+    x = np.ldexp(mant.astype(float), exp - 53)
+    x[rng.random(size) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = 0.0
+    if draw(st.booleans()):
+        x[rng.integers(size)] = 1.0
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_arrays())
+def test_exact_sum_is_fsum(x):
+    assert bits(_exact_sum(x)) == bits(math.fsum(x))
+
+
+@st.composite
+def tie_arrays(draw):
+    """Sums that fall exactly halfway between two floats, or just above or
+    below halfway.
+
+    ``ones`` copies of 1.0 sum to a float in [2**j, 2**(j+1)), whose ulp is
+    2**(j-52); an odd count of 2**(j-53) puts the total on a half-ulp tie.
+    """
+    ones = draw(st.integers(1, 4096))
+    j = ones.bit_length() - 1
+    halves = 2 * draw(st.integers(0, 200)) + 1
+    nudge = draw(st.sampled_from(["tie", "above", "below"]))
+    parts = [1.0] * ones + [2.0 ** (j - 53)] * halves
+    if nudge == "above":
+        parts.append(5e-324)
+    elif nudge == "below":  # split one half-ulp part into two a bit short
+        quarter = 2.0 ** (j - 54)
+        parts[-1:] = [quarter, float(np.nextafter(quarter, 0.0))]
+    parts += [0.0] * draw(st.integers(0, 100))
+    order = np.random.default_rng(draw(st.integers(0, 1000))).permutation
+    return np.array(parts)[order(len(parts))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_arrays())
+def test_exact_sum_rounds_ties_like_fsum(x):
+    assert bits(_exact_sum(x)) == bits(math.fsum(x))
+
+
+@pytest.mark.parametrize("x", [
+    [1.0],
+    [0.0],
+    [1.0, 0.0],
+    [5e-324],
+    [5e-324] * 3,
+    [1.0, 2.0 ** -53],                # tie, rounds down to even
+    [1.0, 2.0 ** -52, 2.0 ** -53],    # tie, rounds up to even
+    [1.0, 2.0 ** -53, 5e-324],        # just above the tie
+    [1.0] + [2.0 ** -1074] * 1000,
+    [1.0] * _FSUM_CUTOFF,
+    [1.0 - 2.0 ** -53] * _FSUM_CUTOFF,
+])
+def test_exact_sum_edge_cases(x):
+    x = np.array(x)
+    assert bits(_exact_sum(x)) == bits(math.fsum(x))
+
+
+def fsum_log_sum_exp(values):
+    """``log_sum_exp`` with the ``math.fsum`` accumulation it used to have."""
+    arr = np.asarray(values, dtype=float)
+    m = float(np.max(arr))
+    return m + math.log(math.fsum(np.exp(arr - m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20_000), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 40.0, 800.0]))
+def test_log_sum_exp_keeps_the_fsum_bits(size, seed, spread):
+    rng = np.random.default_rng(seed)
+    t = 1e3 - spread * rng.random(size)
+    t[rng.random(size) < 0.1] = LOG_ZERO
+    t[rng.integers(size)] = 1e3
+    assert bits(log_sum_exp(t)) == bits(fsum_log_sum_exp(t))
+
+
+@pytest.mark.parametrize("values", [
+    [math.nan],
+    [0.0, math.nan],
+    [LOG_ZERO, math.nan],
+    [math.inf, math.nan],
+    [1.0] * 100 + [math.nan],
+])
+def test_log_sum_exp_nan_in_nan_out(values):
+    assert math.isnan(log_sum_exp(values))
+
+
+# ---------------------------------------------------------------------------
+# The kovari(1) three-term recurrence.
+
+
+class SeedKovariRho1Source:
+    """The original loop, numpy scalar indexing over the full history."""
+
+    def __init__(self):
+        self._v = np.empty(0)
+        self._shift = 0.0
+        self._logc = np.empty(0)
+        self.rescaled_at = []  # the n whose v[n] triggered a rescale
+
+    def extend_to(self, stop):
+        cur = self._logc.size
+        if stop <= cur:
+            return self._logc
+        grow = max(stop, 2 * cur, 256)
+        v = np.empty(grow)
+        v[:cur] = self._v
+        logc = np.empty(grow)
+        logc[:cur] = self._logc
+        if cur == 0:
+            v[0] = 1.0
+            v[1] = 1.0
+            self._shift = 1.0
+            logc[0] = 1.0
+            logc[1] = 1.0
+            cur = 2
+        shift = self._shift
+        for n in range(cur - 1, grow - 1):
+            if v[n] > _RESCALE_THRESHOLD:
+                v[: n + 1] *= math.exp(-_RESCALE_SHIFT)
+                shift += _RESCALE_SHIFT
+                self.rescaled_at.append(n)
+            v[n + 1] = ((2 * n + 1) * v[n] - (n - 1) * v[n - 1]) / (n + 1)
+            logc[n + 1] = math.log(v[n + 1]) + shift
+        self._shift = shift
+        self._v = v
+        self._logc = logc
+        return self._logc
+
+
+@pytest.fixture(scope="module")
+def kovari1_oracle():
+    """Seed coefficients to 250k terms, past three rescales and three
+    chunk edges."""
+    oracle = SeedKovariRho1Source()
+    oracle.extend_to(250_000)
+    assert len(oracle.rescaled_at) >= 3
+    return oracle
+
+
+def kovari1_stops(oracle):
+    chunk = _KovariRho1Source._CHUNK
+    near = [n + d for n in oracle.rescaled_at[:3] for d in (-1, 0, 1, 2)]
+    return sorted(near + [chunk - 1, chunk, chunk + 1, chunk + 2,
+                          2 * chunk + 1, 3 * chunk])
+
+
+def test_kovari1_one_call_per_stop_matches_seed_bits(kovari1_oracle):
+    want = kovari1_oracle._logc
+    for stop in kovari1_stops(kovari1_oracle):
+        got = _KovariRho1Source().extend_to(stop)
+        assert got.size == max(stop, 256)
+        assert np.array_equal(bits(got), bits(want[:got.size])), stop
+
+
+@pytest.mark.parametrize("stops", [
+    "rescales_and_chunks",
+    [300, 5000, 60_000, 70_000, 200_000],
+    [1, 2, 3, 257, 513, 1025],
+])
+def test_kovari1_extending_in_steps_matches_seed_bits(kovari1_oracle,
+                                                      stops):
+    if stops == "rescales_and_chunks":
+        stops = kovari1_stops(kovari1_oracle)
+    want = kovari1_oracle._logc
+    source = _KovariRho1Source()
+    for stop in stops:
+        got = source.extend_to(stop)
+        assert got.size >= stop
+        assert np.array_equal(bits(got), bits(want[:got.size])), stop
+
+
+def test_kovari1_family_uses_the_recurrence(kovari1_oracle):
+    got = family("kovari", rho=1).log_coeffs(100_000)
+    assert np.array_equal(bits(got), bits(kovari1_oracle._logc[:100_000]))
+
+
+# ---------------------------------------------------------------------------
+# The exp-of-series convolution.
+
+
+class SeedScaledExpSource:
+    """The original loop: a negative-stride ``np.dot`` per coefficient."""
+
+    def __init__(self, b_fn):
+        self._b_fn = b_fn
+        self._kb = np.empty(0)
+        self._v = np.empty(0)
+        self._shift = 0.0
+        self._logc = np.empty(0)
+
+    def extend_to(self, stop):
+        cur = self._logc.size
+        if stop <= cur:
+            return self._logc
+        grow = max(stop, 2 * cur, 256)
+        if self._kb.size < grow:
+            b = np.asarray(self._b_fn(grow), dtype=float)
+            self._kb = b * np.arange(grow, dtype=float)
+        v = np.empty(grow)
+        v[:cur] = self._v
+        logc = np.empty(grow)
+        logc[:cur] = self._logc
+        if cur == 0:
+            b0 = float(np.asarray(self._b_fn(1), dtype=float)[0])
+            v[0] = 1.0
+            self._shift = b0
+            logc[0] = b0
+            cur = 1
+        for n in range(cur, grow):
+            if v[n - 1] > _RESCALE_THRESHOLD:
+                v[:n] *= math.exp(-_RESCALE_SHIFT)
+                self._shift += _RESCALE_SHIFT
+            s = float(np.dot(self._kb[1: n + 1], v[n - 1:: -1])) / n
+            v[n] = s
+            logc[n] = (math.log(s) + self._shift) if s > 0 else LOG_ZERO
+        self._v = v
+        self._logc = logc
+        return self._logc
+
+
+B_FNS = {
+    "kovari(0.5)": lambda count: binomial_series(0.5, count),
+    "kovari(2)": lambda count: binomial_series(2.0, count),
+    # exp(40/(1-z)) passes 1e200 within 2000 terms, so it rescales
+    "exp(40/(1-z))": lambda count: np.full(count, 40.0),
+    # a polynomial: b_k = 0 from k = 3 on
+    "exp(1+z+z^2)": lambda count: (np.arange(count) < 3).astype(float),
+    # every odd coefficient of exp(z^2) is 0, its log -inf
+    "exp(z^2)": lambda count: (np.arange(count) == 2).astype(float),
+}
+
+
+@pytest.mark.parametrize("name", sorted(B_FNS))
+def test_scaled_exp_source_matches_the_seed_loop(name):
+    b_fn = B_FNS[name]
+    oracle, source = SeedScaledExpSource(b_fn), _ScaledExpSource(b_fn)
+    for stop in (1, 300, 700, 3000):
+        want, got = oracle.extend_to(stop), source.extend_to(stop)
+        assert got.size == want.size
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0), stop
+    assert oracle._shift == source._shift
+
+
+@pytest.mark.parametrize("rho", [0.5, 2.0, 3.0])
+def test_kovari_log_M_is_the_closed_form(rho):
+    """log M(r) = (1-r)^-rho exactly for exp((1-z)^-rho), whose
+    coefficients are all positive."""
+    kov = family("kovari", rho=rho)
+    for r in (0.1, 0.3, 0.5, 0.7, 0.8):
+        want = (1.0 - r) ** -rho
+        got = log_positive_value(kov, r)
+        assert abs(got - want) <= 1e-9 * want, r

@@ -8,6 +8,7 @@ import pytest
 
 from wvlab.cli import main
 from wvlab.families import FAMILY_PARAMS
+from wvlab.series import HARD_CAP
 
 CASES = {
     "eval": (
@@ -117,6 +118,9 @@ PARAM_VALUES = {
     ("formula", "formula"): ("-n*log(2)", "n +"),
     ("formula", "radius"): ("2", "0"),
 }
+# Further out-of-range values: a degree at the term cap, and one whose
+# coefficient array would not fit in memory.
+MORE_BAD = {("monomial", "degree"): (str(HARD_CAP), "1e15")}
 # A grid inside each family's disk: the CLI flag and the [grid] section.
 GEO = (["--grid-geo", "2:10:3"],
        "scheme = geo\nstart = 2\nend = 10\ncount = 3\n")
@@ -144,6 +148,8 @@ def bad_param_cases():
         for name, (check, _) in params.items():
             yield fid, name, "abc"
             yield fid, name, PARAM_VALUES[fid, name][1]
+            for value in MORE_BAD.get((fid, name), ()):
+                yield fid, name, value
             try:
                 check(None)
             except (TypeError, ValueError):  # required: missing is an error

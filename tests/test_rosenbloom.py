@@ -172,3 +172,15 @@ def test_stats_mean_within_horizon(suleimanov_half_series):
 
     st = stats(suleimanov_half_series, math.log(0.9))
     assert 0 <= st.g1 <= truncation_horizon(suleimanov_half_series, 0.9, 1e-15)
+
+
+@pytest.mark.parametrize("tol", [1e-320, 5e-324, -1.0])
+def test_moment_tolerance_underflow_names_the_given_tolerance(exp_series,
+                                                              tol):
+    # the moment scans run at tol*1e-6, which is 0 (or < 0) here; the
+    # message must give the tolerance the caller passed, not tol*1e-6
+    for call in (lambda: stats(exp_series, 1.0, tol),
+                 lambda: verify_pointwise_lemma(exp_series, [1.0], 2.0, tol)):
+        with pytest.raises(ValidationError, match=f"got {tol!r}$"):
+            call()
+
