@@ -4,7 +4,11 @@ The ``.csv`` files under ``tests/data`` without a ``.stderr`` partner were
 written by the CLI before the horizon scan became one warm-started window
 per radius; the pairs of ``.csv`` (standard output) and ``.stderr`` files
 were written before the CLI and ``wvlab report`` shared one mode table.
-Refactors must reproduce them exactly.
+The pairs under ``tests/data/bounds`` pin every bound id, every built-in
+psi in both slots of ``main`` under every built-in h, ``sk4`` under every
+h, and the budgeted lemma set for every psi; they were written before the
+psi, h and bound vocabularies became one table each.  Refactors must
+reproduce them exactly.
 """
 
 import os
@@ -18,6 +22,59 @@ SULEIMANOV = ["--family", "suleimanov", "--epsilon", "0.5",
               "--grid-gap", "0.9:0.8:24"]
 GEOMETRIC_KOV3 = ["--family", "geometric", "--grid-gap", "0.1:0.7:12",
                   "--bound", "kov_n", "--n", "3", "--delta", "0.5"]
+
+
+EXP = ["--family", "exp", "--grid-geo", "2:200:24", "--measure-h", "unit"]
+SUL = ["--family", "suleimanov", "--epsilon", "0.5", "--grid-gap",
+       "0.5:0.8:24", "--measure-h", "disk,disklog"]
+PSIS = {"pow": "pow:0.5", "logpow": "logpow:1", "iter": "iter:3:0.5",
+        "exphalf": "exphalf", "square": "square"}
+
+
+def _bound_cases():
+    """(golden name, argv): each bound id, then main and sk4 per h."""
+    cases = [(f"check_{bid}", ["check", *(EXP if bid.startswith("wv")
+                                          else SUL), "--bound", bid, *args])
+             for bid, args in [
+                 ("wv", ["--delta", "0.5"]), ("wvb", ["--delta", "0.5"]),
+                 ("wvc", ["--n", "3", "--delta", "0.5"]),
+                 ("kov", ["--delta", "0.5"]),
+                 ("kov_n", ["--n", "3", "--delta", "0.5"]),
+                 ("sul", ["--delta", "0.5"]),
+                 ("sul_n", ["--n", "3", "--delta", "0.5"]),
+                 ("sk", ["--delta", "0.5"]),
+                 ("sk_n", ["--n", "3", "--delta", "0.5"]),
+                 ("logimp", ["--n", "3", "--delta", "0.5"])]]
+    cases = [(name, argv + ["--C", "2"]) for name, argv in cases]
+    # ``lower`` is the optimality mode's bound; check refuses it
+    cases.append(("optimality_lower", ["optimality", *SUL[:6]]))
+    for h, grid in (("unit", EXP), ("disk", SUL), ("disklog", SUL)):
+        cases.append((f"check_sk4_{h}", [
+            "check", *grid, "--bound", "sk4", "--h", h, "--n", "3",
+            "--delta", "0.5", "--C", "2"]))
+        for pid, psi in PSIS.items():
+            for slot, other in (("psi1", "psi2"), ("psi2", "psi1")):
+                cases.append((f"check_main_{h}_{slot}_{pid}", [
+                    "check", *grid, "--bound", "main", "--h", h,
+                    f"--{slot}", psi, f"--{other}", "pow:1", "--C", "2"]))
+    return cases
+
+
+LEMMA_CASES = [
+    ("lemma_pow", ["--family", "geometric", "--grid-gap", "0.1:0.8:24",
+                   "--psi", "pow:0.5", "--h", "disk", "--target", "g"]),
+    ("lemma_logpow", ["--family", "geometric", "--grid-gap", "0.95:0.8:12",
+                      "--psi", "logpow:1", "--h", "disklog",
+                      "--target", "gprime"]),
+    ("lemma_iter", ["--family", "exp", "--grid-geo", "16:400:24", "--psi",
+                    "iter:3:0.5", "--h", "unit", "--target", "gprime"]),
+    ("lemma_exphalf", ["--family", "geometric", "--grid-gap", "0.1:0.8:24",
+                       "--psi", "exphalf", "--h", "disk", "--target", "g"]),
+    ("lemma_square", ["--family", "geometric", "--grid-gap", "0.1:0.8:24",
+                      "--psi", "square", "--h", "disk", "--target", "g"]),
+]
+VOCABULARY_CASES = _bound_cases() + [(name, ["lemma", *argv])
+                                     for name, argv in LEMMA_CASES]
 
 
 def _data(name):
@@ -63,3 +120,12 @@ def test_cli_reproduces_golden_stdout_and_stderr(name, argv, capsysbinary):
     out, err = capsysbinary.readouterr()
     assert out == _data(f"{name}.csv")
     assert err == _data(f"{name}.stderr")
+
+
+@pytest.mark.parametrize("name,argv", VOCABULARY_CASES,
+                         ids=[name for name, _ in VOCABULARY_CASES])
+def test_bound_vocabulary_reproduces_golden_bytes(name, argv, capsysbinary):
+    assert main(argv) == 0
+    out, err = capsysbinary.readouterr()
+    assert out == _data(os.path.join("bounds", f"{name}.csv"))
+    assert err == _data(os.path.join("bounds", f"{name}.stderr"))
