@@ -1,56 +1,32 @@
-"""Catalog of growth-weight functions and named bound expressions.
+"""The lab's three vocabularies, one table each, evaluated in log domain.
 
-Two families of building blocks:
+* ``PSI_TABLE``: psi with a convergent ``1/psi`` tail integral.  A row
+  holds the spec parameters, the default threshold ``a`` and its check,
+  ``log psi`` from ``log y`` and the closed-form tail.
+* ``H_TABLE``: radial weights h with a divergent ``h(r)/r`` integral up to
+  the boundary.  A row holds the domain ``[rho_start, radius)``, ``log h``
+  and the array integrand of ``measures.h_log_measure``.
+* ``BOUND_TABLE``: the named bounds (README carries the same table).  A row
+  holds the display formula, the parameters and the log terms that
+  ``eval_bound`` adds to ``log C`` left to right.
 
-* psi specs: positive increasing functions with a convergent ``1/psi`` tail
-  integral (``pow``, ``logpow``, ``iter``, ``exphalf``, ``square``, custom).
-* h specs: positive increasing radial weights with a divergent ``h(r)/r``
-  integral up to the convergence boundary (``unit``, ``disk``, ``disklog``,
-  custom).
-
-Bound expressions are assembled additively in log domain so that quantities
-like ``exp(1e6)`` never materialize.  Iterated-log domain failures are hard
-errors naming the offending subexpression; silently clamping them would
-fabricate data in the asymptotic regime the expressions describe.
+``psi_custom`` and ``h_custom`` add user functions.  Quantities like
+``exp(1e6)`` never materialize: the linear ``psi_eval`` and ``HSpec.value``
+are ``exp`` of the log forms.  Iterated-log domain failures are hard errors
+naming the offending subexpression, never silent clamps.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import DivergenceError, DomainError, ValidationError
-
-PSI_IDS = ("pow", "logpow", "iter", "exphalf", "square", "custom")
-H_IDS = ("unit", "disk", "disklog", "custom")
-BOUND_IDS = ("wv", "wvb", "wvc", "kov", "kov_n", "sul", "sul_n",
-             "sk", "sk_n", "main", "sk4", "logimp", "lower")
-
-# Stable CLI vocabulary: bound id -> display expression (README carries the
-# same table).
-BOUND_FORMULAS = {
-    "wv": "C * mu * (log mu)^(1/2+delta)",
-    "wvb": "C * mu * (log mu)^(1/2) * (log_2 mu)^(1+delta)",
-    "wvc": ("C * mu * (log mu)^(1/2) * log_2 mu ... log_{n-1} mu"
-            " * (log_n mu)^(1+delta)"),
-    "kov": "C * mu/(1-r) * (log(mu/(1-r)))^(1/2+delta)",
-    "kov_n": ("C * mu/(1-r) * (log B)^(1/2) * log_2 B ... log_{n-1} B"
-              " * (log_n B)^(1+delta),  B = mu/(1-r)"),
-    "sul": "C * mu/(1-r)^(1+delta) * (log(mu/(1-r)))^(1/2+delta)",
-    "sul_n": ("C * mu/(1-r) * (log 1/(1-r))^(1+delta) * (log B)^(1/2)"
-              " * log_2 B ... log_{n-1} B * (log_n B)^(1+delta)"),
-    "sk": ("C * mu/(1-r) * (log 1/(1-r))^(1/2+delta) * (log B)^(1/2)"
-           " * (log_2 B)^(1+delta)"),
-    "sk_n": ("C * mu/(1-r) * (log 1/(1-r))^(1/2+delta) * (log B)^(1/2)"
-             " * log_2 B ... log_{n-1} B * (log_n B)^(1+delta)"),
-    "main": "C * mu * sqrt(h(r) * psi2(h(r) * psi1(log M)))",
-    "sk4": ("C * h * mu * (log h)^(1/2+delta) * (log(h*mu))^(1/2)"
-            " * log_2(h*mu) ... log_{n-1}(h*mu) * (log_n(h*mu))^(1+delta)"),
-    "logimp": ("C * mu/(1-r) * (log B)^(1/2) * log_2 B ... log_{n-1} B"
-               " * (log_n B)^(1+delta),  B = mu/(1-r)"),
-    "lower": "C * mu/(1-r) * (log(mu/(1-r)))^(1/2)   [lower bound, C = 1]",
-}
 
 
 def iterated_log(k: int, y: float) -> float:
@@ -82,6 +58,9 @@ def _tower(height: int) -> float:
     """exp iterated ``height`` times starting from 1 (e, e^e, ...)."""
     v = 1.0
     for _ in range(height):
+        if v > 709.0:
+            raise ValidationError(f"iter order n={height + 1} puts the "
+                                  "default threshold beyond float range")
         v = math.exp(v)
     return v
 
@@ -91,6 +70,17 @@ def _pos_log(value: float, name: str) -> float:
         raise DomainError(f"{name} = {value:g} is not positive",
                           subexpression=name)
     return math.log(value)
+
+
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValidationError(message)
+
+
+def _positive(name: str, value: float, message: str) -> None:
+    """``message`` unless value > 0; an infinite value is refused too."""
+    _need(value is not None and value > 0, message)
+    _need(value < math.inf, f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,177 +98,78 @@ class PsiSpec:
     fn: Callable[[float], float] | None = None
 
     def __str__(self):
-        if self.psi_id == "pow":
-            return f"pow(delta={self.delta:g})"
-        if self.psi_id == "logpow":
-            return f"logpow(delta={self.delta:g})"
-        if self.psi_id == "iter":
-            return f"iter(n={self.n}, delta={self.delta:g})"
-        return self.psi_id
+        params = ", ".join(f"{name}={getattr(self, name):g}"
+                           for name, _ in _psi_row(self).params)
+        return f"{self.psi_id}({params})" if params else self.psi_id
 
 
-def psi_pow(delta: float, a: float = 0.0) -> PsiSpec:
-    """psi(y) = y^(1+delta)."""
-    if not delta > 0:
-        raise ValidationError(f"delta must be > 0, got {delta}")
-    if a < 0:
-        raise ValidationError("threshold a must be >= 0 for pow")
-    return PsiSpec("pow", delta=delta, a=a)
+class _PsiRow(NamedTuple):
+    params: tuple     # (name, parser) in spec order: pow:DELTA, iter:N:DELTA
+    a: Callable       # n -> default threshold
+    check_a: Callable  # (a, n) -> None, raising on a bad threshold
+    log: Callable     # (spec, log y) -> log psi(y)
+    tail: Callable    # (spec, a0) -> integral of 1/psi over [a0, inf)
+    linear: Callable | None = None  # (spec, y) -> log psi(y), if not via log y
 
 
-def psi_logpow(delta: float, a: float | None = None) -> PsiSpec:
-    """psi(y) = y * (log y)^(1+delta), defined for y > 1."""
-    if not delta > 0:
-        raise ValidationError(f"delta must be > 0, got {delta}")
-    a = math.e if a is None else a
-    if not a > 1:
-        raise ValidationError("threshold a must be > 1 for logpow")
-    return PsiSpec("logpow", delta=delta, a=a)
-
-
-def psi_iter(n: int, delta: float, a: float | None = None) -> PsiSpec:
-    """psi(y) = y * log y * log_2 y ... (log_{n-1} y)^(1+delta), n >= 2.
-
-    With n = 2 the middle product is empty and the expression coincides with
-    ``logpow``.
-    """
-    if not (isinstance(n, int) and n >= 2):
-        raise ValidationError(f"iter order n must be an integer >= 2, got {n}")
-    if not delta > 0:
-        raise ValidationError(f"delta must be > 0, got {delta}")
-    a = _tower(n - 1) if a is None else a
-    iterated_log(n - 1, a)  # validates the whole chain is positive at a
-    return PsiSpec("iter", delta=delta, n=n, a=a)
-
-
-def psi_exphalf(a: float = 0.0) -> PsiSpec:
-    """psi(y) = exp(y/2)."""
-    if a < 0:
-        raise ValidationError("threshold a must be >= 0 for exphalf")
-    return PsiSpec("exphalf", a=a)
-
-
-def psi_square(a: float = 0.0) -> PsiSpec:
-    """psi(y) = y^2."""
-    if a < 0:
-        raise ValidationError("threshold a must be >= 0 for square")
-    return PsiSpec("square", a=a)
-
-
-def psi_custom(fn: Callable[[float], float], a: float) -> PsiSpec:
-    """User psi; the tail integral is computed by adaptive quadrature."""
-    return PsiSpec("custom", a=a, fn=fn)
-
-
-def _check_psi_domain(spec: PsiSpec, y: float) -> None:
-    if y < spec.a:
-        raise DomainError(
-            f"psi {spec} queried at y={y:g} below its threshold a={spec.a:g}",
-            subexpression=f"psi({spec})",
-        )
-
-
-def psi_eval(spec: PsiSpec, y: float) -> float:
-    """Linear-domain psi(y)."""
-    _check_psi_domain(spec, y)
-    if spec.psi_id == "pow":
-        if not y > 0:
-            raise DomainError(f"pow psi needs y > 0, got {y:g}")
-        return y ** (1.0 + spec.delta)
-    if spec.psi_id == "logpow":
-        ly = _pos_log(y, "log(y)")
-        return y * ly ** (1.0 + spec.delta)
-    if spec.psi_id == "iter":
-        out = y
-        for j in range(1, spec.n - 1):
-            out *= iterated_log(j, y)
-        return out * iterated_log(spec.n - 1, y) ** (1.0 + spec.delta)
-    if spec.psi_id == "exphalf":
-        return math.exp(y / 2.0)
-    if spec.psi_id == "square":
-        if not y > 0:
-            raise DomainError(f"square psi needs y > 0, got {y:g}")
-        return y * y
-    return float(spec.fn(y))
-
-
-def psi_log_of_linear(spec: PsiSpec, y: float) -> float:
-    """log psi(y) for a linear-domain argument (which may be a log itself)."""
-    _check_psi_domain(spec, y)
-    if spec.psi_id == "pow":
-        return (1.0 + spec.delta) * _pos_log(y, "y")
-    if spec.psi_id == "logpow":
-        ly = _pos_log(y, "log(y)")
-        return math.log(y) + (1.0 + spec.delta) * math.log(ly)
-    if spec.psi_id == "iter":
-        out = _pos_log(y, "y")
-        for j in range(1, spec.n - 1):
-            out += math.log(iterated_log(j, y))
-        return out + (1.0 + spec.delta) * math.log(iterated_log(spec.n - 1, y))
-    if spec.psi_id == "exphalf":
-        return y / 2.0
-    if spec.psi_id == "square":
-        return 2.0 * _pos_log(y, "y")
-    return _pos_log(float(spec.fn(y)), "psi(y)")
-
-
-def psi_log_of_log(spec: PsiSpec, log_y: float) -> float:
-    """log psi(y) given log(y); the argument itself may be astronomically big."""
-    if spec.a > 0 and log_y < math.log(spec.a):
-        raise DomainError(
-            f"psi {spec} queried below its threshold (log y={log_y:g})",
-            subexpression=f"psi({spec})",
-        )
-    if spec.psi_id == "pow":
-        return (1.0 + spec.delta) * log_y
-    if spec.psi_id == "logpow":
-        lly = _pos_log(log_y, "log(y)")
-        return log_y + (1.0 + spec.delta) * lly
-    if spec.psi_id == "iter":
-        out = log_y
-        level = log_y  # log_1(y); deeper levels follow by taking logs
-        for j in range(1, spec.n - 1):
-            out += _pos_log(level, f"log_{j}(y)")
-            level = math.log(level)
-        if not level > 0:
-            raise DomainError(
-                f"log_{spec.n - 1}(y) not positive (log y={log_y:g})",
-                subexpression=f"log_{spec.n - 1}(y)",
-            )
-        return out + (1.0 + spec.delta) * math.log(level)
-    if spec.psi_id == "exphalf":
-        if log_y > 709.0:
-            raise DomainError(
-                f"exp-half psi overflows: log y={log_y:g} exceeds float range",
-                subexpression="exp(y/2)",
-            )
-        return math.exp(log_y) / 2.0
-    if spec.psi_id == "square":
-        return 2.0 * log_y
+def _exp(log_y: float, message: str, subexpression: str | None = None):
     if log_y > 709.0:
-        raise DomainError("custom psi cannot be evaluated at log y > 709")
-    return _pos_log(float(spec.fn(math.exp(log_y))), "psi(y)")
+        raise DomainError(message, subexpression=subexpression)
+    return math.exp(log_y)
 
 
-def psi_tail(spec: PsiSpec, a0: float) -> float:
-    """Tail integral of 1/psi over [a0, infinity)."""
-    _check_psi_domain(spec, a0)
-    if spec.psi_id == "pow":
-        if not a0 > 0:
-            raise DomainError("pow tail needs a0 > 0")
-        return a0 ** (-spec.delta) / spec.delta
-    if spec.psi_id == "logpow":
-        la = _pos_log(a0, "log(a0)")
-        return la ** (-spec.delta) / spec.delta
-    if spec.psi_id == "iter":
-        return iterated_log(spec.n - 1, a0) ** (-spec.delta) / spec.delta
-    if spec.psi_id == "exphalf":
-        return 2.0 * math.exp(-a0 / 2.0)
-    if spec.psi_id == "square":
-        if not a0 > 0:
-            raise DomainError("square tail needs a0 > 0")
-        return 1.0 / a0
-    return _custom_tail(spec, a0)
+def _iter_log(spec: PsiSpec, log_y: float) -> float:
+    out = log_y
+    level = log_y  # log_1(y); deeper levels follow by taking logs
+    for j in range(1, spec.n - 1):
+        out += _pos_log(level, f"log_{j}(y)")
+        level = math.log(level)
+    if not level > 0:
+        raise DomainError(
+            f"log_{spec.n - 1}(y) not positive (log y={log_y:g})",
+            subexpression=f"log_{spec.n - 1}(y)",
+        )
+    return out + (1.0 + spec.delta) * math.log(level)
+
+
+def _tail_from(a0: float, message: str) -> float:
+    if not a0 > 0:
+        raise DomainError(message)
+    return a0
+
+
+def _nonneg_a(psi_id: str) -> Callable:
+    return lambda a, n: _need(a >= 0, f"threshold a must be >= 0 for {psi_id}")
+
+
+_DELTA = ("delta", float)
+# Built-in psi: the ids ``config.parse_psi`` reads (README lists them).
+PSI_TABLE = {
+    "pow": _PsiRow(  # y^(1+delta)
+        (_DELTA,), lambda n: 0.0, _nonneg_a("pow"),
+        lambda s, ly: (1.0 + s.delta) * ly,
+        lambda s, a0: (_tail_from(a0, "pow tail needs a0 > 0") ** -s.delta
+                       / s.delta)),
+    "logpow": _PsiRow(  # y (log y)^(1+delta), y > 1
+        (_DELTA,), lambda n: math.e,
+        lambda a, n: _need(a > 1, "threshold a must be > 1 for logpow"),
+        lambda s, ly: ly + (1.0 + s.delta) * _pos_log(ly, "log(y)"),
+        lambda s, a0: _pos_log(a0, "log(a0)") ** -s.delta / s.delta),
+    # y log y log_2 y ... (log_{n-1} y)^(1+delta); logpow at n = 2
+    "iter": _PsiRow(
+        (("n", int), _DELTA), lambda n: _tower(n - 1),
+        lambda a, n: iterated_log(n - 1, a), _iter_log,
+        lambda s, a0: iterated_log(s.n - 1, a0) ** -s.delta / s.delta),
+    "exphalf": _PsiRow(  # exp(y/2)
+        (), lambda n: 0.0, _nonneg_a("exphalf"),
+        lambda s, ly: _exp(ly, f"exp-half psi overflows: log y={ly:g} exceeds "
+                           "float range", "exp(y/2)") / 2.0,
+        lambda s, a0: 2.0 * math.exp(-a0 / 2.0),
+        linear=lambda s, y: y / 2.0),
+    "square": _PsiRow(  # y^2
+        (), lambda n: 0.0, _nonneg_a("square"), lambda s, ly: 2.0 * ly,
+        lambda s, a0: 1.0 / _tail_from(a0, "square tail needs a0 > 0")),
+}
 
 
 def _custom_tail(spec: PsiSpec, a0: float, rel_tol: float = 1e-9) -> float:
@@ -286,7 +177,6 @@ def _custom_tail(spec: PsiSpec, a0: float, rel_tol: float = 1e-9) -> float:
     from .measures import _integrate_smooth  # local import avoids a cycle
 
     def integrand(y):
-        import numpy as np
         vals = np.asarray([float(spec.fn(float(t))) for t in np.atleast_1d(y)])
         if np.any(vals <= 0):
             raise DomainError("custom psi must stay positive on its tail")
@@ -309,6 +199,91 @@ def _custom_tail(spec: PsiSpec, a0: float, rel_tol: float = 1e-9) -> float:
     )
 
 
+_CUSTOM_PSI = _PsiRow(
+    (), None, None, lambda s, ly: _pos_log(float(s.fn(_exp(
+        ly, "custom psi cannot be evaluated at log y > 709"))), "psi(y)"),
+    _custom_tail,
+    linear=lambda s, y: _pos_log(float(s.fn(y)), "psi(y)"))
+
+
+def _psi_row(spec: PsiSpec) -> _PsiRow:
+    return _CUSTOM_PSI if spec.fn is not None else PSI_TABLE[spec.psi_id]
+
+
+def psi_spec(psi_id: str, *values, a: float | None = None) -> PsiSpec:
+    """Validated built-in psi from its parameters in the row's order,
+    optionally followed by the threshold ``a`` (default: the row's)."""
+    _need(psi_id in PSI_TABLE,
+          f"unknown psi {psi_id!r}; choose from {tuple(PSI_TABLE)}")
+    row = PSI_TABLE[psi_id]
+    names = [name for name, _ in row.params]
+    if not len(names) <= len(values) <= len(names) + 1:
+        raise TypeError(f"psi {psi_id!r} takes {names} and optionally a")
+    fields = dict(zip(names + ["a"], values))
+    a = fields.pop("a", a)
+    n = fields.get("n")
+    if "n" in fields:
+        _need(isinstance(n, int) and n >= 2,
+              f"{psi_id} order n must be an integer >= 2, got {n}")
+    if "delta" in fields:
+        _positive("delta", fields["delta"],
+                  f"delta must be > 0, got {fields['delta']}")
+    a = row.a(n) if a is None else a
+    _need(math.isfinite(a), f"threshold a must be finite, got {a}")
+    row.check_a(a, n)
+    return PsiSpec(psi_id, a=a, **fields)
+
+
+psi_pow = partial(psi_spec, "pow")
+psi_logpow = partial(psi_spec, "logpow")
+psi_iter = partial(psi_spec, "iter")
+psi_exphalf = partial(psi_spec, "exphalf")
+psi_square = partial(psi_spec, "square")
+
+
+def psi_custom(fn: Callable[[float], float], a: float) -> PsiSpec:
+    """User psi; the tail integral is computed by adaptive quadrature."""
+    return PsiSpec("custom", a=a, fn=fn)
+
+
+def _check_psi_domain(spec: PsiSpec, y: float) -> None:
+    if y < spec.a:
+        raise DomainError(
+            f"psi {spec} queried at y={y:g} below its threshold a={spec.a:g}",
+            subexpression=f"psi({spec})",
+        )
+
+
+def psi_log_of_linear(spec: PsiSpec, y: float) -> float:
+    """log psi(y) for a linear-domain argument (which may be a log itself)."""
+    _check_psi_domain(spec, y)
+    row = _psi_row(spec)
+    if row.linear is not None:
+        return row.linear(spec, y)
+    return row.log(spec, _pos_log(y, "y"))
+
+
+def psi_log_of_log(spec: PsiSpec, log_y: float) -> float:
+    """log psi(y) given log(y); the argument itself may be astronomically big."""
+    if spec.a > 0 and log_y < math.log(spec.a):
+        raise DomainError(
+            f"psi {spec} queried below its threshold (log y={log_y:g})",
+            subexpression=f"psi({spec})",
+        )
+    return _psi_row(spec).log(spec, log_y)
+
+
+def psi_eval(spec: PsiSpec, y: float) -> float:
+    """Linear-domain psi(y)."""
+    return math.exp(psi_log_of_linear(spec, y))
+
+
+def psi_tail(spec: PsiSpec, a0: float) -> float:
+    """Tail integral of 1/psi over [a0, infinity)."""
+    _check_psi_domain(spec, a0)
+    return _psi_row(spec).tail(spec, a0)
+
+
 # ---------------------------------------------------------------------------
 # h specs
 
@@ -325,47 +300,65 @@ class HSpec:
     def __str__(self):
         return self.h_id
 
-    def _check(self, r: float) -> None:
+    def log_value(self, r: float) -> float:
         if not (self.rho_start <= r < self.radius):
             raise DomainError(
                 f"h weight {self.h_id!r} undefined at r={r:g} "
                 f"(domain [{self.rho_start:g}, {self.radius:g}))",
                 subexpression=f"h({self.h_id})",
             )
+        return _h_row(self).log(self, r)
 
     def value(self, r: float) -> float:
-        self._check(r)
-        if self.h_id == "unit":
-            return 1.0
-        if self.h_id == "disk":
-            return 1.0 / (1.0 - r)
-        if self.h_id == "disklog":
-            u = -math.log1p(-r)
-            return 1.0 / ((1.0 - r) * u)
-        return float(self.fn(r))
+        return math.exp(self.log_value(r))
 
-    def log_value(self, r: float) -> float:
-        self._check(r)
-        if self.h_id == "unit":
-            return 0.0
-        if self.h_id == "disk":
-            return -math.log1p(-r)
-        if self.h_id == "disklog":
-            u = -math.log1p(-r)
-            return u - math.log(u)
-        return _pos_log(float(self.fn(r)), "h(r)")
+    def weight(self, r: np.ndarray) -> np.ndarray:
+        """The integrand of ``measures.h_log_measure`` at the radii ``r``:
+        h(r), with a 1/r factor on an infinite disk."""
+        return _h_row(self).weight(self, r)
 
 
-def h_unit() -> HSpec:
-    return HSpec("unit", rho_start=1.0, radius=math.inf)
+class _HRow(NamedTuple):
+    rho_start: float
+    radius: float
+    log: Callable     # (spec, r) -> log h(r)
+    weight: Callable  # (spec, radii array) -> integrand array
 
 
-def h_disk() -> HSpec:
-    return HSpec("disk", rho_start=0.0, radius=1.0)
+def _custom_weight(h: HSpec, r: np.ndarray) -> np.ndarray:
+    vals = np.array([h.fn(float(t)) for t in np.atleast_1d(r)])
+    return vals / r if math.isinf(h.radius) else vals
 
 
-def h_disklog() -> HSpec:
-    return HSpec("disklog", rho_start=1.0 - 1.0 / math.e, radius=1.0)
+# Built-in weights: the ids of ``h_by_id`` (README lists them).
+H_TABLE = {
+    "unit": _HRow(1.0, math.inf, lambda h, r: 0.0,  # 1 on [1, inf)
+                  lambda h, r: 1.0 / r),
+    "disk": _HRow(0.0, 1.0, lambda h, r: -math.log1p(-r),  # 1/(1-r)
+                  lambda h, r: 1.0 / (1.0 - r)),
+    "disklog": _HRow(  # 1/((1-r) log(1/(1-r)))
+        1.0 - 1.0 / math.e, 1.0,
+        lambda h, r: (u := -math.log1p(-r)) - math.log(u),
+        lambda h, r: 1.0 / ((1.0 - r) * (-np.log1p(-r)))),
+}
+_CUSTOM_H = _HRow(None, None, lambda h, r: _pos_log(float(h.fn(r)), "h(r)"),
+                  _custom_weight)
+
+
+def _h_row(h: HSpec) -> _HRow:
+    return _CUSTOM_H if h.fn is not None else H_TABLE[h.h_id]
+
+
+def h_by_id(name: str) -> HSpec:
+    _need(name in H_TABLE,
+          f"unknown h weight {name!r}; choose from {sorted(H_TABLE)}")
+    row = H_TABLE[name]
+    return HSpec(name, rho_start=row.rho_start, radius=row.radius)
+
+
+h_unit = partial(h_by_id, "unit")
+h_disk = partial(h_by_id, "disk")
+h_disklog = partial(h_by_id, "disklog")
 
 
 def h_custom(fn: Callable[[float], float], rho_start: float,
@@ -373,15 +366,6 @@ def h_custom(fn: Callable[[float], float], rho_start: float,
     if not (0 <= rho_start < radius):
         raise ValidationError("need 0 <= rho_start < radius")
     return HSpec("custom", rho_start=rho_start, radius=radius, fn=fn)
-
-
-def h_by_id(name: str) -> HSpec:
-    table = {"unit": h_unit, "disk": h_disk, "disklog": h_disklog}
-    if name not in table:
-        raise ValidationError(
-            f"unknown h weight {name!r}; choose from {sorted(table)}"
-        )
-    return table[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +390,7 @@ class BoundSpec:
             parts.append(f"n={self.n}")
         if self.delta is not None:
             parts.append(f"delta={self.delta:g}")
-        if self.bound_id != "lower":
+        if "C" in BOUND_TABLE[self.bound_id].takes:
             parts.append(f"C={self.C:g}")
         if self.h is not None:
             parts.append(f"h={self.h}")
@@ -417,54 +401,16 @@ class BoundSpec:
         return parts[0] + "(" + ", ".join(parts[1:]) + ")"
 
 
-_NEEDS_DELTA = {"wv", "wvb", "wvc", "kov", "kov_n", "sul", "sul_n",
-                "sk", "sk_n", "sk4", "logimp"}
-_NEEDS_N = {"wvc", "kov_n", "sul_n", "sk_n", "sk4", "logimp"}
-_NEEDS_H = {"main", "sk4"}
-DISK_BOUND_IDS = {"kov", "kov_n", "sul", "sul_n", "sk", "sk_n",
-                  "logimp", "lower"}
+# A bound's arguments: its spec ``s``, ``L = log mu``, ``u = log 1/(1-r)``
+# and ``B = L + u`` (disk bounds), ``lh = log h(r)`` (bounds taking h).
+_At = namedtuple("_At", "s L u B lh log_M")
 
 
-def bound_spec(bound_id: str, delta: float | None = None, n: int | None = None,
-               C: float | None = None, h: HSpec | None = None,
-               psi1: PsiSpec | None = None,
-               psi2: PsiSpec | None = None) -> BoundSpec:
-    """Validated constructor for catalog bound expressions."""
-    if bound_id not in BOUND_IDS:
-        raise ValidationError(
-            f"unknown bound id {bound_id!r}; choose from {BOUND_IDS}"
-        )
-    if bound_id == "lower":
-        if C is not None and C != 1.0:
-            raise ValidationError(
-                "the lower bound is evaluated with C = 1; fit constants in "
-                "the experiment layer"
-            )
-        C = 1.0
-    else:
-        C = 1.0 if C is None else float(C)
-        if not C > 0:
-            raise ValidationError(f"C must be > 0, got {C}")
-    if bound_id in _NEEDS_DELTA:
-        if delta is None or not delta > 0:
-            raise ValidationError(f"bound {bound_id!r} needs delta > 0")
-    elif delta is not None:
-        raise ValidationError(f"bound {bound_id!r} takes no delta")
-    if bound_id in _NEEDS_N:
-        if n is None or not (isinstance(n, int) and n >= 2):
-            raise ValidationError(f"bound {bound_id!r} needs integer n >= 2")
-    elif n is not None:
-        raise ValidationError(f"bound {bound_id!r} takes no n")
-    if bound_id in _NEEDS_H:
-        if h is None:
-            raise ValidationError(f"bound {bound_id!r} needs an h weight")
-    if bound_id == "main":
-        if psi1 is None or psi2 is None:
-            raise ValidationError("bound 'main' needs psi1 and psi2")
-    elif psi1 is not None or psi2 is not None:
-        raise ValidationError(f"bound {bound_id!r} takes no psi specs")
-    return BoundSpec(bound_id, delta=delta, n=n, C=C, h=h,
-                     psi1=psi1, psi2=psi2)
+class _BoundRow(NamedTuple):
+    formula: str
+    takes: tuple       # of C, delta, n, h, psi
+    terms: Callable    # _At -> log terms, added to log C left to right
+    disk: bool = False  # needs r in [0, 1)
 
 
 def _iter_factors_log(base: float, n: int, delta: float, name: str) -> float:
@@ -480,6 +426,110 @@ def _iter_factors_log(base: float, n: int, delta: float, name: str) -> float:
     return out
 
 
+def _chain(p: _At, base: float, name: str) -> float:
+    """The iterated-log factors of order n; a bound without n has order 2."""
+    return _iter_factors_log(base, p.s.n or 2, p.s.delta, name)
+
+
+def _dlog(k: float, p: _At, x: float, name: str) -> float:
+    """(k + delta) * log x."""
+    return (k + p.s.delta) * _pos_log(x, name)
+
+
+def _main_terms(p: _At) -> tuple:
+    inner = p.lh + psi_log_of_linear(p.s.psi1, float(p.log_M))
+    return p.L, 0.5 * (p.lh + psi_log_of_log(p.s.psi2, inner))
+
+
+_CD = ("C", "delta")
+_CDN = ("C", "delta", "n")
+_LOG_B = "log(mu/(1-r))"
+_LOG_U = "log(1/(1-r))"
+_B_CHAIN = ("C * mu/(1-r) * (log B)^(1/2) * log_2 B ... log_{n-1} B"
+            " * (log_n B)^(1+delta),  B = mu/(1-r)")
+_WV_CHAIN = lambda p: (p.L, _chain(p, p.L, "mu"))
+_KOV_CHAIN = lambda p: (p.B, _chain(p, p.B, "mu/(1-r)"))
+_SK_TERMS = lambda p: (
+    p.B, _dlog(0.5, p, p.u, _LOG_U), _chain(p, p.B, "mu/(1-r)"))
+BOUND_TABLE = {
+    "wv": _BoundRow("C * mu * (log mu)^(1/2+delta)", _CD,
+                    lambda p: (p.L, _dlog(0.5, p, p.L, "log(mu)"))),
+    "wvb": _BoundRow("C * mu * (log mu)^(1/2) * (log_2 mu)^(1+delta)", _CD,
+                     _WV_CHAIN),
+    "wvc": _BoundRow("C * mu * (log mu)^(1/2) * log_2 mu ... log_{n-1} mu"
+                     " * (log_n mu)^(1+delta)", _CDN, _WV_CHAIN),
+    "kov": _BoundRow("C * mu/(1-r) * (log(mu/(1-r)))^(1/2+delta)", _CD,
+                     lambda p: (p.B, _dlog(0.5, p, p.B, _LOG_B)), disk=True),
+    "kov_n": _BoundRow(_B_CHAIN, _CDN, _KOV_CHAIN, disk=True),
+    "sul": _BoundRow(
+        "C * mu/(1-r)^(1+delta) * (log(mu/(1-r)))^(1/2+delta)", _CD,
+        lambda p: (p.L, (1.0 + p.s.delta) * p.u, _dlog(0.5, p, p.B, _LOG_B)),
+        disk=True),
+    "sul_n": _BoundRow(
+        "C * mu/(1-r) * (log 1/(1-r))^(1+delta) * (log B)^(1/2)"
+        " * log_2 B ... log_{n-1} B * (log_n B)^(1+delta)", _CDN,
+        lambda p: (p.B, _dlog(1.0, p, p.u, _LOG_U),
+                   _chain(p, p.B, "mu/(1-r)")), disk=True),
+    "sk": _BoundRow(
+        "C * mu/(1-r) * (log 1/(1-r))^(1/2+delta) * (log B)^(1/2)"
+        " * (log_2 B)^(1+delta)", _CD, _SK_TERMS, disk=True),
+    "sk_n": _BoundRow(
+        "C * mu/(1-r) * (log 1/(1-r))^(1/2+delta) * (log B)^(1/2)"
+        " * log_2 B ... log_{n-1} B * (log_n B)^(1+delta)", _CDN, _SK_TERMS,
+        disk=True),
+    "main": _BoundRow("C * mu * sqrt(h(r) * psi2(h(r) * psi1(log M)))",
+                      ("C", "h", "psi"), _main_terms),
+    "sk4": _BoundRow(
+        "C * h * mu * (log h)^(1/2+delta) * (log(h*mu))^(1/2)"
+        " * log_2(h*mu) ... log_{n-1}(h*mu) * (log_n(h*mu))^(1+delta)",
+        ("C", "delta", "n", "h"),
+        lambda p: (p.lh, p.L, _dlog(0.5, p, p.lh, "log(h)"),
+                   _chain(p, p.lh + p.L, "h*mu"))),
+    "logimp": _BoundRow(_B_CHAIN, _CDN, _KOV_CHAIN, disk=True),
+    "lower": _BoundRow(
+        "C * mu/(1-r) * (log(mu/(1-r)))^(1/2)   [lower bound, C = 1]", (),
+        lambda p: (p.B, 0.5 * _pos_log(p.B, _LOG_B)), disk=True),
+}
+BOUND_IDS = tuple(BOUND_TABLE)
+BOUND_FORMULAS = {bid: row.formula for bid, row in BOUND_TABLE.items()}
+
+
+def bound_spec(bound_id: str, delta: float | None = None, n: int | None = None,
+               C: float | None = None, h: HSpec | None = None,
+               psi1: PsiSpec | None = None,
+               psi2: PsiSpec | None = None) -> BoundSpec:
+    """Validated constructor for catalog bound expressions."""
+    _need(bound_id in BOUND_TABLE,
+          f"unknown bound id {bound_id!r}; choose from {BOUND_IDS}")
+    takes = BOUND_TABLE[bound_id].takes
+    C = 1.0 if C is None else float(C)
+    if "C" in takes:
+        _positive("C", C, f"C must be > 0, got {C}")
+    else:
+        _need(C == 1.0, "the lower bound is evaluated with C = 1; fit "
+              "constants in the experiment layer")
+    if "delta" in takes:
+        _positive("delta", delta,
+                  f"bound {bound_id!r} needs delta > 0")
+    else:
+        _need(delta is None, f"bound {bound_id!r} takes no delta")
+    if "n" in takes:
+        _need(isinstance(n, int) and n >= 2,
+              f"bound {bound_id!r} needs integer n >= 2")
+    else:
+        _need(n is None, f"bound {bound_id!r} takes no n")
+    if "h" in takes:
+        _need(h is not None, f"bound {bound_id!r} needs an h weight")
+    if "psi" in takes:
+        _need(psi1 is not None and psi2 is not None,
+              f"bound {bound_id!r} needs psi1 and psi2")
+    else:
+        _need(psi1 is None and psi2 is None,
+              f"bound {bound_id!r} takes no psi specs")
+    return BoundSpec(bound_id, delta=delta, n=n, C=C, h=h,
+                     psi1=psi1, psi2=psi2)
+
+
 def eval_bound(spec: BoundSpec, log_mu: float, log_M: float | None = None,
                r: float | None = None, h: HSpec | None = None) -> float:
     """log of the named bound's right-hand side (lower bound for ``lower``).
@@ -490,71 +540,23 @@ def eval_bound(spec: BoundSpec, log_mu: float, log_M: float | None = None,
     """
     h = h if h is not None else spec.h
     bid = spec.bound_id
+    row = BOUND_TABLE[bid]
+    if "psi" in row.takes and log_M is None:
+        raise ValidationError(f"bound {bid!r} consumes log_M; it is absent")
+    if "h" in row.takes and h is None:
+        raise ValidationError(f"bound {bid!r} needs an h weight")
+    if (row.disk or "h" in row.takes) and r is None:
+        raise ValidationError(f"bound {bid!r} needs the radius r")
+    if row.disk and not (0 <= r < 1):
+        raise DomainError(f"bound {bid!r} needs r in [0, 1), got {r:g}")
     L = float(log_mu)
-    logC = math.log(spec.C)
-
-    if bid in DISK_BOUND_IDS:
-        if r is None:
-            raise ValidationError(f"bound {bid!r} needs the radius r")
-        if not (0 <= r < 1):
-            raise DomainError(f"bound {bid!r} needs r in [0, 1), got {r:g}")
-
-    if bid == "wv":
-        return logC + L + (0.5 + spec.delta) * _pos_log(L, "log(mu)")
-    if bid in ("wvb", "wvc"):
-        n = 2 if bid == "wvb" else spec.n
-        return logC + L + _iter_factors_log(L, n, spec.delta, "mu")
-
-    if bid in ("kov", "kov_n", "sul", "sul_n", "sk", "sk_n",
-               "logimp", "lower"):
-        u = -math.log1p(-r)
-        B = L + u
-        if bid == "kov":
-            return logC + B + (0.5 + spec.delta) * _pos_log(B, "log(mu/(1-r))")
-        if bid in ("kov_n", "logimp"):
-            return logC + B + _iter_factors_log(B, spec.n, spec.delta,
-                                                "mu/(1-r)")
-        if bid == "sul":
-            return (logC + L + (1.0 + spec.delta) * u
-                    + (0.5 + spec.delta) * _pos_log(B, "log(mu/(1-r))"))
-        if bid == "sul_n":
-            return (logC + B
-                    + (1.0 + spec.delta) * _pos_log(u, "log(1/(1-r))")
-                    + _iter_factors_log(B, spec.n, spec.delta, "mu/(1-r)"))
-        if bid == "sk":
-            return (logC + B
-                    + (0.5 + spec.delta) * _pos_log(u, "log(1/(1-r))")
-                    + _iter_factors_log(B, 2, spec.delta, "mu/(1-r)"))
-        if bid == "sk_n":
-            return (logC + B
-                    + (0.5 + spec.delta) * _pos_log(u, "log(1/(1-r))")
-                    + _iter_factors_log(B, spec.n, spec.delta, "mu/(1-r)"))
-        # lower
-        return B + 0.5 * _pos_log(B, "log(mu/(1-r))")
-
-    if bid == "main":
-        if log_M is None:
-            raise ValidationError("bound 'main' consumes log_M; it is absent")
-        if h is None:
-            raise ValidationError("bound 'main' needs an h weight")
-        if r is None:
-            raise ValidationError("bound 'main' needs the radius r")
-        lh = h.log_value(r)
-        inner = lh + psi_log_of_linear(spec.psi1, float(log_M))
-        return logC + L + 0.5 * (lh + psi_log_of_log(spec.psi2, inner))
-
-    if bid == "sk4":
-        if h is None:
-            raise ValidationError("bound 'sk4' needs an h weight")
-        if r is None:
-            raise ValidationError("bound 'sk4' needs the radius r")
-        lh = h.log_value(r)
-        W = lh + L
-        return (logC + lh + L
-                + (0.5 + spec.delta) * _pos_log(lh, "log(h)")
-                + _iter_factors_log(W, spec.n, spec.delta, "h*mu"))
-
-    raise ValidationError(f"unknown bound id {bid!r}")  # pragma: no cover
+    u = -math.log1p(-r) if row.disk else None
+    total = math.log(spec.C)
+    for term in row.terms(_At(spec, L, u, None if u is None else L + u,
+                              h.log_value(r) if "h" in row.takes else None,
+                              log_M)):
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------

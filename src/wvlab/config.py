@@ -27,7 +27,8 @@ headers; lists are comma-separated.  Example::
     h = disklog, disk
 
 ``config_from_sections`` validates the sections of a file and the flags of
-``wvlab <mode>``, which the CLI writes as the same sections.
+``wvlab <mode>``, which the CLI writes as the same sections.  The psi, h
+and bound ids and their parameters are those of the ``bounds`` tables.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import configparser
 import math
 from dataclasses import dataclass
 
-from .bounds import BoundSpec, HSpec, PsiSpec, bound_spec, h_by_id, \
-    psi_exphalf, psi_iter, psi_logpow, psi_pow, psi_square
+from .bounds import PSI_TABLE, BoundSpec, HSpec, PsiSpec, bound_spec, \
+    h_by_id, psi_spec
 from .errors import ValidationError
 from .experiments import MODE_TABLE, RadialGrid
 from .families import FamilySpec
@@ -48,27 +49,20 @@ GRID_Q = 0.9  # [grid] q of a gap grid when the config gives none
 
 
 def parse_psi(text: str) -> PsiSpec:
-    """Parse ``pow:0.5``, ``logpow:1``, ``iter:3:0.5``, ``exphalf``,
-    ``square``."""
-    parts = [p.strip() for p in text.split(":")]
-    name = parts[0]
+    """Parse ``id:param:...``: the id of a ``bounds.PSI_TABLE`` row, then
+    its parameters in the row's order."""
+    name, *values = [p.strip() for p in text.split(":")]
+    row = PSI_TABLE.get(name)
+    if row is None or len(values) != len(row.params):
+        raise ValidationError(
+            f"cannot parse psi spec {text!r}; use " + ", ".join(
+                ":".join([pid, *(key[0].upper() for key, _ in r.params)])
+                for pid, r in PSI_TABLE.items()))
     try:
-        if name == "pow" and len(parts) == 2:
-            return psi_pow(float(parts[1]))
-        if name == "logpow" and len(parts) == 2:
-            return psi_logpow(float(parts[1]))
-        if name == "iter" and len(parts) == 3:
-            return psi_iter(int(parts[1]), float(parts[2]))
-        if name == "exphalf" and len(parts) == 1:
-            return psi_exphalf()
-        if name == "square" and len(parts) == 1:
-            return psi_square()
+        values = [parse(v) for (_, parse), v in zip(row.params, values)]
     except ValueError:
         raise ValidationError(f"bad psi parameters in {text!r}") from None
-    raise ValidationError(
-        f"cannot parse psi spec {text!r}; use pow:D, logpow:D, iter:N:D, "
-        "exphalf, square"
-    )
+    return psi_spec(name, *values)
 
 
 @dataclass(frozen=True)

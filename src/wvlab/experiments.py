@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundSpec, HSpec, PsiSpec, eval_bound, psi_eval, psi_tail
+from .bounds import BoundSpec, HSpec, PsiSpec, bound_spec, eval_bound, \
+    psi_log_of_linear, psi_tail
 from .errors import DomainError, InvariantViolation, ValidationError
 from .families import make_family
 from .measures import DEFAULT_MEASURE_TOL, IntervalSet, MeasureOutcome, \
@@ -162,6 +163,22 @@ def evaluate_grid(series: PowerSeries, grid: RadialGrid,
     return out
 
 
+def _log_bounds(series: PowerSeries, bound: BoundSpec, grid: RadialGrid,
+                tol: float) -> tuple:
+    """The grid's evaluations, the log bound at each point (None where the
+    bound is undefined) and the undefined points with their reasons."""
+    evals = evaluate_grid(series, grid, tol)
+    log_bounds, undefined = [], []
+    for ev in evals:
+        try:
+            log_bounds.append(eval_bound(bound, log_mu=ev.log_mu,
+                                         log_M=ev.log_M, r=ev.r))
+        except DomainError as exc:
+            log_bounds.append(None)
+            undefined.append((ev.r, str(exc)))
+    return evals, log_bounds, undefined
+
+
 @dataclass(frozen=True)
 class PointMargin:
     r: float
@@ -214,23 +231,12 @@ def violation_set(
             "lower bounds go through optimality_check, not violation_set"
         )
     _reject_monomial(series, "violation_set")
-    evals = evaluate_grid(series, grid, tol)
-    margins = []
-    undefined = []
-    mask = [False] * (len(grid.points) - 1)
-    for k, ev in enumerate(evals):
-        try:
-            log_b = eval_bound(bound, log_mu=ev.log_mu, log_M=ev.log_M,
-                               r=ev.r)
-        except DomainError as exc:
-            undefined.append((ev.r, str(exc)))
-            continue
-        slack = log_b - ev.log_M
-        margins.append(PointMargin(r=ev.r, log_M=ev.log_M, log_bound=log_b,
-                                   slack=slack))
-        if slack < 0 and k < len(mask):
-            mask[k] = True
-    E = _cells_from_mask(grid, mask)
+    evals, log_bounds, undefined = _log_bounds(series, bound, grid, tol)
+    margins = [PointMargin(r=ev.r, log_M=ev.log_M, log_bound=b,
+                           slack=b - ev.log_M)
+               for ev, b in zip(evals, log_bounds) if b is not None]
+    E = _cells_from_mask(grid, [b is not None and b - ev.log_M < 0
+                                for ev, b in zip(evals[:-1], log_bounds)])
     measures = {}
     for h in (measure_h or []):
         measures[h.h_id] = h_log_measure(E, h, tol=DEFAULT_MEASURE_TOL)
@@ -249,7 +255,7 @@ class LemmaSetRow:
     x: float
     v: float
     d: float
-    threshold: float  # h(r) * psi(v)
+    log_threshold: float  # log(h(r) * psi(v))
     violating: bool
 
 
@@ -303,9 +309,9 @@ def standard_lemma_set(
     mask = [False] * (len(grid.points) - 1)
     for k, r in enumerate(grid.points):
         x = math.log(r)
-        thr = h.value(r) * psi_eval(psi, v[k])
-        violating = d[k] >= thr
-        rows.append(LemmaSetRow(r=r, x=x, v=v[k], d=d[k], threshold=thr,
+        thr = h.log_value(r) + psi_log_of_linear(psi, v[k])
+        violating = d[k] > 0 and math.log(d[k]) >= thr
+        rows.append(LemmaSetRow(r=r, x=x, v=v[k], d=d[k], log_threshold=thr,
                                 violating=violating))
         if violating and k < len(mask):
             mask[k] = True
@@ -353,21 +359,13 @@ def constant_sweep(
     """
     if bound.bound_id == "lower":
         raise ValidationError("cannot sweep a lower bound")
-    if bound.C != 1.0:
-        bound = BoundSpec(bound.bound_id, delta=bound.delta, n=bound.n, C=1.0,
-                          h=bound.h, psi1=bound.psi1, psi2=bound.psi2)
+    if math.isnan(measure_budget):
+        raise ValidationError("the sweep budget must be a number, got nan")
+    bound = replace(bound, C=1.0)
     _reject_monomial(series, "constant_sweep")
-    evals = evaluate_grid(series, grid, tol)
-    deficits = []
-    undefined = []
-    for ev in evals:
-        try:
-            base = eval_bound(bound, log_mu=ev.log_mu, log_M=ev.log_M, r=ev.r)
-        except DomainError as exc:
-            undefined.append((ev.r, str(exc)))
-            deficits.append(None)
-            continue
-        deficits.append(ev.log_M - base)
+    evals, log_bounds, undefined = _log_bounds(series, bound, grid, tol)
+    deficits = [None if b is None else ev.log_M - b
+                for ev, b in zip(evals, log_bounds)]
     pts = grid.points
     cell_measure = np.zeros(len(pts) - 1)
     for k in range(len(pts) - 1):
@@ -424,25 +422,18 @@ def optimality_check(
     if grid.R != 1.0:
         raise ValidationError("the lower-bound ratio lives on the unit disk")
     _reject_monomial(series, "optimality_check")
+    lower = bound_spec("lower")
 
     def log_ratios(g: RadialGrid):
-        evals = evaluate_grid(series, g, tol)
-        out = []
-        skipped = 0
-        for ev in evals:
-            u = -math.log1p(-ev.r)
-            B = ev.log_mu + u
-            if B <= 0:
-                skipped += 1
-                continue
-            rhs = B + 0.5 * math.log(B)
-            out.append((ev.r, ev.log_M - rhs))
+        evals, log_bounds, undefined = _log_bounds(series, lower, g, tol)
+        out = [(ev.r, ev.log_M - b) for ev, b in zip(evals, log_bounds)
+               if b is not None]
         if not out:
             raise DomainError(
                 "lower-bound expression undefined on the whole grid; "
                 "start the grid at larger radii"
             )
-        return out, skipped
+        return out, len(undefined)
 
     base, skipped = log_ratios(grid)
     fine, _ = log_ratios(grid.refined(refine_factor))

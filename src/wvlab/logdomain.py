@@ -72,12 +72,3 @@ def log_sum_exp(values) -> float:
         s = float(np.sum(shifted))
     return m + math.log(s)
 
-
-def log_add(a: float, b: float) -> float:
-    """log(exp(a) + exp(b))."""
-    if a == LOG_ZERO:
-        return b
-    if b == LOG_ZERO:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))

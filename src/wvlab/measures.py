@@ -4,7 +4,8 @@ Size notions for a finite union E of half-open intervals:
 
 * h-logarithmic measure: integral of the weight h over E (an extra 1/r
   factor enters only when R is infinite; for finite R it tends to 1 at the
-  boundary and the reference quantities omit it).
+  boundary and the reference quantities omit it).  The integrand is
+  ``HSpec.weight``, the array form each ``bounds.H_TABLE`` row declares.
 * logarithmic density at r: normalized disk-weight integral over E up to r.
 * final density at r: Lebesgue length of E beyond r divided by 1 - r
   (exact endpoint arithmetic, no quadrature).
@@ -195,22 +196,6 @@ def _split_toward_boundary(lo: float, hi: float, R: float) -> list:
     return cells
 
 
-def _weight_fn(h: HSpec, R: float):
-    """Integrand h(r), with the 1/r factor only on an infinite disk."""
-    if h.h_id == "unit":
-        if math.isinf(R):
-            return lambda r: 1.0 / r
-        return lambda r: np.ones_like(r)
-    if h.h_id == "disk":
-        return lambda r: 1.0 / (1.0 - r)
-    if h.h_id == "disklog":
-        return lambda r: 1.0 / ((1.0 - r) * (-np.log1p(-r)))
-    fn = h.fn
-    if math.isinf(R):
-        return lambda r: np.array([fn(float(t)) for t in np.atleast_1d(r)]) / r
-    return lambda r: np.array([fn(float(t)) for t in np.atleast_1d(r)])
-
-
 def h_log_measure(E: IntervalSet, h: HSpec,
                   tol: float = DEFAULT_MEASURE_TOL) -> MeasureOutcome:
     """Weight integral of h over E intersected with [rho_start, R)."""
@@ -233,7 +218,7 @@ def h_log_measure(E: IntervalSet, h: HSpec,
             "the 1/r factor is unbounded at r=0 on an infinite disk; "
             "start the weight domain above 0"
         )
-    f = _weight_fn(h, R)
+    f = h.weight
     coarse = []
     for lo, hi in clipped.intervals:
         mid = 0.5 * (lo + hi)
@@ -301,7 +286,7 @@ def h_divergence_check(h: HSpec,
     a large threshold within float range, so growth shape decides).
     """
     R = h.radius
-    f = _weight_fn(h, R)
+    f = h.weight
     lo = h.rho_start if not math.isinf(R) else max(h.rho_start, 1.0)
     if math.isinf(R):
         radii = [lo * 2.0 ** k for k in range(1, steps + 1)]

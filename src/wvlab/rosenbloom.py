@@ -134,11 +134,16 @@ def stats_grid(series: PowerSeries, x_grid,
     return out
 
 
+def _check_c(c: float) -> None:
+    if not 1 < c < math.inf:  # an infinite c overflows floor(2c*sqrt(g2))
+        raise ValidationError(
+            f"c must be {'finite' if c > 1 else '> 1'}, got {c}")
+
+
 def window_sum(series: PowerSeries, x: float, c: float,
                tol: float = DEFAULT_TOL) -> float:
     """log of the term sum over integers with ``|n - g1| < c*sqrt(g2)``."""
-    if not c > 1:
-        raise ValidationError(f"c must be > 1, got {c}")
+    _check_c(c)
     _, t, g, _ = _point(series, x, tol)
     g1, g2 = _moments(t, g)
     if g2 <= 0:
@@ -175,8 +180,7 @@ def verify_pointwise_lemma(
     variance is small, so the corrected count keeps the chain literally true
     at every point.
     """
-    if not c > 1:
-        raise ValidationError(f"c must be > 1, got {c}")
+    _check_c(c)
     reports = []
     start = _FIRST_WINDOW
     for x in x_grid:

@@ -243,11 +243,6 @@ def _find_horizons(t: np.ndarray, log_tail_tols) -> list:
     return [found[ltt] for ltt in log_tail_tols]
 
 
-def _find_horizon(t: np.ndarray, log_tail_tol: float) -> _Scan | None:
-    """Smallest accepted horizon within ``t`` for one tolerance."""
-    return _find_horizons(t, [log_tail_tol])[0]
-
-
 def _require_nonzero(series: PowerSeries) -> None:
     if series._known_all_zero:
         raise DegenerateSeriesError(

@@ -1,4 +1,6 @@
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wvlab import (
+    BOUND_FORMULAS,
+    BOUND_IDS,
     DomainError,
     ValidationError,
     bound_spec,
@@ -27,6 +31,7 @@ from wvlab import (
     psi_square,
     psi_tail,
 )
+from wvlab.bounds import BOUND_TABLE, H_TABLE, PSI_TABLE, psi_spec
 
 
 # --------------------------------------------------------------------------
@@ -141,15 +146,56 @@ def test_h_values():
 
 
 def test_h_log_values_match():
-    for h, r in ((h_unit(), 7.0), (h_disk(), 0.99),
-                 (h_disklog(), 0.95)):
-        assert h.log_value(r) == pytest.approx(math.log(h.value(r)),
-                                               rel=1e-13)
+    # the linear closed forms: 1, 1/(1-r) and 1/((1-r) log(1/(1-r)))
+    for h, r, value in ((h_unit(), 7.0, 1.0), (h_disk(), 0.99, 100.0),
+                        (h_disklog(), 0.95, 1 / (0.05 * math.log(20.0)))):
+        assert h.log_value(r) == pytest.approx(math.log(value), rel=1e-13)
+
+
+def test_h_weight_is_the_value_with_1_over_r_on_an_infinite_disk():
+    for h, rs in ((h_unit(), [1.0, 3.0]), (h_disk(), [0.0, 0.5, 0.99]),
+                  (h_disklog(), [0.7, 0.999]),
+                  (h_custom(lambda r: 1.0 + r, 0.5, 1.0), [0.5, 0.75])):
+        factor = [1.0 / r if math.isinf(h.radius) else 1.0 for r in rs]
+        assert h.weight(np.array(rs)) == pytest.approx(
+            [h.value(r) * f for r, f in zip(rs, factor)], rel=1e-13)
 
 
 def test_h_by_id_unknown():
     with pytest.raises(ValidationError):
         h_by_id("nope")
+
+
+def test_psi_spec_parameters():
+    # the threshold may follow the parameters positionally
+    assert psi_pow(0.5, 2.0) == psi_pow(0.5, a=2.0) == psi_spec("pow", 0.5, 2.0)
+    assert psi_pow(0.5).a == 0.0 and psi_logpow(1.0).a == math.e
+    assert psi_iter(3, 0.5).a == pytest.approx(math.e ** math.e)
+    with pytest.raises(TypeError):
+        psi_pow()
+    with pytest.raises(TypeError):
+        psi_pow(0.5, 2.0, 3.0)
+    for bad in (lambda: psi_pow(math.inf), lambda: psi_pow(0.5, a=math.nan),
+                lambda: psi_square(a=math.inf), lambda: psi_iter(5, 0.5),
+                lambda: psi_spec("nope")):
+        with pytest.raises(ValidationError):
+            bad()
+
+
+def test_readme_names_exactly_the_table_ids():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    bounds = text.split("### Bound ids", 1)[1].split("\n\n`main`", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", bounds, re.M) == list(BOUND_IDS)
+    weights = text.split("Weight functions `h`:", 1)[1]
+    weights, psis = weights.split("Psi specs:", 1)
+    assert re.findall(r"`(\w+)` \(", weights) == list(H_TABLE)
+    psis = psis.split(".", 1)[0]
+    assert re.findall(r"`([\w:]+)`", psis) == [
+        ":".join([pid, *(name.upper() for name, _ in row.params)])
+        for pid, row in PSI_TABLE.items()]
+    assert list(BOUND_FORMULAS) == list(BOUND_TABLE) == list(BOUND_IDS)
 
 
 # --------------------------------------------------------------------------

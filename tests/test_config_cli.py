@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -275,6 +276,25 @@ def test_cli_rejects_partly_given_inputs(argv, needle, tmp_path, capsys):
     # a tolerance whose moment scan tolerance tol*1e-6 underflows to 0
     (["stats", "--family", "exp", "--grid-geo", "2:10:3", "--tol",
       "1e-320"], "got 1e-320"),
+    # bound and psi parameters that are not finite
+    (["check", "--family", "exp", "--grid-geo", "2:10:3", "--bound", "wv",
+      "--delta", "inf"], "delta must be finite"),
+    (["check", "--family", "exp", "--grid-geo", "2:10:3", "--bound", "wv",
+      "--delta", "0.5", "--C", "inf"], "C must be finite"),
+    (["check", "--family", "exp", "--grid-geo", "2:10:3", "--bound", "main",
+      "--h", "unit", "--psi1", "pow:inf", "--psi2", "pow:1"],
+     "delta must be finite"),
+    (["lemma", "--family", "exp", "--grid-geo", "2:10:3", "--psi",
+      "logpow:inf", "--h", "unit", "--target", "g"], "delta must be finite"),
+    (["sweep", "--family", "exp", "--grid-geo", "2:10:3", "--bound", "wv",
+      "--delta", "0.5", "--sweep-h", "unit", "--budget", "nan"],
+     "budget must be a number"),
+    # the count bound floor(2c*sqrt(g2)) of an infinite c
+    (["lemma", "--family", "exp", "--grid-geo", "2:10:3", "--c", "inf"],
+     "c must be finite"),
+    # the default threshold of iter:5 is an exp tower beyond float range
+    (["lemma", "--family", "exp", "--grid-geo", "2:10:3", "--psi",
+      "iter:5:0.5", "--h", "unit", "--target", "g"], "float range"),
 ])
 def test_cli_malformed_input_exits_2(argv, needle, tmp_path, capsys,
                                      monkeypatch):
@@ -290,11 +310,31 @@ def test_cli_malformed_input_exits_2(argv, needle, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_lemma_exphalf_threshold_beyond_float_range(capsys):
+    # g = log M reaches 3000 on exp: psi(g) = exp(g/2) overflows a float
+    # from g > 1419.6, while log(h(r) psi(g)) = g/2 does not.
+    assert main(["lemma", "--family", "exp", "--grid-geo", "2:3000:20",
+                 "--psi", "exphalf", "--h", "unit", "--target", "g"]) == 0
+    out, err = capsys.readouterr()
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert max(float(row["g"]) for row in rows) > 1420
+    assert err.startswith("budgeted set measure = 0, budget = 0.7357588")
+
+
 @pytest.mark.parametrize("old,new,needle", [
     ("count = 40", "count = inf", "[grid] count"),
     ("count = 40", "count = nan", "[grid] count"),
     ("count = 40", "count = 1e400", "[grid] count"),
     ("label = demo", "label = demo\ntol = 0", "tolerance"),
+    ("delta = 0.5", "delta = inf", "delta must be finite"),
+    ("C = 1.0", "C = inf", "C must be finite"),
+    ("mode = check\nlabel = demo",
+     "mode = sweep\nlabel = demo\n[sweep]\nbudget = nan\nh = disk",
+     "budget must be a number"),
+    ("mode = check\nlabel = demo", "mode = lemma\nlabel = demo\n[lemma]\n"
+     "c = inf", "c must be finite"),
+    ("mode = check\nlabel = demo", "mode = lemma\nlabel = demo\n[lemma]\n"
+     "psi = pow:inf\nh = disk\ntarget = g", "delta must be finite"),
 ])
 def test_report_malformed_input_exits_2(old, new, needle, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 
 from wvlab import PowerSeries, family
 from wvlab import series as series_mod
-from wvlab.series import TAIL_RUN, _find_horizon, _find_horizons, _scan, \
-    _Scan
+from wvlab.series import TAIL_RUN, _find_horizons, _scan, _Scan
 
 LOG_ZERO = -math.inf
+
+
+def _find_horizon(t, log_tail_tol):
+    """Smallest accepted horizon within ``t`` for one tolerance."""
+    return _find_horizons(t, [log_tail_tol])[0]
 
 
 def oracle_find_horizon(t, log_tail_tol):
