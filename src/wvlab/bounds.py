@@ -12,8 +12,9 @@
 
 ``psi_custom`` and ``h_custom`` add user functions.  Quantities like
 ``exp(1e6)`` never materialize: the linear ``psi_eval`` and ``HSpec.value``
-are ``exp`` of the log forms.  Iterated-log domain failures are hard errors
-naming the offending subexpression, never silent clamps.
+are ``exp`` of the log forms, and a domain error past float range.
+Iterated-log domain failures are hard errors naming the offending
+subexpression, never silent clamps.
 """
 
 from __future__ import annotations
@@ -72,6 +73,16 @@ def _pos_log(value: float, name: str) -> float:
     return math.log(value)
 
 
+def _user_log(value, name: str) -> float:
+    """log of a user function's value, which must be a positive float."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} exceeds float range",
+                          subexpression=name) from None
+    return _pos_log(value, name)
+
+
 def _need(ok: bool, message: str) -> None:
     if not ok:
         raise ValidationError(message)
@@ -113,9 +124,11 @@ class _PsiRow(NamedTuple):
 
 
 def _exp(log_y: float, message: str, subexpression: str | None = None):
-    if log_y > 709.0:
-        raise DomainError(message, subexpression=subexpression)
-    return math.exp(log_y)
+    """exp(log_y); past float range a domain error with ``message``."""
+    try:
+        return math.exp(log_y)
+    except OverflowError:
+        raise DomainError(message, subexpression=subexpression) from None
 
 
 def _iter_log(spec: PsiSpec, log_y: float) -> float:
@@ -200,10 +213,11 @@ def _custom_tail(spec: PsiSpec, a0: float, rel_tol: float = 1e-9) -> float:
 
 
 _CUSTOM_PSI = _PsiRow(
-    (), None, None, lambda s, ly: _pos_log(float(s.fn(_exp(
-        ly, "custom psi cannot be evaluated at log y > 709"))), "psi(y)"),
+    (), None, None, lambda s, ly: _user_log(s.fn(_exp(
+        ly, "custom psi cannot be evaluated at y beyond float range")),
+        "psi(y)"),
     _custom_tail,
-    linear=lambda s, y: _pos_log(float(s.fn(y)), "psi(y)"))
+    linear=lambda s, y: _user_log(s.fn(y), "psi(y)"))
 
 
 def _psi_row(spec: PsiSpec) -> _PsiRow:
@@ -275,7 +289,9 @@ def psi_log_of_log(spec: PsiSpec, log_y: float) -> float:
 
 def psi_eval(spec: PsiSpec, y: float) -> float:
     """Linear-domain psi(y)."""
-    return math.exp(psi_log_of_linear(spec, y))
+    log_psi = psi_log_of_linear(spec, y)
+    return _exp(log_psi, f"psi {spec} at y={y:g} exceeds float range: "
+                f"log psi = {log_psi:g}", f"psi({spec})")
 
 
 def psi_tail(spec: PsiSpec, a0: float) -> float:
@@ -310,7 +326,9 @@ class HSpec:
         return _h_row(self).log(self, r)
 
     def value(self, r: float) -> float:
-        return math.exp(self.log_value(r))
+        log_h = self.log_value(r)
+        return _exp(log_h, f"h weight {self.h_id!r} at r={r:g} exceeds float "
+                    f"range: log h = {log_h:g}", f"h({self.h_id})")
 
     def weight(self, r: np.ndarray) -> np.ndarray:
         """The integrand of ``measures.h_log_measure`` at the radii ``r``:
@@ -341,7 +359,7 @@ H_TABLE = {
         lambda h, r: (u := -math.log1p(-r)) - math.log(u),
         lambda h, r: 1.0 / ((1.0 - r) * (-np.log1p(-r)))),
 }
-_CUSTOM_H = _HRow(None, None, lambda h, r: _pos_log(float(h.fn(r)), "h(r)"),
+_CUSTOM_H = _HRow(None, None, lambda h, r: _user_log(h.fn(r), "h(r)"),
                   _custom_weight)
 
 
@@ -520,6 +538,8 @@ def bound_spec(bound_id: str, delta: float | None = None, n: int | None = None,
         _need(n is None, f"bound {bound_id!r} takes no n")
     if "h" in takes:
         _need(h is not None, f"bound {bound_id!r} needs an h weight")
+    else:
+        _need(h is None, f"bound {bound_id!r} takes no h weight")
     if "psi" in takes:
         _need(psi1 is not None and psi2 is not None,
               f"bound {bound_id!r} needs psi1 and psi2")

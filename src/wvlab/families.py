@@ -17,15 +17,18 @@ builds from the values they check.
 The ``kovari`` coefficients grow sub-factorially but overflow floats well
 before interesting radii, so the recurrences run on linearly scaled values
 ``a_n * exp(-shift)`` with a running rescale; logs are taken at the end.
-``kovari(1)`` uses a three-term recurrence run on Python floats in bounded
-chunks; other ``rho`` use the exp-of-series convolution, one contiguous dot
-product per coefficient (``_exp_step``, shared with ``exp_of_series``).
+``kovari`` at an integer ``rho`` from 1 to ``_KOVARI_MAX_ORDER`` (8) runs
+an O(N) recurrence of order ``rho + 1`` on Python floats in bounded chunks
+(``_KovariIntSource``); every other ``rho`` uses the O(N^2) exp-of-series
+convolution, one contiguous dot product per coefficient (``_exp_step``,
+shared with ``exp_of_series``).
 """
 
 from __future__ import annotations
 
 import ast
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -39,6 +42,8 @@ from .series import HARD_CAP, CoefficientSource, PowerSeries, \
 
 _RESCALE_THRESHOLD = 1e200
 _RESCALE_SHIFT = 230.0  # exp(-230) ~ 1e-100 per rescale
+# kovari at an integer rho up to this order runs the linear-time recurrence
+_KOVARI_MAX_ORDER = 8
 
 
 def _number(cond, default=None):
@@ -290,23 +295,60 @@ class _ScaledExpSource(CoefficientSource):
         return self._logc
 
 
-class _KovariRho1Source(CoefficientSource):
-    """log coefficients of exp(1/(1-z)) via its three-term recurrence.
+class _KovariIntSource(CoefficientSource):
+    """log coefficients of exp((1-z)^-rho) for an integer rho, in linear time.
 
-    (1-z)^2 f' = f gives (n+1)a_{n+1} = (2n+1)a_n - (n-1)a_{n-1}, linear time,
-    which is what makes horizons of ~1e6 terms near r -> 1 affordable.  Runs
-    scaled like the convolution source; cross-checked against it in tests.
-    The recurrence runs on Python floats in chunks of at most ``_CHUNK``
-    values, and their logs are taken per chunk; only the last two scaled
-    values are kept between calls.
+    (1-z)^(rho+1) f' = rho f gives, with a_0 = e and a_k = 0 for k < 0,
+
+        (n+1)a_{n+1} = (rho + (rho+1)n)a_n
+                 + sum_{j=2..rho+1} (-1)^(j+1) C(rho+1, j)(n+1-j)a_{n+1-j},
+
+    which is what makes horizons of ~1e6 terms near r -> 1 affordable.  At
+    rho = 1 it is (n+1)a_{n+1} = (2n+1)a_n - (n-1)a_{n-1}, run as that
+    straight line.  The integer factors are exact Python ints before they
+    multiply a float.  The recurrence runs on scaled Python floats in chunks
+    of at most ``_CHUNK`` values, and their logs are taken per chunk; a
+    rescale multiplies all rho + 1 carried values, and only those are kept
+    between calls.  Cross-checked against the convolution and mpmath in tests.
     """
 
     _CHUNK = 1 << 16
 
-    def __init__(self):
-        self._prev = self._last = 1.0  # scaled a_{n-1}, a_n; a_0 = a_1 = e
+    def __init__(self, rho: int):
+        self._rho = rho
+        # (-1)^(j+1) C(rho+1, j) paired with j, for j = 2..rho+1
+        self._terms = [((-1) ** (j + 1) * math.comb(rho + 1, j), j)
+                       for j in range(2, rho + 2)]
+        self._carry = [0.0] * rho + [1.0]  # scaled a_{n-rho}..a_n; a_0 = e
         self._shift = 1.0
         self._logc = np.empty(0)
+
+    def _run(self, carry: list, vals: list, k: int, end: int) -> list:
+        """Append the scaled a_{k+1}, ..., a_end to ``vals`` from the carried
+        a_{k-rho}..a_k, stopping after the first value past the rescale
+        threshold; return the new carried values."""
+        rho, terms = self._rho, self._terms
+        v = deque(carry, maxlen=rho + 1)
+        for k in range(k, end):
+            if v[-1] > _RESCALE_THRESHOLD:
+                break
+            s = (rho + (rho + 1) * k) * v[-1]
+            for c, j in terms:
+                s += c * (k + 1 - j) * v[-j]
+            s /= k + 1
+            v.append(s)
+            vals.append(s)
+        return list(v)
+
+    def _run1(self, carry: list, vals: list, k: int, end: int) -> list:
+        """``_run`` at rho = 1 as a straight line, bit for bit."""
+        a, b = carry
+        for k in range(k, end):
+            if b > _RESCALE_THRESHOLD:
+                break
+            a, b = b, ((2 * k + 1) * b - (k - 1) * a) / (k + 1)
+            vals.append(b)
+        return [a, b]
 
     def extend_to(self, stop: int) -> np.ndarray:
         cur = self._logc.size
@@ -316,25 +358,21 @@ class _KovariRho1Source(CoefficientSource):
         logc = np.empty(grow)
         logc[:cur] = self._logc
         if cur == 0:
-            logc[:2] = self._shift
-            cur = 2
-        a, b, shift = self._prev, self._last, self._shift
-        n = cur - 1  # b is the scaled a_n
+            logc[0] = self._shift
+            cur = 1
+        carry, shift = self._carry, self._shift
+        run = self._run1 if self._rho == 1 else self._run
+        n = cur - 1  # carry[-1] is the scaled a_n
         while n < grow - 1:
-            if b > _RESCALE_THRESHOLD:
-                a *= math.exp(-_RESCALE_SHIFT)
-                b *= math.exp(-_RESCALE_SHIFT)
+            if carry[-1] > _RESCALE_THRESHOLD:
+                carry = [x * math.exp(-_RESCALE_SHIFT) for x in carry]
                 shift += _RESCALE_SHIFT
             vals = []
-            for k in range(n, min(n + self._CHUNK, grow - 1)):
-                if b > _RESCALE_THRESHOLD:
-                    break
-                a, b = b, ((2 * k + 1) * b - (k - 1) * a) / (k + 1)
-                vals.append(b)
+            carry = run(carry, vals, n, min(n + self._CHUNK, grow - 1))
             logs = np.fromiter(map(math.log, vals), float, len(vals))
             logc[n + 1: n + 1 + len(vals)] = logs + shift
             n += len(vals)
-        self._prev, self._last, self._shift = a, b, shift
+        self._carry, self._shift = carry, shift
         self._logc = logc
         return self._logc
 
@@ -367,9 +405,11 @@ def make_family(spec: FamilySpec) -> PowerSeries:
         return s
     if fid == "kovari":
         rho = p["rho"]
-        source = _KovariRho1Source() if rho == 1.0 else _ScaledExpSource(
-            lambda count, _r=rho: binomial_series(_r, count)
-        )
+        if rho.is_integer() and rho <= _KOVARI_MAX_ORDER:
+            source = _KovariIntSource(int(rho))
+        else:
+            source = _ScaledExpSource(
+                lambda count, _r=rho: binomial_series(_r, count))
         return PowerSeries(source, 1.0, f"kovari({rho:g})", family_id="kovari")
     if fid == "suleimanov":
         eps = p["epsilon"]

@@ -75,6 +75,14 @@ def test_psi_eval_domain_gate():
         psi_eval(psi_iter(3, 0.5), 2.0)  # needs log log y > 0
 
 
+def test_psi_eval_past_float_range_is_a_domain_error():
+    # exp(y/2) leaves float range from y ~ 1419.6, its log does not
+    for spec, y in ((psi_exphalf(), 1500.0), (psi_pow(1.0), 1e200)):
+        with pytest.raises(DomainError) as err:
+            psi_eval(spec, y)
+        assert err.value.subexpression == f"psi({spec})"
+
+
 def test_psi_tail_closed_forms():
     assert psi_tail(psi_square(), 10.0) == pytest.approx(0.1)
     assert psi_tail(psi_pow(1.0), 2.0) == pytest.approx(0.5)
@@ -145,6 +153,13 @@ def test_h_values():
         h_disklog().value(0.1)
 
 
+def test_h_value_past_float_range_is_a_domain_error():
+    h = h_custom(lambda r: 10 ** 400, 0.0, 1.0)
+    with pytest.raises(DomainError) as err:
+        h.value(0.5)
+    assert err.value.subexpression == "h(r)"
+
+
 def test_h_log_values_match():
     # the linear closed forms: 1, 1/(1-r) and 1/((1-r) log(1/(1-r)))
     for h, r, value in ((h_unit(), 7.0, 1.0), (h_disk(), 0.99, 100.0),
@@ -213,6 +228,8 @@ def test_bound_spec_validation():
         bound_spec("lower", C=2.0)            # lower is pinned to C=1
     with pytest.raises(ValidationError):
         bound_spec("main", C=1.0)             # needs h and psis
+    with pytest.raises(ValidationError):
+        bound_spec("wv", delta=0.5, h=h_disk())  # h not allowed
     with pytest.raises(ValidationError):
         bound_spec("nope", delta=1.0)
 

@@ -295,6 +295,9 @@ def test_cli_rejects_partly_given_inputs(argv, needle, tmp_path, capsys):
     # the default threshold of iter:5 is an exp tower beyond float range
     (["lemma", "--family", "exp", "--grid-geo", "2:10:3", "--psi",
       "iter:5:0.5", "--h", "unit", "--target", "g"], "float range"),
+    # an h weight for a bound that takes none
+    (["check", "--family", "exp", "--grid-geo", "2:10:3", "--bound", "wv",
+      "--delta", "0.5", "--h", "disk"], "takes no h weight"),
 ])
 def test_cli_malformed_input_exits_2(argv, needle, tmp_path, capsys,
                                      monkeypatch):
@@ -328,6 +331,7 @@ def test_lemma_exphalf_threshold_beyond_float_range(capsys):
     ("label = demo", "label = demo\ntol = 0", "tolerance"),
     ("delta = 0.5", "delta = inf", "delta must be finite"),
     ("C = 1.0", "C = inf", "C must be finite"),
+    ("C = 1.0", "C = 1.0\nh = disk", "takes no h weight"),
     ("mode = check\nlabel = demo",
      "mode = sweep\nlabel = demo\n[sweep]\nbudget = nan\nh = disk",
      "budget must be a number"),

@@ -1,7 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+
+import wvlab.families as families_mod
 
 from wvlab import (
     FamilySpec,
@@ -13,6 +16,8 @@ from wvlab import (
     log_positive_value,
     make_family,
 )
+from wvlab.cli import main
+from wvlab.families import _KOVARI_MAX_ORDER
 
 
 def test_exp_family_coefficients(exp_series):
@@ -108,6 +113,40 @@ def test_kovari_scaling_guard_reaches_large_n(kovari1_series):
     # log a_n ~ 2 sqrt(n); far past linear-domain overflow
     val = kovari1_series.log_coeff(200_000)
     assert 600 < val < 1000
+
+
+@pytest.mark.parametrize("rho,convolves", [
+    *((float(rho), False) for rho in range(1, _KOVARI_MAX_ORDER + 1)),
+    (2.5, True),
+    (_KOVARI_MAX_ORDER + 1.0, True),
+])
+def test_kovari_integer_rho_skips_the_convolution(rho, convolves,
+                                                  monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return exp_step(*args)
+
+    exp_step = families_mod._exp_step
+    monkeypatch.setattr(families_mod, "_exp_step", counted)
+    family("kovari", rho=rho).log_coeffs(300)
+    assert bool(calls) == convolves
+
+
+def test_kovari2_eval_reaches_gap_3e_2(tmp_path):
+    out = tmp_path / "kovari2.csv"
+    q = 0.3 ** 0.2  # gap 0.1 down to 3e-2 in five steps
+    assert main(["eval", "--family", "kovari", "--rho", "2", "--grid-gap",
+                 f"0.9:{q!r}:6", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh.readlines()[1:]))
+    assert len(rows) == 6
+    assert float(rows[-1]["r"]) == pytest.approx(0.97, abs=1e-12)
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row.values())
+    nus = [int(row["nu"]) for row in rows]
+    assert nus == sorted(nus) and nus[0] > 0
 
 
 def test_suleimanov_max_term_matches_brute_force(suleimanov_half_series):

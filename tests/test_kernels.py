@@ -1,8 +1,9 @@
 """The array kernels against the scalar loops they replace.
 
 * ``logdomain._exact_sum`` must give the bits of ``math.fsum``.
-* ``families._KovariRho1Source`` must give the bits of the original
-  numpy-scalar loop, copied below as the oracle.
+* ``families._KovariIntSource(1)`` must give the bits of the original
+  numpy-scalar kovari(1) loop, copied below as the oracle.  At other integer
+  rho it is held to the convolution, to mpmath and to the closed form.
 * ``families._ScaledExpSource`` reorders each dot product, so it is held to
   the original negative-stride loop within a relative 1e-13.
 """
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wvlab import family, log_positive_value
-from wvlab.families import _RESCALE_SHIFT, _RESCALE_THRESHOLD, \
-    _KovariRho1Source, _ScaledExpSource, binomial_series
+from wvlab.families import _KOVARI_MAX_ORDER, _RESCALE_SHIFT, \
+    _RESCALE_THRESHOLD, _KovariIntSource, _ScaledExpSource, binomial_series
 from wvlab.logdomain import _FSUM_CUTOFF, _exact_sum, log_sum_exp
+from wvlab.series import truncation_horizon
 
 LOG_ZERO = -math.inf
 
@@ -184,7 +186,7 @@ def kovari1_oracle():
 
 
 def kovari1_stops(oracle):
-    chunk = _KovariRho1Source._CHUNK
+    chunk = _KovariIntSource._CHUNK
     near = [n + d for n in oracle.rescaled_at[:3] for d in (-1, 0, 1, 2)]
     return sorted(near + [chunk - 1, chunk, chunk + 1, chunk + 2,
                           2 * chunk + 1, 3 * chunk])
@@ -193,7 +195,7 @@ def kovari1_stops(oracle):
 def test_kovari1_one_call_per_stop_matches_seed_bits(kovari1_oracle):
     want = kovari1_oracle._logc
     for stop in kovari1_stops(kovari1_oracle):
-        got = _KovariRho1Source().extend_to(stop)
+        got = _KovariIntSource(1).extend_to(stop)
         assert got.size == max(stop, 256)
         assert np.array_equal(bits(got), bits(want[:got.size])), stop
 
@@ -208,7 +210,7 @@ def test_kovari1_extending_in_steps_matches_seed_bits(kovari1_oracle,
     if stops == "rescales_and_chunks":
         stops = kovari1_stops(kovari1_oracle)
     want = kovari1_oracle._logc
-    source = _KovariRho1Source()
+    source = _KovariIntSource(1)
     for stop in stops:
         got = source.extend_to(stop)
         assert got.size >= stop
@@ -218,6 +220,87 @@ def test_kovari1_extending_in_steps_matches_seed_bits(kovari1_oracle,
 def test_kovari1_family_uses_the_recurrence(kovari1_oracle):
     got = family("kovari", rho=1).log_coeffs(100_000)
     assert np.array_equal(bits(got), bits(kovari1_oracle._logc[:100_000]))
+
+
+def test_kovari1_straight_line_is_the_general_step():
+    """At rho = 1 the general step computes (1 + 2k)b + (-(k-1))a, which
+    rounds exactly like the straight line's (2k+1)b - (k-1)a."""
+    source = _KovariIntSource(1)
+    for k0, carry in ((0, [0.0, 1.0]), (1, [1.0, 1.0]),
+                      (70_000, [3.7e199, 3.8e199])):
+        got, want = [], []
+        got_carry = source._run(carry, got, k0, k0 + 5000)
+        want_carry = source._run1(carry, want, k0, k0 + 5000)
+        assert np.array_equal(bits(got), bits(want)), k0
+        assert got_carry == want_carry
+
+
+# ---------------------------------------------------------------------------
+# kovari at integer rho > 1: the order rho+1 recurrence.
+
+INT_RHOS = [2, 3, _KOVARI_MAX_ORDER]
+N_ORACLE = 20_000
+ULP = 2.0 ** -53
+
+
+def ulp_budget(rho, n):
+    """The recurrence's error allowance at a_n: 2^(rho+1) ulps per step.
+
+    Its terms alternate in sign, and their sizes add up to about
+    2^(rho+1) = sum_j C(rho+1, j) times the new value, so a step's rounding
+    is worth up to 2^(rho+1) ulps of it; the n steps add up.
+    """
+    return 2.0 ** (rho + 1) * np.maximum(n, 1) * ULP
+
+
+def mpmath_kovari_logs(rho, count, dps=40):
+    """log a_n by the same recurrence in mpmath at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        terms = [((-1) ** (j + 1) * math.comb(rho + 1, j), j)
+                 for j in range(2, rho + 2)]
+        a = [mpmath.e]
+        for n in range(count - 1):
+            s = (rho + (rho + 1) * n) * a[n]
+            for c, j in terms:
+                if n + 1 - j >= 0:
+                    s += c * (n + 1 - j) * a[n + 1 - j]
+            a.append(s / (n + 1))
+        return np.array([float(mpmath.log(v)) for v in a])
+
+
+@pytest.mark.parametrize("rho", INT_RHOS)
+def test_kovari_int_recurrence_matches_mpmath(rho):
+    want = mpmath_kovari_logs(rho, N_ORACLE)
+    got = _KovariIntSource(rho).extend_to(N_ORACLE)[:N_ORACLE]
+    n = np.arange(N_ORACLE)
+    assert np.all(np.abs(got - want) <= ulp_budget(rho, n))
+
+
+@pytest.mark.parametrize("rho", INT_RHOS)
+def test_kovari_int_recurrence_matches_the_convolution(rho):
+    """The convolution is subtraction-free, so it sits well inside the
+    recurrence's allowance of the exact values; the two then differ by at
+    most twice that allowance."""
+    conv = _ScaledExpSource(lambda count: binomial_series(float(rho), count))
+    want = conv.extend_to(N_ORACLE)[:N_ORACLE]
+    got = _KovariIntSource(rho).extend_to(N_ORACLE)[:N_ORACLE]
+    n = np.arange(N_ORACLE)
+    assert np.all(np.abs(got - want) <= 2.0 * ulp_budget(rho, n))
+
+
+@pytest.mark.parametrize("rho,gap", [(2, 3e-2), (3, 1e-1), (3, 5e-2)])
+def test_kovari_int_log_M_is_the_closed_form_near_the_boundary(rho, gap):
+    """log M = (1-r)^-rho within the truncation tolerance plus the
+    coefficients' allowance at the horizon (91k terms for rho = 2 at gap
+    3e-2, 500k for rho = 3 at 5e-2)."""
+    tol = 1e-12
+    kov = family("kovari", rho=rho)
+    horizon = truncation_horizon(kov, 1.0 - gap, tol)
+    got = log_positive_value(kov, 1.0 - gap, tol)
+    want = gap ** -rho
+    assert abs(got - want) <= tol + ulp_budget(rho, horizon)
 
 
 # ---------------------------------------------------------------------------
