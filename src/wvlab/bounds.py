@@ -78,8 +78,9 @@ def _user_log(value, name: str) -> float:
     try:
         value = float(value)
     except OverflowError:
-        raise DomainError(f"{name} exceeds float range",
-                          subexpression=name) from None
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"{name} exceeds float range", subexpression=name)
     return _pos_log(value, name)
 
 

@@ -37,8 +37,8 @@ from scipy.special import gammaln
 
 from .errors import ValidationError
 from .logdomain import LOG_ZERO
-from .series import HARD_CAP, CoefficientSource, PowerSeries, \
-    VectorizedSource
+from .series import HARD_CAP, PowerSeries, VectorizedSource, \
+    _PrefixSource, _reserve
 
 _RESCALE_THRESHOLD = 1e200
 _RESCALE_SHIFT = 230.0  # exp(-230) ~ 1e-100 per rescale
@@ -245,7 +245,7 @@ def exp_of_series(b) -> np.ndarray:
     return a
 
 
-class _ScaledExpSource(CoefficientSource):
+class _ScaledExpSource(_PrefixSource):
     """log coefficients of exp(g) where g has nonnegative coefficients.
 
     Runs the subtraction-free convolution recurrence (``_exp_step``, one
@@ -253,49 +253,42 @@ class _ScaledExpSource(CoefficientSource):
     rescaling whenever they approach float overflow.
     """
 
+    _floor = 256
+
     def __init__(self, b_fn):
         self._b_fn = b_fn          # count -> array of b_0..b_{count-1}
         self._kbr = np.empty(0)    # k*b_k, reversed
         self._v = np.empty(0)      # scaled a_n values
         self._shift = 0.0
-        self._logc = np.empty(0)
 
     def _ensure_kb(self, count):
         if self._kbr.size < count:
-            b = np.asarray(self._b_fn(count), dtype=float)
+            # the table is cheap next to the convolution, so it doubles
+            b = np.asarray(self._b_fn(max(count, 2 * self._kbr.size)),
+                           dtype=float)
             if not np.all(np.isfinite(b)) or np.any(b < 0):
                 raise ValidationError("exp-of-series input must be b_k >= 0")
             self._kbr = _reversed_kb(b)
 
-    def extend_to(self, stop: int) -> np.ndarray:
-        cur = self._logc.size
-        if stop <= cur:
-            return self._logc
-        grow = max(stop, 2 * cur, 256)
-        self._ensure_kb(grow)
-        v = np.empty(grow)
-        v[:cur] = self._v
-        logc = np.empty(grow)
-        logc[:cur] = self._logc
+    def _fill(self, logc, cur, stop):
+        self._ensure_kb(stop)
+        v = self._v = _reserve(self._v, cur, stop)
         if cur == 0:
             b0 = float(np.asarray(self._b_fn(1), dtype=float)[0])
             v[0] = 1.0
             self._shift = b0  # a_0 = exp(b_0) stored as exp(-shift)*a_0 = 1
             logc[0] = b0
             cur = 1
-        for n in range(cur, grow):
+        for n in range(cur, stop):
             if v[n - 1] > _RESCALE_THRESHOLD:
                 v[:n] *= math.exp(-_RESCALE_SHIFT)
                 self._shift += _RESCALE_SHIFT
             s = _exp_step(self._kbr, v, n)
             v[n] = s
             logc[n] = (math.log(s) + self._shift) if s > 0 else LOG_ZERO
-        self._v = v
-        self._logc = logc
-        return self._logc
 
 
-class _KovariIntSource(CoefficientSource):
+class _KovariIntSource(_PrefixSource):
     """log coefficients of exp((1-z)^-rho) for an integer rho, in linear time.
 
     (1-z)^(rho+1) f' = rho f gives, with a_0 = e and a_k = 0 for k < 0,
@@ -313,6 +306,7 @@ class _KovariIntSource(CoefficientSource):
     """
 
     _CHUNK = 1 << 16
+    _floor = 256
 
     def __init__(self, rho: int):
         self._rho = rho
@@ -321,7 +315,6 @@ class _KovariIntSource(CoefficientSource):
                        for j in range(2, rho + 2)]
         self._carry = [0.0] * rho + [1.0]  # scaled a_{n-rho}..a_n; a_0 = e
         self._shift = 1.0
-        self._logc = np.empty(0)
 
     def _run(self, carry: list, vals: list, k: int, end: int) -> list:
         """Append the scaled a_{k+1}, ..., a_end to ``vals`` from the carried
@@ -350,31 +343,23 @@ class _KovariIntSource(CoefficientSource):
             vals.append(b)
         return [a, b]
 
-    def extend_to(self, stop: int) -> np.ndarray:
-        cur = self._logc.size
-        if stop <= cur:
-            return self._logc
-        grow = max(stop, 2 * cur, 256)
-        logc = np.empty(grow)
-        logc[:cur] = self._logc
+    def _fill(self, logc, cur, stop):
         if cur == 0:
             logc[0] = self._shift
             cur = 1
         carry, shift = self._carry, self._shift
         run = self._run1 if self._rho == 1 else self._run
         n = cur - 1  # carry[-1] is the scaled a_n
-        while n < grow - 1:
+        while n < stop - 1:
             if carry[-1] > _RESCALE_THRESHOLD:
                 carry = [x * math.exp(-_RESCALE_SHIFT) for x in carry]
                 shift += _RESCALE_SHIFT
             vals = []
-            carry = run(carry, vals, n, min(n + self._CHUNK, grow - 1))
+            carry = run(carry, vals, n, min(n + self._CHUNK, stop - 1))
             logs = np.fromiter(map(math.log, vals), float, len(vals))
             logc[n + 1: n + 1 + len(vals)] = logs + shift
             n += len(vals)
         self._carry, self._shift = carry, shift
-        self._logc = logc
-        return self._logc
 
 
 # ---------------------------------------------------------------------------

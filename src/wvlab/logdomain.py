@@ -22,6 +22,9 @@ _FSUM_CUTOFF = 1 << 17
 # mant + _SPLIT, less _SPLIT, rounds a mantissa in [0.5, 1) to a multiple
 # of 2**-27: the ulp of 2**25 is 2**-27.
 _SPLIT = 2.0 ** 25
+# exponents combined per big-int step, and their weights, scaled by 2**53
+_FOLD = 4
+_FOLD_WEIGHTS = 2.0 ** (53 + np.arange(_FOLD))
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -31,9 +34,11 @@ def _exact_sum(x: np.ndarray) -> float:
     as a mantissa of 53 bits times a power of two.  Each mantissa is split
     into a 27-bit high part and a signed 26-bit low part, and each part is
     summed per exponent by ``np.bincount``.  With at most 2**17 terms every
-    such sum needs at most 44 bits, so it is exact.  The sums are combined
-    as Python ints and rounded once by int true division, which rounds
-    correctly, half to even.
+    such sum needs at most 44 bits, so it is exact.  Each run of ``_FOLD``
+    exponents is folded into one sum weighted by 1, 2, 4, 8, which needs at
+    most 48 bits and so stays exact too.  The folded sums are combined as
+    Python ints, one step per run, and rounded once by int true division,
+    which rounds correctly, half to even.
     """
     mant, exp = np.frexp(x)
     hi = mant + _SPLIT
@@ -41,13 +46,18 @@ def _exact_sum(x: np.ndarray) -> float:
     mant -= hi  # the low part, a multiple of 2**-53 in [-2**-28, 2**-28]
     emin = int(exp.min())
     exp -= emin
-    # Scaled by 2**53, every per-exponent sum is an integer.
-    his = np.bincount(exp, weights=hi) * 2.0 ** 53
-    los = np.bincount(exp, weights=mant) * 2.0 ** 53
+    his = _folded(np.bincount(exp, weights=hi))
+    los = _folded(np.bincount(exp, weights=mant))
     total = 0
     for h, low in zip(his[::-1].tolist(), los[::-1].tolist()):
-        total = (total << 1) + int(h) + int(low)
+        total = (total << _FOLD) + int(h) + int(low)
     return total / (1 << (53 - emin))
+
+
+def _folded(sums: np.ndarray) -> np.ndarray:
+    """Entry ``k`` is ``sum_j 2**(53+j) * sums[_FOLD*k + j]``, an integer."""
+    sums = np.concatenate((sums, np.zeros(-sums.size % _FOLD)))
+    return sums.reshape(-1, _FOLD) @ _FOLD_WEIGHTS
 
 
 def log_sum_exp(values) -> float:

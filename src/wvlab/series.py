@@ -12,12 +12,15 @@ robust to non-unimodal coefficient sequences but remains a heuristic beyond
 the verified window.
 
 Each radius is scanned once: one window of term logs, starting at the
-caller's start size and doubling from there up to a hard cap, yields the
-horizon of every tolerance the caller needs, and the sums then run over
-prefixes of that same window.  The accepted horizon is the smallest ``N``
-passing a rule that reads only the prefix ``t[:N+51]``, so results do not
-depend on the start; along a grid each radius starts from the previous
-radius's final window.
+caller's start size, yields the horizon of every tolerance the caller needs,
+and the sums then run over prefixes of that same window.  Until every
+tolerance has its horizon the window grows in place by an eighth (at least
+512 terms, at most up to a hard cap): only the new terms are computed, and
+the horizon search resumes at the first candidate the new terms can still
+change.  The accepted horizon is the smallest ``N`` passing a rule that
+reads only the prefix ``t[:N+51]``, so results do not depend on the start or
+the steps; along a grid each radius starts from the previous radius's final
+window.  Coefficient sources likewise compute only the prefix asked for.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ DEFAULT_TOL = 1e-9
 TAIL_RUN = 50
 HARD_CAP = 10**8
 _FIRST_WINDOW = 512
+_GROWTH = 8  # a scan window grows by an eighth per step
 _BLOCK = 4096
 
 
@@ -56,43 +60,76 @@ class CoefficientSource:
         raise NotImplementedError
 
 
-class VectorizedSource(CoefficientSource):
+def _reserve(buf: np.ndarray, filled: int, need: int) -> np.ndarray:
+    """``buf`` if it holds ``need`` values, else a buffer of ``2 * need``
+    values (at most ``HARD_CAP``, at least ``need``) that starts with the
+    first ``filled`` values of ``buf``.
+
+    Pages of ``np.empty`` that are never written cost no resident memory,
+    so the spare room is free until it is filled.
+    """
+    if need <= buf.size:
+        return buf
+    grown = np.empty(max(need, min(2 * need, HARD_CAP)))
+    grown[:filled] = buf[:filled]
+    return grown
+
+
+class _PrefixSource(CoefficientSource):
+    """A source that fills exactly the prefix asked for, at least
+    ``_floor`` values, into one buffer with spare capacity.
+
+    ``_fill(buf, cur, stop)`` writes the values ``cur..stop-1`` into
+    ``buf``.  Values already handed out are never written again, and a
+    buffer that is outgrown stays alive under the views that readers hold.
+    """
+
+    _floor = _FIRST_WINDOW
+    _buf = np.empty(0)
+    _size = 0
+
+    def _fill(self, buf: np.ndarray, cur: int, stop: int) -> None:
+        raise NotImplementedError
+
+    def extend_to(self, stop: int) -> np.ndarray:
+        cur = self._size
+        if stop > cur:
+            stop = max(stop, self._floor)
+            self._buf = _reserve(self._buf, cur, stop)
+            self._fill(self._buf, cur, stop)
+            self._size = stop
+        return self._buf[:self._size]
+
+
+class VectorizedSource(_PrefixSource):
     """Source backed by a vectorized formula ``fn(n_array) -> log|a_n|``."""
 
     def __init__(self, fn):
         self._fn = fn
-        self._logc = np.empty(0, dtype=float)
 
-    def extend_to(self, stop: int) -> np.ndarray:
-        cur = self._logc.size
-        if stop > cur:
-            grow = max(stop, 2 * cur, _FIRST_WINDOW)
-            block = np.asarray(
-                self._fn(np.arange(cur, grow, dtype=float)), dtype=float
+    def _fill(self, buf, cur, stop):
+        block = np.asarray(self._fn(np.arange(cur, stop, dtype=float)),
+                           dtype=float)
+        if np.isnan(block).any():
+            bad = int(np.flatnonzero(np.isnan(block))[0]) + cur
+            raise DomainError(
+                f"coefficient formula produced NaN at n={bad}",
+                subexpression="log_coeff(n)",
             )
-            if np.isnan(block).any():
-                bad = int(np.flatnonzero(np.isnan(block))[0]) + cur
-                raise DomainError(
-                    f"coefficient formula produced NaN at n={bad}",
-                    subexpression="log_coeff(n)",
-                )
-            self._logc = np.concatenate([self._logc, block])
-        return self._logc
+        buf[cur:stop] = block
 
 
-class ArraySource(CoefficientSource):
+class ArraySource(_PrefixSource):
     """Source backed by an explicit finite prefix; zero beyond it."""
 
-    def __init__(self, values: np.ndarray):
-        self._values = np.asarray(values, dtype=float)
-        self._logc = self._values
+    _floor = 0
 
-    def extend_to(self, stop: int) -> np.ndarray:
-        if stop > self._logc.size:
-            pad = np.full(max(stop, 2 * self._logc.size) - self._values.size,
-                          LOG_ZERO)
-            self._logc = np.concatenate([self._values, pad])
-        return self._logc
+    def __init__(self, values: np.ndarray):
+        self._buf = np.asarray(values, dtype=float)
+        self._size = self._buf.size
+
+    def _fill(self, buf, cur, stop):
+        buf[cur:stop] = LOG_ZERO
 
 
 @dataclass(frozen=True)
@@ -116,8 +153,8 @@ class PowerSeries:
     Instances are immutable apart from an internal, lock-protected coefficient
     cache, so they are safe to share between concurrent readers.  A series
     keeps no scan state: a caller that evaluates several radii passes each
-    scan's final window size as the next scan's start, the window doubles from
-    there, and results are bitwise independent of the start.
+    scan's final window size as the next scan's start, the window grows in
+    place from there, and results are bitwise independent of the start.
     """
 
     def __init__(
@@ -171,12 +208,21 @@ class PowerSeries:
             arr = self._source.extend_to(stop)
         return arr[:stop]
 
-    def _terms(self, x: float, stop: int) -> np.ndarray:
-        """Term logs ``log|a_n| + n*x`` for ``n < stop``.
+    def _fill_terms(self, buf: np.ndarray, x: float, lo: int,
+                    hi: int) -> None:
+        """Write the term logs ``log|a_n| + n*x`` for ``lo <= n < hi`` into
+        ``buf[lo:hi]``.
 
-        Built elementwise, so a longer window repeats every value of a shorter
-        one bit for bit.
+        Built elementwise, so a window filled piece by piece repeats the
+        values of one filled at once bit for bit.
         """
+        t = buf[lo:hi]
+        np.multiply(np.arange(lo, hi, dtype=float), x, out=t)
+        t += self.log_coeffs(hi)[lo:]
+
+    def _terms(self, x: float, stop: int) -> np.ndarray:
+        """Term logs ``log|a_n| + n*x`` for ``n < stop``, built at once: the
+        window that :meth:`_fill_terms` must repeat piece by piece."""
         t = np.arange(stop, dtype=float)
         t *= x
         t += self.log_coeffs(stop)
@@ -186,20 +232,36 @@ class PowerSeries:
         return f"PowerSeries({self.label!r}, radius={self.radius})"
 
 
-def _first_horizon(t: np.ndarray, big: np.ndarray) -> _Scan | None:
-    """Smallest accepted horizon, given ``big[n] = t[n] >= threshold[n]``."""
+def _last_max(t: np.ndarray, lo: int, hi: int, prior: tuple) -> tuple:
+    """``max(t[:hi])`` and the last index holding it, given ``prior``, the
+    same pair for ``t[:lo]``."""
+    if hi <= lo:
+        return prior
+    w = t[lo:hi]
+    m = float(w.max())
+    if m < prior[0]:
+        return prior
+    return m, hi - 1 - int(np.argmax(w[::-1] == m))
+
+
+def _first_horizon(t: np.ndarray, big: np.ndarray, lo: int,
+                   prior: tuple) -> _Scan | None:
+    """Smallest accepted horizon ``p >= lo``, given ``big[n - lo] = t[n] >=
+    threshold[n]`` for ``n >= lo`` and ``prior`` from :func:`_last_max`."""
+    if big.size - np.count_nonzero(big) < TAIL_RUN:
+        return None  # too few small terms for a tail run
     # Stretches of constant ``big``: a stretch of small terms that starts at
-    # ``edges[i]`` ends a run of big ones at ``p = edges[i] - 1``.
+    # ``lo + edges[i]`` ends a run of big ones at ``p = lo + edges[i] - 1``.
     edges = np.flatnonzero(big[1:] != big[:-1]) + 1
-    lengths = np.diff(edges, append=t.size)
+    lengths = np.diff(edges, append=big.size)
     for i in np.flatnonzero(~big[edges] & (lengths >= TAIL_RUN)):
-        p = int(edges[i]) - 1
+        p = lo + int(edges[i]) - 1
         # Central index up to p: the last index holding max(t[:p+1]).  The
         # horizon is p when p lies beyond it; when p is the central index
         # itself, p + 1 qualifies if one more small term follows.
-        nu = p - int(np.argmax(t[p::-1] == t[:p + 1].max()))
+        log_mu, nu = _last_max(t, lo, p + 1, prior)
         if p > nu:
-            return _Scan(float(t[nu]), nu, p)
+            return _Scan(log_mu, nu, p)
         if lengths[i] >= TAIL_RUN + 1:
             if t[p + 1] >= t[p]:
                 nu = p + 1
@@ -207,7 +269,8 @@ def _first_horizon(t: np.ndarray, big: np.ndarray) -> _Scan | None:
     return None
 
 
-def _find_horizons(t: np.ndarray, log_tail_tols) -> list:
+def _find_horizons(t: np.ndarray, log_tail_tols, lo: int = 0,
+                   prior: tuple = (LOG_ZERO, -1)) -> list:
     """Smallest accepted horizon within a term prefix, per tolerance.
 
     Accepts the smallest ``N`` strictly beyond the running central index such
@@ -215,31 +278,38 @@ def _find_horizons(t: np.ndarray, log_tail_tols) -> list:
     log_tail_tol``.  Ties for the max break upward.  ``None`` marks a
     tolerance with no accepted horizon inside ``t``.
 
+    Only the candidates ``N >= lo`` are examined; ``prior`` is
+    ``_last_max(t, 0, lo, ...)``.  A search that resumes on a longer window
+    passes ``lo = old_size - TAIL_RUN - 1``: every earlier candidate has its
+    50 following terms inside the old window and was already decided.
+
     The running max at an index lies between the max before its block and
     the max at the block's end.  Rounding is monotone, so a block whose
     minimum clears ``end_max + log_tail_tol`` is all big, one whose maximum
     stays below ``prior_max + log_tail_tol`` is all small, and only the
     blocks in between need the running max term by term.
     """
-    starts = np.arange(0, t.size, _BLOCK)
-    bmax = np.maximum.reduceat(t, starts)
-    bmin = np.minimum.reduceat(t, starts)
+    seg = t[lo:]
+    starts = np.arange(0, seg.size, _BLOCK)
+    bmax = np.maximum.reduceat(seg, starts)
+    bmin = np.minimum.reduceat(seg, starts)
     end_max = np.maximum.accumulate(bmax)
-    prior_max = np.concatenate(([LOG_ZERO], end_max[:-1]))
+    np.maximum(end_max, prior[0], out=end_max)
+    prior_max = np.concatenate(([prior[0]], end_max[:-1]))
     found = {}
     for ltt in log_tail_tols:
         if ltt in found:
             continue
         all_big = bmin >= end_max + ltt
-        big = np.repeat(all_big, _BLOCK)[:t.size]
+        big = np.repeat(all_big, _BLOCK)[:seg.size]
         for b in np.flatnonzero(~all_big & (bmax >= prior_max + ltt)):
-            lo = b * _BLOCK
-            blk = t[lo:lo + _BLOCK]
+            i = b * _BLOCK
+            blk = seg[i:i + _BLOCK]
             thr = np.maximum.accumulate(blk)
             np.maximum(thr, prior_max[b], out=thr)
             thr += ltt
-            big[lo:lo + _BLOCK] = blk >= thr
-        found[ltt] = _first_horizon(t, big)
+            big[i:i + _BLOCK] = blk >= thr
+        found[ltt] = _first_horizon(t, big, lo, prior)
     return [found[ltt] for ltt in log_tail_tols]
 
 
@@ -255,11 +325,15 @@ def _scan(series: PowerSeries, x: float, tols,
     """Scan one window of term logs at ``x = log r`` for every tolerance.
 
     The window starts at ``start`` terms (at least 512, at most
-    ``HARD_CAP``) and doubles until each tolerance in ``tols`` has an
-    accepted horizon inside it.  Returns ``(scans, t, stop)``: one
-    :class:`_Scan` per tolerance, the term logs of the final window and its
-    size, which is the next radius's start.  Every evaluation passes here,
-    so this rejects a tolerance that is not finite and > 0.
+    ``HARD_CAP``) and grows in place by a ``1/_GROWTH`` share (at least 512
+    terms) until each tolerance in ``tols`` has an accepted horizon inside
+    it.  Each step computes only the new terms, and the search resumes
+    where the last one could still change its answer (see
+    :func:`_find_horizons`); a tolerance keeps the horizon it found.
+    Returns ``(scans, t, stop)``: one :class:`_Scan` per tolerance, the term
+    logs of the final window and its size, which is the next radius's
+    start.  Every evaluation passes here, so this rejects a tolerance that
+    is not finite and > 0.
     """
     _require_nonzero(series)
     for tol in tols:
@@ -267,10 +341,17 @@ def _scan(series: PowerSeries, x: float, tols,
             raise ValidationError(
                 f"tolerance must be finite and > 0, got {tol!r}")
     log_tail_tols = [math.log(tol / TAIL_RUN) for tol in tols]
+    scans = [None] * len(tols)
+    lo, prior = 0, (LOG_ZERO, -1)
     stop = min(max(start, _FIRST_WINDOW), HARD_CAP)
+    buf = _reserve(np.empty(0), 0, stop)
+    series._fill_terms(buf, x, 0, stop)
     while True:
-        t = series._terms(x, stop)
-        scans = _find_horizons(t, log_tail_tols)
+        t = buf[:stop]
+        todo = [i for i, s in enumerate(scans) if s is None]
+        found = _find_horizons(t, [log_tail_tols[i] for i in todo], lo, prior)
+        for i, s in zip(todo, found):
+            scans[i] = s
         if None not in scans:
             return scans, t, stop
         if stop >= HARD_CAP:
@@ -279,7 +360,12 @@ def _scan(series: PowerSeries, x: float, tols,
                 f"within {HARD_CAP} terms",
                 horizon=stop,
             )
-        stop = min(2 * stop, HARD_CAP)
+        resume = max(stop - TAIL_RUN - 1, 0)
+        lo, prior = resume, _last_max(t, lo, resume, prior)
+        grown = min(stop + max(stop // _GROWTH, _FIRST_WINDOW), HARD_CAP)
+        buf = _reserve(buf, stop, grown)
+        series._fill_terms(buf, x, stop, grown)
+        stop = grown
 
 
 def _check_radius(series: PowerSeries, r: float) -> None:

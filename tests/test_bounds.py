@@ -160,6 +160,25 @@ def test_h_value_past_float_range_is_a_domain_error():
     assert err.value.subexpression == "h(r)"
 
 
+def test_infinite_custom_h_or_psi_is_a_domain_error():
+    """A user function returning inf is past float range, not log = inf."""
+    h = h_custom(lambda r: math.inf, 0.0, 1.0)
+    for evaluate in (lambda: h.log_value(0.5), lambda: h.value(0.5)):
+        with pytest.raises(DomainError, match="exceeds float range") as err:
+            evaluate()
+        assert err.value.subexpression == "h(r)"
+    psi = psi_custom(lambda y: math.inf, a=1.0)
+    with pytest.raises(DomainError, match="exceeds float range") as err:
+        psi_eval(psi, 2.0)
+    assert err.value.subexpression == "psi(y)"
+    for main in (bound_spec("main", h=h, psi1=psi_pow(1.0),
+                            psi2=psi_pow(1.0)),
+                 bound_spec("main", h=h_disk(), psi1=psi,
+                            psi2=psi_pow(1.0))):
+        with pytest.raises(DomainError, match="exceeds float range"):
+            eval_bound(main, log_mu=10.0, log_M=11.0, r=0.9)
+
+
 def test_h_log_values_match():
     # the linear closed forms: 1, 1/(1-r) and 1/((1-r) log(1/(1-r)))
     for h, r, value in ((h_unit(), 7.0, 1.0), (h_disk(), 0.99, 100.0),

@@ -6,6 +6,7 @@
   rho it is held to the convolution, to mpmath and to the closed form.
 * ``families._ScaledExpSource`` reorders each dot product, so it is held to
   the original negative-stride loop within a relative 1e-13.
+* Every coefficient source computes exactly the prefix it is asked for.
 """
 
 import math
@@ -14,12 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
-from wvlab import family, log_positive_value
+from wvlab import RadialGrid, evaluate_grid, family, log_positive_value
+from wvlab import series as series_mod
 from wvlab.families import _KOVARI_MAX_ORDER, _RESCALE_SHIFT, \
     _RESCALE_THRESHOLD, _KovariIntSource, _ScaledExpSource, binomial_series
 from wvlab.logdomain import _FSUM_CUTOFF, _exact_sum, log_sum_exp
-from wvlab.series import truncation_horizon
+from wvlab.series import TAIL_RUN, ArraySource, VectorizedSource, \
+    truncation_horizon
 
 LOG_ZERO = -math.inf
 
@@ -97,6 +101,11 @@ def test_exact_sum_rounds_ties_like_fsum(x):
     [1.0] + [2.0 ** -1074] * 1000,
     [1.0] * _FSUM_CUTOFF,
     [1.0 - 2.0 ** -53] * _FSUM_CUTOFF,
+    # 601 terms over about 1075 binades, from 1 down to 5e-324
+    np.exp2(-np.linspace(0.0, 1074.0, 601)),
+    # subnormals only
+    np.ldexp(np.random.default_rng(0).integers(1, 2 ** 52, 601)
+             .astype(float), -1074),
 ])
 def test_exact_sum_edge_cases(x):
     x = np.array(x)
@@ -365,8 +374,8 @@ def test_scaled_exp_source_matches_the_seed_loop(name):
     oracle, source = SeedScaledExpSource(b_fn), _ScaledExpSource(b_fn)
     for stop in (1, 300, 700, 3000):
         want, got = oracle.extend_to(stop), source.extend_to(stop)
-        assert got.size == want.size
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0), stop
+        assert stop <= got.size <= want.size
+        assert np.allclose(got, want[:got.size], rtol=1e-13, atol=0.0), stop
     assert oracle._shift == source._shift
 
 
@@ -379,3 +388,53 @@ def test_kovari_log_M_is_the_closed_form(rho):
         want = (1.0 - r) ** -rho
         got = log_positive_value(kov, r)
         assert abs(got - want) <= 1e-9 * want, r
+
+
+# ---------------------------------------------------------------------------
+# Sources compute only what is asked.
+
+
+class CountingFormula:
+    """``-log n!``, recording the largest n it was evaluated at."""
+
+    def __init__(self):
+        self.top = -1
+
+    def __call__(self, n):
+        if n.size:
+            self.top = max(self.top, int(n.max()))
+        return -gammaln(n + 1.0)
+
+
+@pytest.mark.parametrize("make,floor", [
+    (lambda: VectorizedSource(CountingFormula()), 512),
+    (lambda: ArraySource(np.zeros(700)), 700),
+    (lambda: _KovariIntSource(1), 256),
+    (lambda: _KovariIntSource(3), 256),
+    (lambda: _ScaledExpSource(lambda count: binomial_series(0.5, count)),
+     256),
+])
+def test_sources_fill_exactly_the_prefix_asked_for(make, floor):
+    source = make()
+    size = 0
+    for stop in (1, 300, 299, 700, 701, 3000, 2000, 5000, 5001):
+        size = max(size, stop, floor)
+        assert source.extend_to(stop).size == size, stop
+        fn = getattr(source, "_fn", None)
+        if fn is not None:
+            assert fn.top == size - 1
+
+
+def test_kovari1_holds_one_growth_step_past_the_optimality_horizon():
+    """Out to the optimality workload's last radius (gap 1e-3) kovari(1)
+    computes up to one growth step past what its horizon reads, not the
+    next power of two (2,097,152)."""
+    q = (1e-3 / 0.1) ** (1.0 / 59)
+    grid = RadialGrid.geometric_in_gap(0.9, q, 60)
+    kov = family("kovari", rho=1)
+    evaluate_grid(kov, grid, 1e-9)
+    size = kov._source.extend_to(0).size
+    reach = truncation_horizon(kov, grid.points[-1], 1e-9) + TAIL_RUN + 1
+    assert reach == 1_335_739
+    step = max(reach // series_mod._GROWTH, series_mod._FIRST_WINDOW)
+    assert reach <= size <= reach + step

@@ -122,6 +122,45 @@ def test_kernel_matches_original_scan(t, k, tols, block):
     assert all(s.horizon + TAIL_RUN < stop for s in scans)
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def grown(stop):
+    """The window size one growth step past ``stop``."""
+    return min(stop + max(stop // series_mod._GROWTH,
+                          series_mod._FIRST_WINDOW), series_mod.HARD_CAP)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_terms, tols=st.lists(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]),
+                               min_size=1, max_size=3),
+       x=st.sampled_from([0.0, -0.37, -1e-3]), start=st.integers(1, 100),
+       first=st.sampled_from([1, 2, 7, 64]),
+       growth=st.sampled_from([1, 2, 4, 10 ** 9]), block=_block)
+def test_resumed_search_matches_one_shot(t, tols, x, start, first, growth,
+                                         block):
+    """Growing the window in steps down to one term and resuming the search
+    gives every tolerance the horizon a one-shot search of the final window
+    gives, and the window is the one ``_terms`` builds at once."""
+    if not np.any(t > LOG_ZERO):
+        return
+    series = PowerSeries.from_log_coeffs(t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_mod, "_BLOCK", block)
+        mp.setattr(series_mod, "_FIRST_WINDOW", first)
+        mp.setattr(series_mod, "_GROWTH", growth)
+        # every horizon lies within t, so a search that misses one stops
+        # at this cap instead of crawling on one term at a time
+        mp.setattr(series_mod, "HARD_CAP", t.size + 2 * TAIL_RUN + 100)
+        scans, window, stop = _scan(series, x, tols, start)
+        one_shot = _find_horizons(window, [math.log(tol / TAIL_RUN)
+                                           for tol in tols])
+    assert scans == one_shot
+    assert window.size == stop
+    assert np.array_equal(bits(window), bits(series._terms(x, stop)))
+
+
 @pytest.mark.parametrize("family_id,params,r", [
     ("suleimanov", {"epsilon": 0.5}, 0.99),
     ("kovari", {"rho": 1}, 0.99),
@@ -137,13 +176,18 @@ def test_kernel_result_independent_of_start(family_id, params, r,
     x = math.log(r)
     tols = (1e-9, 1e-15)
     expect = [oracle_scan(series, x, tol) for tol in tols]
+    reach = max(s.horizon for s in expect) + TAIL_RUN + 1
     cold, _, cold_stop = _scan(series, x, tols)
     assert cold == expect
-    for k in range(10):
-        scans, t, stop = _scan(series, x, tols, 512 * 2 ** k)
+    assert cold_stop <= grown(reach)
+    for start in [512 * 2 ** k for k in range(10)] + [2 ** 19]:
+        scans, t, stop = _scan(series, x, tols, start)
         assert scans == expect
-        assert stop == max(cold_stop, 512 * 2 ** k)
         assert t.size == stop
-    scans, t, stop = _scan(series, x, tols, 2 ** 19)
-    assert scans == expect
-    assert stop == t.size == 2 ** 18
+        assert all(s.horizon + TAIL_RUN < stop for s in scans)
+        # tight: the start, or at most one growth step past what the
+        # horizons read
+        assert stop <= max(min(start, 2 ** 18), grown(reach))
+        # a window grown in place is the window built at once
+        assert np.array_equal(bits(t), bits(series._terms(x, stop)))
+    assert stop == 2 ** 18
