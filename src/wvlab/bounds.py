@@ -552,15 +552,14 @@ def bound_spec(bound_id: str, delta: float | None = None, n: int | None = None,
 
 
 def eval_bound(spec: BoundSpec, log_mu: float, log_M: float | None = None,
-               r: float | None = None, h: HSpec | None = None) -> float:
+               r: float | None = None) -> float:
     """log of the named bound's right-hand side (lower bound for ``lower``).
 
     Disk-type expressions need ``r`` in [0, 1); ``main`` additionally needs
     ``log_M``.  All iterated-log arguments must be above their thresholds,
     otherwise a domain error naming the subexpression propagates.
     """
-    h = h if h is not None else spec.h
-    bid = spec.bound_id
+    h, bid = spec.h, spec.bound_id
     row = BOUND_TABLE[bid]
     if "psi" in row.takes and log_M is None:
         raise ValidationError(f"bound {bid!r} consumes log_M; it is absent")

@@ -29,8 +29,7 @@ from .families import make_family
 from .measures import DEFAULT_MEASURE_TOL, IntervalSet, MeasureOutcome, \
     h_log_measure
 from .rosenbloom import stats_grid, verify_pointwise_lemma
-from .series import _FIRST_WINDOW, DEFAULT_TOL, PowerSeries, \
-    _max_term_and_value
+from .series import DEFAULT_TOL, PowerSeries, _walk, log_radius
 
 SWEEP_C_MIN = 1e-3
 SWEEP_C_MAX = 1e9
@@ -151,16 +150,15 @@ def evaluate_grid(series: PowerSeries, grid: RadialGrid,
                   tol: float = DEFAULT_TOL) -> list:
     """Per-point max term and positive value, in grid order.
 
-    One scan per radius, each starting from the previous radius's final
-    window.
+    One walk (``series._walk``): one scan per radius, each starting from
+    the previous radius's final window; a grid may start at ``r = 0``,
+    where the single term ``a_0`` is both.  ``log_mu`` and ``nu`` come from
+    the default tolerance, ``log_M`` from ``tol``.
     """
-    out = []
-    start = _FIRST_WINDOW
-    for r in grid.points:
-        mt, log_M, start = _max_term_and_value(series, r, tol, start)
-        out.append(PointEval(r=r, log_mu=mt.log_mu, nu=mt.central_index,
-                             log_M=log_M))
-    return out
+    rows = _walk(series, map(log_radius, grid.points), (DEFAULT_TOL, tol),
+                 lambda x, scans, t, log_M:
+                 (scans[0].log_mu, scans[0].nu, log_M))
+    return [PointEval(r, *row) for r, row in zip(grid.points, rows)]
 
 
 def _log_bounds(series: PowerSeries, bound: BoundSpec, grid: RadialGrid,
@@ -288,7 +286,14 @@ def standard_lemma_set(
     if target not in ("g", "gprime"):
         raise ValidationError("target must be 'g' or 'gprime'")
     _reject_monomial(series, "standard_lemma_set")
-    sts = stats_grid(series, [math.log(r) for r in grid.points], tol)
+    sts = stats_grid(series, [log_radius(r) for r in grid.points], tol)
+    return _lemma_set(series, psi, h, target, grid, sts, tol)
+
+
+def _lemma_set(series: PowerSeries, psi: PsiSpec, h: HSpec, target: str,
+               grid: RadialGrid, sts, tol: float) -> LemmaSetResult:
+    """:func:`standard_lemma_set` from ``sts``, the ``(g, g1, g2)`` of each
+    grid point in order (any objects with those attributes)."""
     if target == "g":
         v = [s.g for s in sts]
         d = [s.g1 for s in sts]
@@ -308,7 +313,7 @@ def standard_lemma_set(
     rows = []
     mask = [False] * (len(grid.points) - 1)
     for k, r in enumerate(grid.points):
-        x = math.log(r)
+        x = log_radius(r)
         thr = h.log_value(r) + psi_log_of_linear(psi, v[k])
         violating = d[k] > 0 and math.log(d[k]) >= thr
         rows.append(LemmaSetRow(r=r, x=x, v=v[k], d=d[k], log_threshold=thr,
@@ -469,7 +474,7 @@ def _mode_eval(series: PowerSeries, config) -> tuple:
 def _mode_stats(series: PowerSeries, config) -> tuple:
     if config.x is None:
         rs = config.grid.points
-        xs = [math.log(r) for r in rs]
+        xs = [log_radius(r) for r in rs]
     else:
         xs = config.x
         rs = [math.exp(x) for x in xs]
@@ -505,7 +510,7 @@ def _mode_check(series: PowerSeries, config) -> tuple:
 
 def _mode_lemma(series: PowerSeries, config) -> tuple:
     points = verify_pointwise_lemma(
-        series, [math.log(r) for r in config.grid.points], config.lemma_c,
+        series, [log_radius(r) for r in config.grid.points], config.lemma_c,
         config.tol)
     header = ["x", "r", "g", "g1", "g2", "log_mu", "log_window",
               "count_bound", "margin_chebyshev", "margin_count",
@@ -517,8 +522,9 @@ def _mode_lemma(series: PowerSeries, config) -> tuple:
     summary = [f"c = {config.lemma_c:.12g}",
                f"chain_holds_everywhere = {all(p.holds for p in points)}"]
     if config.lemma_psi is not None:  # psi, h and target come together
-        res = standard_lemma_set(series, config.lemma_psi, config.lemma_h,
-                                 config.lemma_target, config.grid, config.tol)
+        # the chain rows carry each point's (g, g1, g2): no second walk
+        res = _lemma_set(series, config.lemma_psi, config.lemma_h,
+                         config.lemma_target, config.grid, points, config.tol)
         diag.append(f"budgeted set measure = {res.measure.value:.12g}, "
                     f"budget = {res.budget:.12g}")
         summary.append(f"budgeted set: target={res.target} "

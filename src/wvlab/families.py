@@ -76,58 +76,48 @@ def _compile_formula(text: str):
     except SyntaxError as exc:
         raise ValidationError(f"formula syntax error: {exc.msg}") from None
 
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
-            check(node.operand)
-        elif isinstance(node, ast.Call):
+    def build(node):
+        """A callable of n computing ``node``, validated as it is built."""
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op, left, right = (_BINOPS[type(node.op)], build(node.left),
+                               build(node.right))
+            return lambda n: op(left(n), right(n))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
+            op, operand = _UNARYOPS[type(node.op)], build(node.operand)
+            return lambda n: op(operand(n))
+        if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) \
                     or node.func.id not in _FORMULA_FUNCS or node.keywords:
                 raise ValidationError(
                     "formula calls are limited to log, exp, sqrt, pow"
                 )
-            for arg in node.args:
-                check(arg)
-        elif isinstance(node, ast.Name):
-            if node.id != "n" and node.id not in _FORMULA_CONSTS:
+            call, args = _FORMULA_FUNCS[node.func.id], \
+                [build(arg) for arg in node.args]
+            return lambda n: call(*[arg(n) for arg in args])
+        if isinstance(node, ast.Name):
+            if node.id == "n":
+                return lambda n: n
+            if node.id not in _FORMULA_CONSTS:
                 raise ValidationError(
                     f"formula name {node.id!r} is not allowed; "
                     "only n, e, pi are defined"
                 )
-        elif isinstance(node, ast.Constant):
+            value = _FORMULA_CONSTS[node.id]
+            return lambda n: value
+        if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ValidationError("formula literals must be numeric")
-        else:
-            raise ValidationError(
-                f"formula construct {type(node).__name__} is not allowed"
-            )
+            value = float(node.value)
+            return lambda n: value
+        raise ValidationError(
+            f"formula construct {type(node).__name__} is not allowed"
+        )
 
-    check(tree)
-
-    def evaluate(node, n):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, n)
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](evaluate(node.left, n),
-                                          evaluate(node.right, n))
-        if isinstance(node, ast.UnaryOp):
-            return _UNARYOPS[type(node.op)](evaluate(node.operand, n))
-        if isinstance(node, ast.Call):
-            args = [evaluate(a, n) for a in node.args]
-            return _FORMULA_FUNCS[node.func.id](*args)
-        if isinstance(node, ast.Name):
-            if node.id == "n":
-                return n
-            return _FORMULA_CONSTS[node.id]
-        return float(node.value)
+    evaluate = build(tree.body)
 
     def fn(n_array):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = evaluate(tree, np.asarray(n_array, dtype=float))
+            out = evaluate(np.asarray(n_array, dtype=float))
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.shape(n_array)).copy()
 
@@ -136,9 +126,10 @@ def _compile_formula(text: str):
 
 # ---------------------------------------------------------------------------
 # Each family's parameters: name -> (check, description).  A check maps the
-# given value (None when absent) to the checked one; TypeError or ValueError
-# means the value is not what the description says.  A parameter's CLI flag
-# and config key are its name.
+# given value (None when absent) to the checked one; TypeError, ValueError
+# or OverflowError (a formula's integer literal past float range) means the
+# value is not what the description says.  A parameter's CLI flag and config
+# key are its name.
 FAMILY_PARAMS = {
     "exp": {},
     "geometric": {},
@@ -191,7 +182,7 @@ def _check_params(family_id: str, params: Mapping) -> dict:
     for key, (check, desc) in table.items():
         try:
             checked[key] = check(params.get(key))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             got = f"got {params[key]!r}" if key in params else "none given"
             raise ValidationError(
                 f"family parameter {key!r} must be {desc}; {got}") from None

@@ -87,12 +87,6 @@ class IntervalSet:
             list(self.intervals) + list(other.intervals), self.radius
         )
 
-    def contains(self, other: "IntervalSet") -> bool:
-        return all(
-            any(a <= lo and hi <= b for a, b in self.intervals)
-            for lo, hi in other.intervals
-        )
-
     def to_text(self) -> str:
         lines = [f"# interval set on [0, {self.radius:.17g})"]
         lines += [f"{lo:.17g} {hi:.17g}" for lo, hi in self.intervals]

@@ -6,6 +6,11 @@ whose mean and variance are the first two log-derivatives of ``g = log F``.
 Chebyshev's inequality then confines most of ``F`` to a window of about
 ``2c*sqrt(variance)`` integers around the mean, each term at most the max
 term, which yields an explicit pointwise constant.
+
+Every function here walks its x values through ``series._walk``: one scan
+per x, each starting from the previous x's final window, and ``x = -inf``
+(``r = 0``) is the single-term window ``[log|a_0|]``, where the masses are
+the point mass at 0 (and undefined when ``a_0 = 0``).
 """
 
 from __future__ import annotations
@@ -16,8 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .logdomain import log_sum_exp
-from .series import _FIRST_WINDOW, DEFAULT_TOL, PowerSeries, _scan
+from .logdomain import LOG_ZERO, log_sum_exp
+from .series import DEFAULT_TOL, PowerSeries, _walk
+
+# Moment sums weight the tail by (n - mean)^2, so their scans run far
+# tighter than the requested tolerance; the horizon only grows by a few
+# dozen indices.
+_MOMENT_SCALE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,50 +79,42 @@ class LemmaPointReport:
     holds: bool
 
 
-def _point(series: PowerSeries, x: float, tol: float,
-           start: int = _FIRST_WINDOW):
-    """Scan, term logs up to the horizon, log F and the final window size."""
-    if not math.isfinite(x):
-        raise ValidationError(f"x must be finite, got {x}")
-    if x >= math.log(series.radius):
-        raise DomainError(
-            f"x={x:g} is at or beyond the convergence boundary "
-            f"log R={math.log(series.radius):g}"
-        )
-    # Moment sums weight the tail by (n - mean)^2, so the scan runs far
-    # tighter than the requested tolerance; the horizon only grows by a few
-    # dozen indices.
-    moment_tol = tol * 1e-6
-    if not moment_tol > 0:
-        raise ValidationError(
-            f"tolerance must be > 0 and not so small that the moment "
-            f"scans' tol*1e-6 underflows to 0, got {tol!r}")
-    (s,), t, stop = _scan(series, x, (moment_tol,), start)
-    t = t[:s.horizon + 1]
-    return s, t, log_sum_exp(t), stop
+def _walk_masses(series: PowerSeries, xs, tol: float, point) -> list:
+    """``point(x, log_mu, t, g)`` at each x of ``xs``, in order: ``t`` the
+    term logs up to the moment horizon (``point`` may overwrite it) and
+    ``g = log F``."""
+    def masses(x, scans, t, g):
+        if g == LOG_ZERO:
+            raise DomainError(
+                f"F = 0 at x={x:g}: the coefficient masses are undefined")
+        return point(x, scans[0].log_mu, t, g)
+
+    return _walk(series, xs, (tol,), masses, _MOMENT_SCALE)
 
 
 def _moments(t: np.ndarray, g: float) -> tuple:
-    """Mean and centered variance of the masses ``exp(t - g)``.
+    """Mean and centered variance of the masses ``exp(t - g)``, which
+    overwrite ``t``.
 
     Computing ``E X^2 - (E X)^2`` cancels catastrophically once the mean is
     large (it reaches 1e6 near the boundary), so g2 sums ``(n - g1)^2 p_n``
     around the already-computed mean.
     """
-    p = t - g
-    np.exp(p, out=p)
+    t -= g
+    np.exp(t, out=t)  # the masses p_n
     n = np.arange(t.size, dtype=float)
-    g1 = float(np.dot(n, p))
+    g1 = float(np.dot(n, t))
     n -= g1
     n *= n
-    return g1, float(np.dot(n, p))
+    return g1, float(np.dot(n, t))
 
 
 def distribution(series: PowerSeries, x: float,
                  tol: float = DEFAULT_TOL) -> CoeffDistribution:
     """Coefficient distribution of ``series`` at ``x = log r``."""
-    _, t, g, _ = _point(series, x, tol)
-    return CoeffDistribution(x=x, log_F=g, log_mass=t - g)
+    (dist,) = _walk_masses(series, (x,), tol, lambda x, log_mu, t, g:
+                           CoeffDistribution(x=x, log_F=g, log_mass=t - g))
+    return dist
 
 
 def stats(series: PowerSeries, x: float,
@@ -123,15 +125,10 @@ def stats(series: PowerSeries, x: float,
 
 def stats_grid(series: PowerSeries, x_grid,
                tol: float = DEFAULT_TOL) -> list[RosenbloomStats]:
-    """:func:`stats` at each x in order; each scan starts from the previous
-    x's final window."""
-    out = []
-    start = _FIRST_WINDOW
-    for x in x_grid:
-        _, t, g, start = _point(series, x, tol, start)
-        g1, g2 = _moments(t, g)
-        out.append(RosenbloomStats(g=g, g1=g1, g2=g2))
-    return out
+    """:func:`stats` at each x in order, in one walk; the masses overwrite
+    each window, which the walk drops after its point anyway."""
+    return _walk_masses(series, x_grid, tol, lambda x, log_mu, t, g:
+                        RosenbloomStats(g, *_moments(t, g)))
 
 
 def _check_c(c: float) -> None:
@@ -144,13 +141,16 @@ def window_sum(series: PowerSeries, x: float, c: float,
                tol: float = DEFAULT_TOL) -> float:
     """log of the term sum over integers with ``|n - g1| < c*sqrt(g2)``."""
     _check_c(c)
-    _, t, g, _ = _point(series, x, tol)
-    g1, g2 = _moments(t, g)
-    if g2 <= 0:
-        raise ValidationError(
-            "window requires positive variance (series must not be a monomial)"
-        )
-    return _window_sum_from(t, g1, g2, c)
+
+    def point(x, log_mu, t, g):
+        g1, g2 = _moments(t.copy(), g)
+        if g2 <= 0:
+            raise ValidationError("window requires positive variance "
+                                  "(series must not be a monomial)")
+        return _window_sum_from(t, g1, g2, c)
+
+    (log_w,) = _walk_masses(series, (x,), tol, point)
+    return log_w
 
 
 def _window_sum_from(t: np.ndarray, g1: float, g2: float, c: float) -> float:
@@ -181,11 +181,9 @@ def verify_pointwise_lemma(
     at every point.
     """
     _check_c(c)
-    reports = []
-    start = _FIRST_WINDOW
-    for x in x_grid:
-        s, t, g, start = _point(series, float(x), tol, start)
-        g1, g2 = _moments(t, g)
+
+    def point(x, log_mu, t, g):
+        g1, g2 = _moments(t.copy(), g)
         if g2 <= 0:
             raise ValidationError(
                 f"zero variance at x={x:g}: chain verification refuses "
@@ -194,15 +192,16 @@ def verify_pointwise_lemma(
         log_w = _window_sum_from(t, g1, g2, c)
         count_bound = int(math.floor(2 * c * math.sqrt(g2))) + 1
         margin_cheb = log_w - (math.log1p(-(c ** -2)) + g)
-        margin_count = math.log(count_bound) + s.log_mu - log_w
+        margin_count = math.log(count_bound) + log_mu - log_w
         c_const = count_bound / ((1 - c ** -2) * math.sqrt(g2))
-        margin_overall = (math.log(c_const) + s.log_mu
+        margin_overall = (math.log(c_const) + log_mu
                           + 0.5 * math.log(g2)) - g
-        reports.append(LemmaPointReport(
-            x=float(x), g=g, g1=g1, g2=g2, log_mu=s.log_mu,
+        return LemmaPointReport(
+            x=x, g=g, g1=g1, g2=g2, log_mu=log_mu,
             log_window=log_w, count_bound=count_bound,
             margin_chebyshev=margin_cheb, margin_count=margin_count,
             margin_overall=margin_overall, c_constant=c_const,
             holds=(margin_cheb >= -1e-9 and margin_count >= -1e-9),
-        ))
-    return reports
+        )
+
+    return _walk_masses(series, x_grid, tol, point)

@@ -11,16 +11,17 @@ lies strictly beyond the current central index.  The rule is deliberately
 robust to non-unimodal coefficient sequences but remains a heuristic beyond
 the verified window.
 
-Each radius is scanned once: one window of term logs, starting at the
-caller's start size, yields the horizon of every tolerance the caller needs,
-and the sums then run over prefixes of that same window.  Until every
-tolerance has its horizon the window grows in place by an eighth (at least
-512 terms, at most up to a hard cap): only the new terms are computed, and
-the horizon search resumes at the first candidate the new terms can still
-change.  The accepted horizon is the smallest ``N`` passing a rule that
-reads only the prefix ``t[:N+51]``, so results do not depend on the start or
-the steps; along a grid each radius starts from the previous radius's final
-window.  Coefficient sources likewise compute only the prefix asked for.
+Every evaluation, of one radius or a grid, is one walk through the radii
+(``_walk``), which scans each radius once: one window of term logs, starting
+at the previous radius's final window size, yields the horizon of every
+tolerance the caller needs, and the sums run over prefixes of that window.
+Until every tolerance has its horizon the window grows in place by an
+eighth (at least 512 terms, at most up to a hard cap): only the new terms
+are computed, and the horizon search resumes at the first candidate the new
+terms can still change.  The accepted horizon is the smallest ``N`` passing
+a rule that reads only the prefix ``t[:N+51]``, so results do not depend on
+the start or the steps.  A grid may start at ``r = 0``, the single-term
+window ``[log|a_0|]``.  Coefficient sources compute only the prefix asked for.
 """
 
 from __future__ import annotations
@@ -152,9 +153,9 @@ class PowerSeries:
 
     Instances are immutable apart from an internal, lock-protected coefficient
     cache, so they are safe to share between concurrent readers.  A series
-    keeps no scan state: a caller that evaluates several radii passes each
-    scan's final window size as the next scan's start, the window grows in
-    place from there, and results are bitwise independent of the start.
+    keeps no scan state: the walk over several radii (:func:`_walk`) passes
+    each scan's final window size as the next scan's start, the window grows
+    in place from there, and results are bitwise independent of the start.
     """
 
     def __init__(
@@ -313,13 +314,6 @@ def _find_horizons(t: np.ndarray, log_tail_tols, lo: int = 0,
     return [found[ltt] for ltt in log_tail_tols]
 
 
-def _require_nonzero(series: PowerSeries) -> None:
-    if series._known_all_zero:
-        raise DegenerateSeriesError(
-            f"series {series.label!r} has no nonzero coefficient"
-        )
-
-
 def _scan(series: PowerSeries, x: float, tols,
           start: int = _FIRST_WINDOW) -> tuple:
     """Scan one window of term logs at ``x = log r`` for every tolerance.
@@ -332,14 +326,8 @@ def _scan(series: PowerSeries, x: float, tols,
     :func:`_find_horizons`); a tolerance keeps the horizon it found.
     Returns ``(scans, t, stop)``: one :class:`_Scan` per tolerance, the term
     logs of the final window and its size, which is the next radius's
-    start.  Every evaluation passes here, so this rejects a tolerance that
-    is not finite and > 0.
+    start.  :func:`_walk` checks the series and the tolerances.
     """
-    _require_nonzero(series)
-    for tol in tols:
-        if not 0 < tol < math.inf:  # also rejects nan
-            raise ValidationError(
-                f"tolerance must be finite and > 0, got {tol!r}")
     log_tail_tols = [math.log(tol / TAIL_RUN) for tol in tols]
     scans = [None] * len(tols)
     lo, prior = 0, (LOG_ZERO, -1)
@@ -368,14 +356,66 @@ def _scan(series: PowerSeries, x: float, tols,
         stop = grown
 
 
-def _check_radius(series: PowerSeries, r: float) -> None:
-    if not (r >= 0):
+def log_radius(r: float) -> float:
+    """``x = log r`` for ``r >= 0``; ``r = 0`` maps to ``x = -inf``."""
+    if not r >= 0:
         raise ValidationError(f"radius must be >= 0, got {r}")
-    if r >= series.radius:
-        raise DomainError(
-            f"r={r:g} is outside the disk of convergence "
-            f"(radius {series.radius:g})"
-        )
+    return math.log(r) if r > 0 else -math.inf
+
+
+def _walk(series: PowerSeries, xs, tols, point, scale: float = 1.0) -> list:
+    """``point(x, scans, t, log_F)`` at each ``x = log r`` of ``xs``, in order.
+
+    The one walk through radii; nothing else calls :func:`_scan`.  It checks
+    the series and the tolerances once (scans run at ``tol * scale``; the
+    moment sums ask for ``scale = 1e-6``; errors name ``tol``), then each x.
+    ``x = -inf`` (``r = 0``) is the single-term window ``[log|a_0|]``, with
+    the horizon a monomial has at every radius (1 for other series); any
+    other x is one scan, starting from the previous radius's final window.
+    ``scans`` holds one :class:`_Scan` per tolerance, ``t`` the window cut
+    at the last tolerance's horizon and ``log_F`` its log-sum-exp.  ``point``
+    may overwrite ``t`` but must not keep it: the walk drops each window
+    before it scans the next radius, so a grid holds one window at a time.
+    """
+    if series._known_all_zero:
+        raise DegenerateSeriesError(
+            f"series {series.label!r} has no nonzero coefficient")
+    for tol in tols:
+        if not 0 < tol < math.inf:  # also rejects nan
+            raise ValidationError(
+                f"tolerance must be finite and > 0, got {tol!r}")
+        if not tol * scale > 0:
+            raise ValidationError(
+                f"tolerance must not be so small that the scans' "
+                f"tol*{scale:g} underflows to 0, got {tol!r}")
+    tols = [tol * scale for tol in tols]
+    log_R = math.log(series.radius)
+    start, out = _FIRST_WINDOW, []
+    for x in xs:
+        x = float(x)
+        if not x < math.inf:
+            raise ValidationError(f"x must be finite, got {x}")
+        if x >= log_R:
+            raise DomainError(f"x={x:g} is at or beyond the convergence "
+                              f"boundary log R={log_R:g}")
+        if x == -math.inf:
+            log_F = series.log_coeff(0)
+            t = np.array([log_F])
+            scans = [_Scan(log_F, 0, (series.monomial_degree or 0) + 1)
+                     ] * len(tols)
+        else:
+            scans, t, start = _scan(series, x, tols, start)
+            t = t[:scans[-1].horizon + 1]
+            log_F = log_sum_exp(t)
+        out.append(point(x, scans, t, log_F))
+        del t  # no window outlives its point
+    return out
+
+
+def _at(series: PowerSeries, r: float, tols, point):
+    """:func:`_walk` at the one radius ``r``."""
+    (value,) = _walk(series, (log_radius(r),), tols, point)
+    return value
 
 
 def truncation_horizon(series: PowerSeries, r: float, tol: float) -> int:
@@ -385,50 +425,19 @@ def truncation_horizon(series: PowerSeries, r: float, tol: float) -> int:
     contract guarantees is that the 50 terms after the horizon each fall
     below ``mu * tol / 50`` and the horizon exceeds the central index.
     """
-    _check_radius(series, r)
-    if r == 0:
-        deg = series.monomial_degree
-        return (deg if deg is not None else 0) + 1
-    (s,), _, _ = _scan(series, math.log(r), (tol,))
-    return s.horizon
+    return _at(series, r, (tol,), lambda x, scans, t, log_F: scans[0].horizon)
 
 
 def log_max_term(series: PowerSeries, r: float) -> MaxTermResult:
     """Max term log and central index at radius ``r``; ties break upward."""
-    _check_radius(series, r)
-    _require_nonzero(series)
-    if r == 0:
-        return MaxTermResult(series.log_coeff(0), 0)
-    (s,), _, _ = _scan(series, math.log(r), (DEFAULT_TOL,))
-    return MaxTermResult(s.log_mu, s.nu)
+    return _at(series, r, (DEFAULT_TOL,), lambda x, scans, t, log_F:
+               MaxTermResult(scans[0].log_mu, scans[0].nu))
 
 
 def log_positive_value(series: PowerSeries, r: float,
                        tol: float = DEFAULT_TOL) -> float:
     """log of ``sum_n |a_n| r^n`` with relative truncation error <= tol."""
-    _check_radius(series, r)
-    _require_nonzero(series)
-    if r == 0:
-        return series.log_coeff(0)
-    (s,), t, _ = _scan(series, math.log(r), (tol,))
-    return log_sum_exp(t[:s.horizon + 1])
-
-
-def _max_term_and_value(series: PowerSeries, r: float, tol: float,
-                        start: int) -> tuple:
-    """:func:`log_max_term` and :func:`log_positive_value` from one window.
-
-    Returns ``(max_term, log_value, stop)``; ``stop`` is the final window
-    size, to pass as the next radius's ``start``.
-    """
-    _check_radius(series, r)
-    _require_nonzero(series)
-    if r == 0:
-        a0 = series.log_coeff(0)
-        return MaxTermResult(a0, 0), a0, start
-    (mt, s), t, stop = _scan(series, math.log(r), (DEFAULT_TOL, tol), start)
-    return (MaxTermResult(mt.log_mu, mt.nu), log_sum_exp(t[:s.horizon + 1]),
-            stop)
+    return _at(series, r, (tol,), lambda x, scans, t, log_F: log_F)
 
 
 def max_modulus_sampled(
@@ -445,31 +454,31 @@ def max_modulus_sampled(
     default of zero phases the maximum sits at ``z = r`` and the result equals
     :func:`log_positive_value` up to tolerance.
     """
-    _check_radius(series, r)
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    _require_nonzero(series)
-    if r == 0:
-        return series.log_coeff(0)
-    (s,), t, _ = _scan(series, math.log(r), (tol,))
-    t = t[:s.horizon + 1]
-    n = np.arange(t.size, dtype=float)
-    m = float(np.max(t))
-    w = np.exp(t - m)
-    if phases is None:
-        phi = 0.0
-    elif callable(phases):
-        phi = np.asarray(phases(n), dtype=float)
-    else:
-        phi = np.zeros(n.size)
-        given = np.asarray(phases, dtype=float)
-        phi[: min(given.size, n.size)] = given[: n.size]
-    best = 0.0
-    for k in range(samples):
-        theta = 2.0 * math.pi * k / samples
-        val = abs(np.sum(w * np.exp(1j * (n * theta + phi))))
-        if val > best:
-            best = val
-    if best == 0.0:
-        return LOG_ZERO
-    return m + math.log(best)
+
+    def point(x, scans, t, log_F):
+        if t.size == 1:  # the single-term window: |f| = |a_0| everywhere
+            return log_F
+        n = np.arange(t.size, dtype=float)
+        m = float(np.max(t))
+        w = np.exp(t - m)
+        if phases is None:
+            phi = 0.0
+        elif callable(phases):
+            phi = np.asarray(phases(n), dtype=float)
+        else:
+            phi = np.zeros(n.size)
+            given = np.asarray(phases, dtype=float)
+            phi[: min(given.size, n.size)] = given[: n.size]
+        best = 0.0
+        for k in range(samples):
+            theta = 2.0 * math.pi * k / samples
+            val = abs(np.sum(w * np.exp(1j * (n * theta + phi))))
+            if val > best:
+                best = val
+        if best == 0.0:
+            return LOG_ZERO
+        return m + math.log(best)
+
+    return _at(series, r, (tol,), point)

@@ -233,7 +233,8 @@ def test_cli_invariant_violation_maps_to_3(monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise InvariantViolation("forced for the exit-code contract")
 
-    monkeypatch.setattr(exp_mod, "standard_lemma_set", boom)
+    # lemma mode builds its budgeted set from the chain rows' (g, g1, g2)
+    monkeypatch.setattr(exp_mod, "_lemma_set", boom)
     code = main(["lemma", "--family", "exp", "--grid-geo", "2:50:10",
                  "--psi", "pow:1", "--h", "unit", "--target", "gprime",
                  "--out", str(tmp_path / "x.csv")])

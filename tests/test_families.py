@@ -198,6 +198,7 @@ def test_formula_family_matches_exp():
     "open('x')",
     "m + 1",
     "[1,2]",
+    "n*1" + "0" * 400,  # an integer literal past float range
 ])
 def test_formula_rejects_disallowed_syntax(bad):
     with pytest.raises(ValidationError):

@@ -4,8 +4,11 @@ Each case gives the CLI arguments and the equivalent config file; both
 surfaces must write the same CSV bytes.
 """
 
+import weakref
+
 import pytest
 
+from wvlab import series as series_mod
 from wvlab.cli import main
 from wvlab.families import FAMILY_PARAMS
 from wvlab.series import HARD_CAP
@@ -69,13 +72,45 @@ def run_both(mode, argv, sections, tmp_path):
     return cli_code, cli_csv, report_code, tmp_path / "run.csv"
 
 
+@pytest.fixture
+def scan_windows(monkeypatch):
+    """A weak reference to each ``series._scan`` window, in call order.
+
+    Each window must be gone when the next scan starts: a walk that kept
+    the previous window while scanning the next radius would hold two.
+    """
+    windows = []
+    scan = series_mod._scan
+
+    def counted(*args, **kwargs):
+        assert not windows or windows[-1]() is None, "a window outlived " \
+            "its point"
+        scans, t, stop = scan(*args, **kwargs)
+        windows.append(weakref.ref(t.base))
+        return scans, t, stop
+
+    monkeypatch.setattr(series_mod, "_scan", counted)
+    return windows
+
+
+def grid_points(mode, argv):
+    """Radii a mode evaluates: its grid, and for optimality also the grid
+    refined x2."""
+    flag = next(a for a in argv if a.startswith("--grid-"))
+    count = int(argv[argv.index(flag) + 1].split(":")[2])
+    return count + (2 * count - 1 if mode == "optimality" else 0)
+
+
 @pytest.mark.parametrize("mode", sorted(CASES))
-def test_report_and_cli_write_the_same_csv(mode, tmp_path, capsys):
+def test_report_and_cli_write_the_same_csv(mode, tmp_path, capsys,
+                                           scan_windows):
     argv, sections = CASES[mode]
     cli_code, cli_csv, report_code, report_csv = run_both(
         mode, argv, sections, tmp_path)
     assert (cli_code, report_code) == (0, 0)
     assert report_csv.read_bytes() == cli_csv.read_bytes()
+    # one scan per radius on each surface (lemma's budgeted set included)
+    assert len(scan_windows) == 2 * grid_points(mode, argv)
     if mode == "check":
         cli_err = capsys.readouterr().err.splitlines()
         summary = (tmp_path / "run.summary.txt").read_text(encoding="utf-8")
@@ -179,3 +214,39 @@ def test_bad_family_parameter_exits_2_on_both_surfaces(fid, name, value,
     assert len(err) == 2 and all(name in line for line in err)
     assert err[0] == err[1]  # one validator, one message
     assert not cli_csv.exists() and not report_csv.exists()
+
+
+# A gap grid from r = 0: the first point is the single-term window [a_0].
+R0_FAMILIES = {"geometric": ([], ""),
+               "suleimanov": (["--epsilon", "0.5"], "epsilon = 0.5\n")}
+
+
+@pytest.mark.parametrize("mode,fid,code,expect", [
+    ("eval", "geometric", 0, "0,0,0,0"),
+    ("eval", "suleimanov", 0, "0,-inf,0,-inf"),
+    ("stats", "geometric", 0, "0,0,0,0"),
+    # F(0) = a_0 = 0 leaves the masses undefined
+    ("stats", "suleimanov", 4, "F = 0 at x=-inf"),
+    # the point mass at 0 has zero variance
+    ("lemma", "geometric", 2, "zero variance at x=-inf"),
+    ("lemma", "suleimanov", 4, "F = 0 at x=-inf"),
+])
+def test_grid_from_r0_on_both_surfaces(mode, fid, code, expect, tmp_path,
+                                       capsys):
+    # ``expect`` is the first CSV row, or the start of the error message
+    flags, keys = R0_FAMILIES[fid]
+    argv = ["--family", fid, *flags, "--grid-gap", "0:0.5:4"]
+    sections = (f"[family]\nid = {fid}\n{keys}\n"
+                "[grid]\nscheme = gap\nr0 = 0\nq = 0.5\ncount = 4\n")
+    cli_code, cli_csv, report_code, report_csv = run_both(
+        mode, argv, sections, tmp_path)
+    err = capsys.readouterr().err.splitlines()
+    assert (cli_code, report_code) == (code, code)
+    if code == 0:
+        assert report_csv.read_bytes() == cli_csv.read_bytes()
+        assert cli_csv.read_text(encoding="utf-8").splitlines()[2] == expect
+    else:
+        kind = {2: "validation error", 4: "numeric failure"}[code]
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith(f"{kind}: {expect}")
+        assert not cli_csv.exists() and not report_csv.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wvlab import (
+    DomainError,
     ValidationError,
     distribution,
     family,
@@ -184,3 +185,19 @@ def test_moment_tolerance_underflow_names_the_given_tolerance(exp_series,
         with pytest.raises(ValidationError, match=f"got {tol!r}$"):
             call()
 
+
+def test_r_zero_is_the_point_mass_at_zero(geometric_series,
+                                          suleimanov_half_series):
+    # x = -inf is r = 0: the single-term window [log a_0]
+    d = distribution(geometric_series, -math.inf)
+    assert (d.log_F, d.log_mass.tolist()) == (0.0, [0.0])
+    st = stats(geometric_series, -math.inf)
+    assert (st.g, st.g1, st.g2) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValidationError, match="positive variance"):
+        window_sum(geometric_series, -math.inf, 2.0)
+    with pytest.raises(ValidationError, match="zero variance at x=-inf"):
+        verify_pointwise_lemma(geometric_series, [-math.inf, -1.0], 2.0)
+    # a_0 = 0: F(0) = 0 and the masses are undefined, never nan
+    for call in (distribution, stats):
+        with pytest.raises(DomainError, match="F = 0 at x=-inf"):
+            call(suleimanov_half_series, -math.inf)

@@ -65,6 +65,26 @@ def test_max_term_r_zero(exp_series):
     assert (got.log_mu, got.central_index) == (0.0, 0)
 
 
+@pytest.mark.parametrize("fid,params,horizon", [
+    ("exp", {}, 1),
+    ("geometric", {}, 1),
+    ("kovari", {"rho": 1}, 1),
+    ("suleimanov", {"epsilon": 0.5}, 1),  # a_0 = 0
+    ("monomial", {"coeff": 3, "degree": 5}, 6),
+    ("formula", {"formula": "-n*log(2)", "radius": 2}, 1),  # log a_0 = -0.0
+])
+def test_r_zero_is_the_single_term_window(fid, params, horizon):
+    # at r = 0 only a_0 is left; the sign of a zero log survives too
+    series = family(fid, **params)
+    a0 = series.log_coeff(0)
+    mt = log_max_term(series, 0.0)
+    assert mt.central_index == 0
+    for got in (mt.log_mu, log_positive_value(series, 0.0),
+                max_modulus_sampled(series, 0.0, samples=5, phases=[1.0])):
+        assert repr(got) == repr(a0)
+    assert truncation_horizon(series, 0.0, 1e-9) == horizon
+
+
 def test_max_term_domain_errors(geometric_series):
     with pytest.raises(DomainError):
         log_max_term(geometric_series, 1.0)
