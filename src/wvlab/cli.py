@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_parser(sub, "eval", "CSV of (r, log_mu, nu, log_M)")
 
     p = _add_mode_parser(sub, "stats", "CSV of (r, g, g1, g2)")
-    p.add_argument("--x", help="comma list of x = log r values")
+    p.add_argument("--x", help="comma list of x = log r values; write "
+                   "--x=-0.69,-2 when the list starts with a minus sign")
 
     p = _add_mode_parser(sub, "check", "violation-set CSV for a bound")
     _add_bound_flags(p)

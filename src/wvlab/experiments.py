@@ -111,16 +111,27 @@ class RadialGrid:
         return cls.geometric_in_gap(r0, q, count, R=R)
 
     def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same endpoints, ``factor`` times the density; nests the original."""
+        """Same endpoints, ``factor`` times the density.
+
+        Nests the original bit for bit: point ``factor * k`` is
+        ``self.points[k]``, so a walk of the refined grid evaluates every
+        base radius exactly.  The points in between follow the scheme with
+        ratio ``q ** (1 / factor)``.
+        """
         if factor < 2:
             raise ValidationError("refinement factor must be >= 2")
         q_new = self.q ** (1.0 / factor)
         count_new = factor * (self.count - 1) + 1
-        if self.scheme == "geometric":
-            pts = tuple(self.r0 * q_new ** k for k in range(count_new))
-        else:
-            gap = self.R - self.r0
-            pts = tuple(self.R - gap * q_new ** k for k in range(count_new))
+        gap = self.R - self.r0
+
+        def point(k):
+            if k % factor == 0:
+                return self.points[k // factor]
+            if self.scheme == "geometric":
+                return self.r0 * q_new ** k
+            return self.R - gap * q_new ** k
+
+        pts = tuple(map(point, range(count_new)))
         return RadialGrid(R=self.R, points=pts, scheme=self.scheme,
                           r0=self.r0, q=q_new, count=count_new)
 
@@ -198,7 +209,6 @@ class ViolationReport:
     measure_by: dict
     margins: list
     undefined_points: list
-    grid: RadialGrid
 
     @property
     def violation_count(self) -> int:
@@ -239,22 +249,11 @@ def violation_set(
     for h in (measure_h or []):
         measures[h.h_id] = h_log_measure(E, h, tol=DEFAULT_MEASURE_TOL)
     return ViolationReport(bound=bound, E_est=E, measure_by=measures,
-                           margins=margins, undefined_points=undefined,
-                           grid=grid)
+                           margins=margins, undefined_points=undefined)
 
 
 # ---------------------------------------------------------------------------
 # Budgeted exceptional set
-
-
-@dataclass(frozen=True)
-class LemmaSetRow:
-    r: float
-    x: float
-    v: float
-    d: float
-    log_threshold: float  # log(h(r) * psi(v))
-    violating: bool
 
 
 @dataclass(frozen=True)
@@ -263,7 +262,6 @@ class LemmaSetResult:
     measure: MeasureOutcome
     budget: float
     target: str
-    rows: list
 
 
 def standard_lemma_set(
@@ -310,17 +308,12 @@ def _lemma_set(series: PowerSeries, psi: PsiSpec, h: HSpec, target: str,
             f"psi {psi} undefined at the grid start value {v[0]:g}; "
             "start the grid later"
         )
-    rows = []
-    mask = [False] * (len(grid.points) - 1)
-    for k, r in enumerate(grid.points):
-        x = log_radius(r)
-        thr = h.log_value(r) + psi_log_of_linear(psi, v[k])
-        violating = d[k] > 0 and math.log(d[k]) >= thr
-        rows.append(LemmaSetRow(r=r, x=x, v=v[k], d=d[k], log_threshold=thr,
-                                violating=violating))
-        if violating and k < len(mask):
-            mask[k] = True
-    E = _cells_from_mask(grid, mask)
+    # log(h(r) * psi(v)) at every point, so h and psi check every radius
+    thr = [h.log_value(r) + psi_log_of_linear(psi, v[k])
+           for k, r in enumerate(grid.points)]
+    # a cell violates when its left point does
+    E = _cells_from_mask(grid, [d[k] > 0 and math.log(d[k]) >= thr[k]
+                                for k in range(len(thr) - 1)])
     measure = h_log_measure(E, h, tol=DEFAULT_MEASURE_TOL)
     budget = psi_tail(psi, v[0])
     value = measure.require_value()
@@ -330,8 +323,7 @@ def _lemma_set(series: PowerSeries, psi: PsiSpec, h: HSpec, target: str,
             f"{budget:.6g} for {series.label!r}, psi {psi}, h {h}, "
             f"target {target!r}"
         )
-    return LemmaSetResult(E=E, measure=measure, budget=budget, target=target,
-                          rows=rows)
+    return LemmaSetResult(E=E, measure=measure, budget=budget, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +333,7 @@ def _lemma_set(series: PowerSeries, psi: PsiSpec, h: HSpec, target: str,
 @dataclass(frozen=True)
 class SweepResult:
     c_star: float | None
-    trajectory: list          # (C, measure value or None, divergent flag)
+    trajectory: list  # (C, violation measure)
     budget: float
     h_id: str
     undefined_points: list
@@ -388,7 +380,7 @@ def constant_sweep(
             dk = deficits[k]
             if dk is not None and dk > logC:
                 total += cell_measure[k]
-        trajectory.append((C, total, False))
+        trajectory.append((C, total))
         if c_star is None and total <= measure_budget:
             c_star = C
     return SweepResult(c_star=c_star, trajectory=trajectory,
@@ -415,35 +407,31 @@ def optimality_check(
     series: PowerSeries,
     grid: RadialGrid,
     tol: float = DEFAULT_TOL,
-    refine_factor: int = 2,
 ) -> OptimalityResult:
     """Fit the largest constant under M >= C * mu/(1-r) * sqrt(log(mu/(1-r))).
 
-    ``c_low`` is the grid minimum of the ratio in log domain; stability under
-    grid refinement (default x2) is part of the result.  Points where the
-    expression is undefined (the log factor not yet positive) are skipped and
-    counted.
+    ``c_low`` is the grid minimum of the ratio in log domain; its value on
+    the grid refined x2 is part of the result.  One walk covers both: the
+    refined grid holds the base radii bit for bit at its even indices, and
+    the CSV rows are those base points.  Points where the expression is
+    undefined (the log factor not yet positive) are skipped, and the base
+    ones counted.
     """
     if grid.R != 1.0:
         raise ValidationError("the lower-bound ratio lives on the unit disk")
     _reject_monomial(series, "optimality_check")
-    lower = bound_spec("lower")
-
-    def log_ratios(g: RadialGrid):
-        evals, log_bounds, undefined = _log_bounds(series, lower, g, tol)
-        out = [(ev.r, ev.log_M - b) for ev, b in zip(evals, log_bounds)
-               if b is not None]
-        if not out:
-            raise DomainError(
-                "lower-bound expression undefined on the whole grid; "
-                "start the grid at larger radii"
-            )
-        return out, len(undefined)
-
-    base, skipped = log_ratios(grid)
-    fine, _ = log_ratios(grid.refined(refine_factor))
+    evals, log_bounds, _ = _log_bounds(series, bound_spec("lower"),
+                                       grid.refined(2), tol)
+    ratios = [None if b is None else (ev.r, ev.log_M - b)
+              for ev, b in zip(evals, log_bounds)]
+    base = [t for t in ratios[::2] if t is not None]
+    if not base:
+        raise DomainError(
+            "lower-bound expression undefined on the whole grid; "
+            "start the grid at larger radii"
+        )
     min_r, min_log = min(base, key=lambda t: t[1])
-    fine_log = min(t[1] for t in fine)
+    fine_log = min(t[1] for t in ratios if t is not None)
     c_low = math.exp(min_log)
     c_fine = math.exp(fine_log)
     rel_change = abs(c_fine - c_low) / c_low if c_low > 0 else math.inf
@@ -451,7 +439,7 @@ def optimality_check(
         raise InvariantViolation("lower-bound constant is not positive")
     return OptimalityResult(
         c_low=c_low, c_low_refined=c_fine, rel_change=rel_change,
-        argmin_r=min_r, skipped_points=skipped,
+        argmin_r=min_r, skipped_points=len(grid.points) - len(base),
         outside_model_families=series.family_id not in ("kovari",
                                                         "suleimanov"),
         rows=base,
@@ -483,6 +471,13 @@ def _mode_stats(series: PowerSeries, config) -> tuple:
     return ["r", "g", "g1", "g2"], rows, [], [f"points = {len(rows)}"]
 
 
+def _undefined_lines(points: list) -> tuple:
+    """CLI lines naming each grid point where the bound is undefined, and
+    the summary lines counting them (none when every point is defined)."""
+    diag = [f"undefined at r={r:.12g}: {msg}" for r, msg in points]
+    return diag, [f"undefined at {len(points)} grid points"] if points else []
+
+
 def _mode_check(series: PowerSeries, config) -> tuple:
     report = violation_set(series, config.bound, config.grid,
                            measure_h=config.measure_h, tol=config.tol)
@@ -493,16 +488,12 @@ def _mode_check(series: PowerSeries, config) -> tuple:
             measures.append(f"measure[{h_id}] = DIVERGENT ({outcome.note})")
         else:
             measures.append(f"measure[{h_id}] = {outcome.value:.12g}")
+    undefined, counted = _undefined_lines(report.undefined_points)
     diag = [f"bound {report.bound}: {report.violation_count} violating "
-            f"points, {cells} cells", *measures]
-    diag += [f"undefined at r={r:.12g}: {msg}"
-             for r, msg in report.undefined_points]
+            f"points, {cells} cells", *measures, *undefined]
     summary = [f"bound = {report.bound}",
                f"violating_points = {report.violation_count}",
-               f"violation_cells = {cells}", *measures]
-    if report.undefined_points:
-        summary.append(
-            f"undefined at {len(report.undefined_points)} grid points")
+               f"violation_cells = {cells}", *measures, *counted]
     return (["r", "log_M", "log_bound", "slack"],
             [(m.r, m.log_M, m.log_bound, m.slack) for m in report.margins],
             diag, summary)
@@ -542,9 +533,10 @@ def _mode_sweep(series: PowerSeries, config) -> tuple:
     else:
         c_star = f"{res.c_star:.12g}"
         diag = [f"C_star = {c_star}"]
-    return (["C", "measure"], [(C, m) for C, m, _ in res.trajectory], diag,
+    undefined, counted = _undefined_lines(res.undefined_points)
+    return (["C", "measure"], res.trajectory, diag + undefined,
             [f"budget = {res.budget:.12g} under h={res.h_id}",
-             f"C_star = {c_star}"])
+             f"C_star = {c_star}", *counted])
 
 
 def _mode_optimality(series: PowerSeries, config) -> tuple:

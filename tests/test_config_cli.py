@@ -163,13 +163,21 @@ def test_cli_eval_deterministic_bytes(tmp_path):
 
 
 def test_cli_stats_geometric_x(capsys):
-    code = main(["stats", "--family", "geometric", "--x", "-0.6931"])
-    assert code == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert rows[1] == "r,g,g1,g2"
-    r, g, g1, g2 = (float(v) for v in rows[2].split(","))
-    assert g1 == pytest.approx(1.0, abs=1e-3)
-    assert g2 == pytest.approx(2.0, abs=1e-3)
+    # one value, and the README's list form: a list that starts with a
+    # minus sign needs "=", or argparse takes it for an option
+    for x_args, points in ((["--x", "-0.6931"], 1),
+                           (["--x=-0.6931,-2,-0.1"], 3)):
+        code = main(["stats", "--family", "geometric", *x_args])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == "r,g,g1,g2"
+        assert len(rows) == 2 + points
+        r, g, g1, g2 = (float(v) for v in rows[2].split(","))
+        assert g1 == pytest.approx(1.0, abs=1e-3)
+        assert g2 == pytest.approx(2.0, abs=1e-3)
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        assert "--x=-0.6931,-2,-0.1" in fh.read()
 
 
 def test_cli_stats_decreasing_x_matches_cold_points(capsys):

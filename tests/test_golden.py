@@ -3,8 +3,10 @@
 The ``.csv`` files under ``tests/data`` without a ``.stderr`` partner were
 written by the CLI before the horizon scan became one warm-started window
 per radius; the pairs of ``.csv`` (standard output) and ``.stderr`` files
-were written before the CLI and ``wvlab report`` shared one mode table.
-The pairs under ``tests/data/bounds`` pin every bound id, every built-in
+were written before the CLI and ``wvlab report`` shared one mode table,
+except ``optimality_formula``, written before ``optimality`` walked its
+base and refined grids as one, and ``sweep_geometric_not_found.stderr``,
+rewritten when ``sweep`` began naming its undefined points.  The pairs under ``tests/data/bounds`` pin every bound id, every built-in
 psi in both slots of ``main`` under every built-in h, ``sk4`` under every
 h, and the budgeted lemma set for every psi; they were written before the
 psi, h and bound vocabularies became one table each.  Refactors must
@@ -114,6 +116,10 @@ def test_cli_reproduces_golden_bytes(name, argv, tmp_path):
     ("lemma_exp_budgeted", ["lemma", "--family", "exp", "--grid-geo",
                             "2:50:20", "--psi", "pow:1", "--h", "unit",
                             "--target", "gprime"]),
+    # the refined minimum lies between base radii (rel change 0.002548)
+    ("optimality_formula", ["optimality", "--family", "formula",
+                            "--formula=log(2+(-1)**n)+sqrt(n)", "--radius",
+                            "1", "--grid-gap", "0.6:0.8:25"]),
 ])
 def test_cli_reproduces_golden_stdout_and_stderr(name, argv, capsysbinary):
     assert main(argv) == 0
