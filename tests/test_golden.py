@@ -6,11 +6,12 @@ per radius; the pairs of ``.csv`` (standard output) and ``.stderr`` files
 were written before the CLI and ``wvlab report`` shared one mode table,
 except ``optimality_formula``, written before ``optimality`` walked its
 base and refined grids as one, and ``sweep_geometric_not_found.stderr``,
-rewritten when ``sweep`` began naming its undefined points.  The pairs under ``tests/data/bounds`` pin every bound id, every built-in
-psi in both slots of ``main`` under every built-in h, ``sk4`` under every
-h, and the budgeted lemma set for every psi; they were written before the
-psi, h and bound vocabularies became one table each.  Refactors must
-reproduce them exactly.
+rewritten when ``sweep`` began naming its undefined points.  The pairs
+under ``tests/data/bounds`` pin every bound id, every built-in psi in both
+slots of ``main`` under every built-in h, ``sk4`` under every h, and the
+budgeted lemma set for every psi; they were written before the psi, h and
+bound vocabularies became one table each.  Refactors must reproduce them
+exactly.
 """
 
 import os
