@@ -167,8 +167,8 @@ def evaluate_grid(series: PowerSeries, grid: RadialGrid,
     the default tolerance, ``log_M`` from ``tol``.
     """
     rows = _walk(series, map(log_radius, grid.points), (DEFAULT_TOL, tol),
-                 lambda x, scans, t, log_M:
-                 (scans[0].log_mu, scans[0].nu, log_M))
+                 lambda x, scans, window:
+                 (scans[0].log_mu, scans[0].nu, window.log_F))
     return [PointEval(r, *row) for r, row in zip(grid.points, rows)]
 
 
@@ -352,7 +352,8 @@ def constant_sweep(
     The per-point deficits log M - log(bound at C=1) do not depend on C, so
     the sweep thresholds precomputed deficits; the per-cell measures are also
     precomputed and summed per mask (violation cells are exact unions of grid
-    cells).  A sweep with no admissible C is a valid not-found outcome.
+    cells).  A sweep with no admissible C is a valid not-found outcome; a
+    bound undefined at every grid point tests no C and is a DomainError.
     """
     if bound.bound_id == "lower":
         raise ValidationError("cannot sweep a lower bound")
@@ -361,6 +362,11 @@ def constant_sweep(
     bound = replace(bound, C=1.0)
     _reject_monomial(series, "constant_sweep")
     evals, log_bounds, undefined = _log_bounds(series, bound, grid, tol)
+    if len(undefined) == len(evals):
+        raise DomainError(
+            f"bound {bound.bound_id} undefined on the whole grid "
+            f"(at r={undefined[0][0]:.12g}: {undefined[0][1]}); "
+            "start the grid at larger radii")
     deficits = [None if b is None else ev.log_M - b
                 for ev, b in zip(evals, log_bounds)]
     pts = grid.points

@@ -14,6 +14,11 @@ formulas:
 ``FAMILY_PARAMS`` declares each family's parameters once; ``make_family``
 builds from the values they check.
 
+The closed-form families (``exp``, ``geometric``, ``suleimanov``,
+``formula``) are a ``VectorizedSource``: a scan computes each block of
+coefficients from the formula when it needs it, and nothing is cached.  The
+recurrences below keep the prefix they have computed.
+
 The ``kovari`` coefficients grow sub-factorially but overflow floats well
 before interesting radii, so the recurrences run on linearly scaled values
 ``a_n * exp(-shift)`` with a running rescale; logs are taken at the end.

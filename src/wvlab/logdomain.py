@@ -4,9 +4,13 @@ Magnitudes throughout the package are carried as ``log(value)`` floats with
 ``-inf`` encoding zero; near the convergence boundary the linear values exceed
 1e6 in the exponent and would overflow ordinary floats.
 
-``log_sum_exp`` sums exactly rounded up to ``_FSUM_CUTOFF`` terms with an
-array kernel (``_exact_sum``) that gives the bits ``math.fsum`` gives, and
-pairwise (``np.sum``) beyond it.
+``log_sum_exp`` sums one array; ``log_sum_exp_blocks`` sums a sequence of
+blocks, as the scan windows in ``series`` are read.  Each block is summed by
+the one kernel (``_sum_exp``): exactly rounded up to ``_FSUM_CUTOFF`` terms
+with an array kernel (``_exact_sum``) that gives the bits ``math.fsum``
+gives, and pairwise (``np.sum``) beyond it.  The block sums are combined
+with ``math.fsum``, so an array given as one block keeps the bits of
+``log_sum_exp``; a split into several blocks can move the last bit.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ _SPLIT = 2.0 ** 25
 # exponents combined per big-int step, and their weights, scaled by 2**53
 _FOLD = 4
 _FOLD_WEIGHTS = 2.0 ** (53 + np.arange(_FOLD))
+# frexp exponents of values in [0, 1] lie in [-1073, 1]; bin e + _BIAS
+_BIAS = 1074
+# values split per step: the allocator reuses temporaries this small, while
+# each fresh page of a large one costs a page fault
+_PIECE = 1 << 13
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -33,25 +42,33 @@ def _exact_sum(x: np.ndarray) -> float:
     Bit for bit what ``math.fsum`` returns.  ``np.frexp`` writes each value
     as a mantissa of 53 bits times a power of two.  Each mantissa is split
     into a 27-bit high part and a signed 26-bit low part, and each part is
-    summed per exponent by ``np.bincount``.  With at most 2**17 terms every
-    such sum needs at most 44 bits, so it is exact.  Each run of ``_FOLD``
-    exponents is folded into one sum weighted by 1, 2, 4, 8, which needs at
-    most 48 bits and so stays exact too.  The folded sums are combined as
-    Python ints, one step per run, and rounded once by int true division,
-    which rounds correctly, half to even.
+    summed per exponent by ``np.bincount``, ``_PIECE`` values at a time.
+    With at most 2**17 terms every such sum, and every partial sum on the
+    way, needs at most 44 bits, so it is exact.  Each run of ``_FOLD``
+    exponents, from the smallest present, is folded into one sum weighted
+    by 1, 2, 4, 8, which needs at most 48 bits and so stays exact too.  The
+    folded sums are combined as Python ints, one step per run, and rounded
+    once by int true division, which rounds correctly, half to even.
     """
-    mant, exp = np.frexp(x)
-    hi = mant + _SPLIT
-    hi -= _SPLIT
-    mant -= hi  # the low part, a multiple of 2**-53 in [-2**-28, 2**-28]
-    emin = int(exp.min())
-    exp -= emin
-    his = _folded(np.bincount(exp, weights=hi))
-    los = _folded(np.bincount(exp, weights=mant))
+    his = np.zeros(_BIAS + 2)
+    los = np.zeros(_BIAS + 2)
+    for a in range(0, x.size, _PIECE):
+        mant, exp = np.frexp(x[a:a + _PIECE])
+        hi = mant + _SPLIT
+        hi -= _SPLIT
+        mant -= hi  # the low part, a multiple of 2**-53 in [-2**-28, 2**-28]
+        exp += _BIAS
+        his += np.bincount(exp, weights=hi, minlength=his.size)
+        los += np.bincount(exp, weights=mant, minlength=los.size)
+    present = np.flatnonzero(his)  # a nonzero value has a high part >= 0.5
+    if present.size == 0:
+        return 0.0
+    low = int(present[0])
     total = 0
-    for h, low in zip(his[::-1].tolist(), los[::-1].tolist()):
-        total = (total << _FOLD) + int(h) + int(low)
-    return total / (1 << (53 - emin))
+    for h, lo in zip(_folded(his[low:])[::-1].tolist(),
+                     _folded(los[low:])[::-1].tolist()):
+        total = (total << _FOLD) + int(h) + int(lo)
+    return total / (1 << (53 + _BIAS - low))
 
 
 def _folded(sums: np.ndarray) -> np.ndarray:
@@ -60,25 +77,41 @@ def _folded(sums: np.ndarray) -> np.ndarray:
     return sums.reshape(-1, _FOLD) @ _FOLD_WEIGHTS
 
 
+def _sum_exp(t: np.ndarray, m: float, out: np.ndarray) -> float:
+    """The sum of ``exp(t - m)``, formed in ``out[:t.size]``.
+
+    Exactly rounded (``_exact_sum``, the bits of ``math.fsum``) up to
+    ``_FSUM_CUTOFF`` terms and deterministic pairwise summation beyond it.
+    """
+    shifted = np.subtract(t, m, out=out[:t.size])
+    np.exp(shifted, out=shifted)
+    if t.size <= _FSUM_CUTOFF:
+        return _exact_sum(shifted)
+    return float(np.sum(shifted))
+
+
+def log_sum_exp_blocks(blocks, m: float, out: np.ndarray) -> float:
+    """log of the sum of exp over every value of ``blocks``, given their
+    maximum ``m``.
+
+    Each block is summed by :func:`_sum_exp` in the scratch ``out`` (as long
+    as the largest block), and the block sums are combined by ``math.fsum``.
+    A non-finite ``m`` (all values -inf, or a +inf value) is the result.
+    """
+    if not math.isfinite(m):
+        return m
+    return m + math.log(math.fsum(_sum_exp(t, m, out) for t in blocks))
+
+
 def log_sum_exp(values) -> float:
     """log of the sum of exp(values) over a 1-d array.
 
-    Accumulation is exactly rounded (``_exact_sum``, the bits of
-    ``math.fsum``) up to a size cutoff and deterministic pairwise summation
-    beyond it; either way the result is a pure function of the input array,
-    independent of worker count.  A NaN anywhere gives NaN.
+    The array is one block of :func:`log_sum_exp_blocks`: a pure function of
+    the input array, independent of worker count.  A NaN anywhere gives NaN.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return LOG_ZERO
-    m = float(np.max(arr))
-    if not math.isfinite(m):  # all -inf (zero), a +inf term, or a NaN
-        return m
-    shifted = arr - m
-    np.exp(shifted, out=shifted)
-    if arr.size <= _FSUM_CUTOFF:
-        s = _exact_sum(shifted)
-    else:
-        s = float(np.sum(shifted))
-    return m + math.log(s)
+    return log_sum_exp_blocks((arr,), float(np.max(arr)),
+                              np.empty(arr.size))
 

@@ -10,7 +10,10 @@ term, which yields an explicit pointwise constant.
 Every function here walks its x values through ``series._walk``: one scan
 per x, each starting from the previous x's final window, and ``x = -inf``
 (``r = 0``) is the single-term window ``[log|a_0|]``, where the masses are
-the point mass at 0 (and undefined when ``a_0 = 0``).
+the point mass at 0 (and undefined when ``a_0 = 0``).  The moment sums are
+formed per window block with ``np.dot`` and combined across blocks with
+``math.fsum``, so a window of one block (at most 2**19 + 51 terms) gives
+the bits of one ``np.dot`` over the window.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .logdomain import LOG_ZERO, log_sum_exp
+from .logdomain import LOG_ZERO
 from .series import DEFAULT_TOL, PowerSeries, _walk
 
 # Moment sums weight the tail by (n - mean)^2, so their scans run far
@@ -80,40 +83,51 @@ class LemmaPointReport:
 
 
 def _walk_masses(series: PowerSeries, xs, tol: float, point) -> list:
-    """``point(x, log_mu, t, g)`` at each x of ``xs``, in order: ``t`` the
-    term logs up to the moment horizon (``point`` may overwrite it) and
-    ``g = log F``."""
-    def masses(x, scans, t, g):
+    """``point(x, log_mu, window, g)`` at each x of ``xs``, in order: the
+    ``series._Window`` of term logs up to the moment horizon and ``g = log
+    F``."""
+    def masses(x, scans, window):
+        g = window.log_F
         if g == LOG_ZERO:
             raise DomainError(
                 f"F = 0 at x={x:g}: the coefficient masses are undefined")
-        return point(x, scans[0].log_mu, t, g)
+        return point(x, scans[0].log_mu, window, g)
 
     return _walk(series, xs, (tol,), masses, _MOMENT_SCALE)
 
 
-def _moments(t: np.ndarray, g: float) -> tuple:
-    """Mean and centered variance of the masses ``exp(t - g)``, which
-    overwrite ``t``.
+def _moments(window, g: float) -> tuple:
+    """Mean and centered variance of the masses ``exp(t - g)``.
 
     Computing ``E X^2 - (E X)^2`` cancels catastrophically once the mean is
     large (it reaches 1e6 near the boundary), so g2 sums ``(n - g1)^2 p_n``
-    around the already-computed mean.
+    around the already-computed mean, in a second pass over the blocks.
     """
-    t -= g
-    np.exp(t, out=t)  # the masses p_n
-    n = np.arange(t.size, dtype=float)
-    g1 = float(np.dot(n, t))
-    n -= g1
-    n *= n
-    return g1, float(np.dot(n, t))
+    def moment(weight) -> float:
+        parts = []
+        for lo, t in window.blocks():
+            p = np.subtract(t, g, out=window.scratch(t.size))
+            np.exp(p, out=p)  # the masses p_n
+            n = np.arange(lo, lo + t.size, dtype=float)
+            parts.append(float(np.dot(weight(n), p)))
+        return math.fsum(parts)
+
+    def centred(n):
+        n -= g1
+        n *= n
+        return n
+
+    g1 = moment(lambda n: n)
+    return g1, moment(centred)
 
 
 def distribution(series: PowerSeries, x: float,
                  tol: float = DEFAULT_TOL) -> CoeffDistribution:
     """Coefficient distribution of ``series`` at ``x = log r``."""
-    (dist,) = _walk_masses(series, (x,), tol, lambda x, log_mu, t, g:
-                           CoeffDistribution(x=x, log_F=g, log_mass=t - g))
+    (dist,) = _walk_masses(series, (x,), tol, lambda x, log_mu, window, g:
+                           CoeffDistribution(x=x, log_F=g, log_mass=(
+                               np.concatenate([t - g for _, t in
+                                               window.blocks()]))))
     return dist
 
 
@@ -125,10 +139,9 @@ def stats(series: PowerSeries, x: float,
 
 def stats_grid(series: PowerSeries, x_grid,
                tol: float = DEFAULT_TOL) -> list[RosenbloomStats]:
-    """:func:`stats` at each x in order, in one walk; the masses overwrite
-    each window, which the walk drops after its point anyway."""
-    return _walk_masses(series, x_grid, tol, lambda x, log_mu, t, g:
-                        RosenbloomStats(g, *_moments(t, g)))
+    """:func:`stats` at each x in order, in one walk."""
+    return _walk_masses(series, x_grid, tol, lambda x, log_mu, window, g:
+                        RosenbloomStats(g, *_moments(window, g)))
 
 
 def _check_c(c: float) -> None:
@@ -142,26 +155,26 @@ def window_sum(series: PowerSeries, x: float, c: float,
     """log of the term sum over integers with ``|n - g1| < c*sqrt(g2)``."""
     _check_c(c)
 
-    def point(x, log_mu, t, g):
-        g1, g2 = _moments(t.copy(), g)
+    def point(x, log_mu, window, g):
+        g1, g2 = _moments(window, g)
         if g2 <= 0:
             raise ValidationError("window requires positive variance "
                                   "(series must not be a monomial)")
-        return _window_sum_from(t, g1, g2, c)
+        return _window_sum_from(window, g1, g2, c)
 
     (log_w,) = _walk_masses(series, (x,), tol, point)
     return log_w
 
 
-def _window_sum_from(t: np.ndarray, g1: float, g2: float, c: float) -> float:
+def _window_sum_from(window, g1: float, g2: float, c: float) -> float:
     half = c * math.sqrt(g2)
     lo = max(0, int(math.floor(g1 - half)) + 1)
-    hi = min(t.size - 1, int(math.ceil(g1 + half)) - 1)
+    hi = min(window.size - 1, int(math.ceil(g1 + half)) - 1)
     if hi < lo:
         raise RuntimeError(
             f"empty concentration window at g1={g1:g}, g2={g2:g}, c={c:g}"
         )
-    return log_sum_exp(t[lo: hi + 1])
+    return window.log_sum_exp(lo, hi + 1)
 
 
 def verify_pointwise_lemma(
@@ -182,14 +195,14 @@ def verify_pointwise_lemma(
     """
     _check_c(c)
 
-    def point(x, log_mu, t, g):
-        g1, g2 = _moments(t.copy(), g)
+    def point(x, log_mu, window, g):
+        g1, g2 = _moments(window, g)
         if g2 <= 0:
             raise ValidationError(
                 f"zero variance at x={x:g}: chain verification refuses "
                 "monomial-like inputs"
             )
-        log_w = _window_sum_from(t, g1, g2, c)
+        log_w = _window_sum_from(window, g1, g2, c)
         count_bound = int(math.floor(2 * c * math.sqrt(g2))) + 1
         margin_cheb = log_w - (math.log1p(-(c ** -2)) + g)
         margin_count = math.log(count_bound) + log_mu - log_w

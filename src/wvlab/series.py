@@ -12,16 +12,27 @@ robust to non-unimodal coefficient sequences but remains a heuristic beyond
 the verified window.
 
 Every evaluation, of one radius or a grid, is one walk through the radii
-(``_walk``), which scans each radius once: one window of term logs, starting
-at the previous radius's final window size, yields the horizon of every
-tolerance the caller needs, and the sums run over prefixes of that window.
-Until every tolerance has its horizon the window grows in place by an
-eighth (at least 512 terms, at most up to a hard cap): only the new terms
-are computed, and the horizon search resumes at the first candidate the new
-terms can still change.  The accepted horizon is the smallest ``N`` passing
-a rule that reads only the prefix ``t[:N+51]``, so results do not depend on
-the start or the steps.  A grid may start at ``r = 0``, the single-term
-window ``[log|a_0|]``.  Coefficient sources compute only the prefix asked for.
+(``_walk``), which scans each radius once and then reads the window of term
+logs it found.  Pass 1 (``_scan``) computes the term logs, starting at the
+previous radius's final window size, and yields the horizon of every
+tolerance the caller needs.  Until every tolerance has its horizon the
+window grows in place by an eighth (at least 512 terms, at most up to a
+hard cap): only the new terms are computed, and the horizon search resumes
+at the first candidate the new terms can still change.  The buffer holds at
+most ``_BLOCK_TERMS`` (2**19) terms plus the ``TAIL_RUN + 1`` undecided
+ones; a window that outgrows it slides: the buffer keeps those last terms
+and the running max, and fills up with the next ones.  The accepted horizon
+is the smallest ``N`` passing a rule that reads only the prefix
+``t[:N+51]``, so results depend neither on the start, nor on the steps, nor
+on the slides.  Pass 2 (``_Window``) reads the window cut at the last
+horizon, block by block, only for the callers that read it: a window that
+never slid is its one in-memory buffer, one that slid is recomputed from
+the series a block at a time.  Its sums are formed per block and combined
+with ``math.fsum``, so a grid holds a few MB of buffers however large its
+horizons are.  A source computes only the indices asked for; a recurrence
+keeps the prefix it computed, and a walk keeps the first block of any other
+series's coefficients for all its radii.  A grid may start at ``r = 0``, the
+single-term window ``[log|a_0|]``.
 """
 
 from __future__ import annotations
@@ -38,47 +49,51 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .logdomain import LOG_ZERO, log_sum_exp
+from .logdomain import LOG_ZERO, log_sum_exp_blocks
 
 DEFAULT_TOL = 1e-9
 TAIL_RUN = 50
 HARD_CAP = 10**8
 _FIRST_WINDOW = 512
 _GROWTH = 8  # a scan window grows by an eighth per step
-_BLOCK = 4096
+_BLOCK = 4096  # the horizon search's block of running-max bounds
+_BLOCK_TERMS = 2 ** 19  # a window slides past this many term logs
+_FILL_TERMS = 2 ** 16  # terms computed per piece
 
 
 class CoefficientSource:
-    """Provides log coefficient magnitudes for indices ``0..stop-1``.
+    """Provides log coefficient magnitudes by index range.
 
-    ``extend_to`` returns an array of length at least ``stop``; the returned
-    prefix must be identical across calls (deterministic queries), and the
-    source must be safe to extend under the owner's lock while readers hold
-    previously returned arrays.
+    ``block(lo, hi)`` returns an array of ``log|a_n|`` for ``lo <= n <
+    hi``.  Values must be identical across calls (deterministic queries),
+    and the source must be safe to query under the owner's lock while
+    readers hold previously returned arrays.
     """
 
-    def extend_to(self, stop: int) -> np.ndarray:
+    def block(self, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError
 
 
-def _reserve(buf: np.ndarray, filled: int, need: int) -> np.ndarray:
+def _reserve(buf: np.ndarray, filled: int, need: int,
+             cap: int = HARD_CAP) -> np.ndarray:
     """``buf`` if it holds ``need`` values, else a buffer of ``2 * need``
-    values (at most ``HARD_CAP``, at least ``need``) that starts with the
-    first ``filled`` values of ``buf``.
+    values (at most ``cap``, at least ``need``) that starts with the first
+    ``filled`` values of ``buf``.
 
     Pages of ``np.empty`` that are never written cost no resident memory,
     so the spare room is free until it is filled.
     """
     if need <= buf.size:
         return buf
-    grown = np.empty(max(need, min(2 * need, HARD_CAP)))
+    grown = np.empty(max(need, min(2 * need, cap)))
     grown[:filled] = buf[:filled]
     return grown
 
 
 class _PrefixSource(CoefficientSource):
-    """A source that fills exactly the prefix asked for, at least
-    ``_floor`` values, into one buffer with spare capacity.
+    """A source that holds the prefix it has computed, as a recurrence must:
+    it fills exactly the prefix asked for, at least ``_floor`` values, into
+    one buffer with spare capacity.
 
     ``_fill(buf, cur, stop)`` writes the values ``cur..stop-1`` into
     ``buf``.  Values already handed out are never written again, and a
@@ -86,6 +101,7 @@ class _PrefixSource(CoefficientSource):
     """
 
     _floor = _FIRST_WINDOW
+    _cap = HARD_CAP  # the buffer's spare room stops here
     _buf = np.empty(0)
     _size = 0
 
@@ -93,31 +109,39 @@ class _PrefixSource(CoefficientSource):
         raise NotImplementedError
 
     def extend_to(self, stop: int) -> np.ndarray:
+        """The prefix of at least ``stop`` values."""
         cur = self._size
         if stop > cur:
             stop = max(stop, self._floor)
-            self._buf = _reserve(self._buf, cur, stop)
+            self._buf = _reserve(self._buf, cur, stop, self._cap)
             self._fill(self._buf, cur, stop)
             self._size = stop
         return self._buf[:self._size]
 
+    def block(self, lo, hi):
+        return self.extend_to(hi)[lo:hi]
 
-class VectorizedSource(_PrefixSource):
-    """Source backed by a vectorized formula ``fn(n_array) -> log|a_n|``."""
+
+class VectorizedSource(CoefficientSource):
+    """Source backed by a vectorized formula ``fn(n_array) -> log|a_n|``.
+
+    Each block is computed from the formula when it is asked for; the
+    source holds nothing.
+    """
 
     def __init__(self, fn):
         self._fn = fn
 
-    def _fill(self, buf, cur, stop):
-        block = np.asarray(self._fn(np.arange(cur, stop, dtype=float)),
+    def block(self, lo, hi):
+        block = np.asarray(self._fn(np.arange(lo, hi, dtype=float)),
                            dtype=float)
         if np.isnan(block).any():
-            bad = int(np.flatnonzero(np.isnan(block))[0]) + cur
+            bad = int(np.flatnonzero(np.isnan(block))[0]) + lo
             raise DomainError(
                 f"coefficient formula produced NaN at n={bad}",
                 subexpression="log_coeff(n)",
             )
-        buf[cur:stop] = block
+        return block
 
 
 class ArraySource(_PrefixSource):
@@ -151,11 +175,12 @@ class _Scan:
 class PowerSeries:
     """Analytic function given by coefficient magnitude logs.
 
-    Instances are immutable apart from an internal, lock-protected coefficient
-    cache, so they are safe to share between concurrent readers.  A series
-    keeps no scan state: the walk over several radii (:func:`_walk`) passes
-    each scan's final window size as the next scan's start, the window grows
-    in place from there, and results are bitwise independent of the start.
+    Instances are immutable apart from a recurrence source's internal,
+    lock-protected coefficient cache, so they are safe to share between
+    concurrent readers.  A series keeps no scan state: the walk over several
+    radii (:func:`_walk`) owns the scan buffers and passes each scan's final
+    window size as the next scan's start, and results are bitwise
+    independent of the start.
     """
 
     def __init__(
@@ -201,29 +226,19 @@ class PowerSeries:
         """log|a_n|; ``-inf`` exactly when the coefficient vanishes."""
         if n < 0:
             raise ValidationError(f"coefficient index must be >= 0, got {n}")
-        return float(self.log_coeffs(n + 1)[n])
+        return float(self._coeffs(n, n + 1)[0])
 
     def log_coeffs(self, stop: int) -> np.ndarray:
-        """Read-only view of log|a_n| for ``n < stop``."""
+        """log|a_n| for ``n < stop``, read-only (it may view a cache)."""
+        return self._coeffs(0, stop)
+
+    def _coeffs(self, lo: int, hi: int) -> np.ndarray:
         with self._lock:
-            arr = self._source.extend_to(stop)
-        return arr[:stop]
-
-    def _fill_terms(self, buf: np.ndarray, x: float, lo: int,
-                    hi: int) -> None:
-        """Write the term logs ``log|a_n| + n*x`` for ``lo <= n < hi`` into
-        ``buf[lo:hi]``.
-
-        Built elementwise, so a window filled piece by piece repeats the
-        values of one filled at once bit for bit.
-        """
-        t = buf[lo:hi]
-        np.multiply(np.arange(lo, hi, dtype=float), x, out=t)
-        t += self.log_coeffs(hi)[lo:]
+            return self._source.block(lo, hi)
 
     def _terms(self, x: float, stop: int) -> np.ndarray:
         """Term logs ``log|a_n| + n*x`` for ``n < stop``, built at once: the
-        window that :meth:`_fill_terms` must repeat piece by piece."""
+        window that :func:`_fill_terms` must repeat piece by piece."""
         t = np.arange(stop, dtype=float)
         t *= x
         t += self.log_coeffs(stop)
@@ -233,22 +248,23 @@ class PowerSeries:
         return f"PowerSeries({self.label!r}, radius={self.radius})"
 
 
-def _last_max(t: np.ndarray, lo: int, hi: int, prior: tuple) -> tuple:
-    """``max(t[:hi])`` and the last index holding it, given ``prior``, the
-    same pair for ``t[:lo]``."""
-    if hi <= lo:
+def _last_max(w: np.ndarray, lo: int, prior: tuple) -> tuple:
+    """The max of the terms ``w`` (indices ``lo``, ``lo + 1``, ...) and of
+    the terms before them, and the last index holding it, given ``prior``,
+    the same pair for the terms before ``lo``."""
+    if w.size == 0:
         return prior
-    w = t[lo:hi]
     m = float(w.max())
     if m < prior[0]:
         return prior
-    return m, hi - 1 - int(np.argmax(w[::-1] == m))
+    return m, lo + w.size - 1 - int(np.argmax(w[::-1] == m))
 
 
-def _first_horizon(t: np.ndarray, big: np.ndarray, lo: int,
+def _first_horizon(seg: np.ndarray, big: np.ndarray, lo: int,
                    prior: tuple) -> _Scan | None:
-    """Smallest accepted horizon ``p >= lo``, given ``big[n - lo] = t[n] >=
-    threshold[n]`` for ``n >= lo`` and ``prior`` from :func:`_last_max`."""
+    """Smallest accepted horizon ``p >= lo``, given the terms ``seg[n - lo]
+    = t[n]`` and ``big[n - lo] = t[n] >= threshold[n]`` for ``n >= lo``,
+    and ``prior`` from :func:`_last_max`."""
     if big.size - np.count_nonzero(big) < TAIL_RUN:
         return None  # too few small terms for a tail run
     # Stretches of constant ``big``: a stretch of small terms that starts at
@@ -260,29 +276,31 @@ def _first_horizon(t: np.ndarray, big: np.ndarray, lo: int,
         # Central index up to p: the last index holding max(t[:p+1]).  The
         # horizon is p when p lies beyond it; when p is the central index
         # itself, p + 1 qualifies if one more small term follows.
-        log_mu, nu = _last_max(t, lo, p + 1, prior)
+        log_mu, nu = _last_max(seg[:p + 1 - lo], lo, prior)
         if p > nu:
             return _Scan(log_mu, nu, p)
         if lengths[i] >= TAIL_RUN + 1:
-            if t[p + 1] >= t[p]:
+            if seg[p + 1 - lo] >= seg[p - lo]:
                 nu = p + 1
-            return _Scan(float(t[nu]), nu, p + 1)
+            return _Scan(float(seg[nu - lo]), nu, p + 1)
     return None
 
 
-def _find_horizons(t: np.ndarray, log_tail_tols, lo: int = 0,
+def _find_horizons(seg: np.ndarray, log_tail_tols, lo: int = 0,
                    prior: tuple = (LOG_ZERO, -1)) -> list:
     """Smallest accepted horizon within a term prefix, per tolerance.
 
     Accepts the smallest ``N`` strictly beyond the running central index such
     that the 50 terms after ``N`` each sit below ``running_max +
     log_tail_tol``.  Ties for the max break upward.  ``None`` marks a
-    tolerance with no accepted horizon inside ``t``.
+    tolerance with no accepted horizon inside the prefix.
 
-    Only the candidates ``N >= lo`` are examined; ``prior`` is
-    ``_last_max(t, 0, lo, ...)``.  A search that resumes on a longer window
+    ``seg`` holds the prefix's terms from index ``lo`` on (``seg[i] =
+    t[lo + i]``), and only the candidates ``N >= lo`` are examined;
+    ``prior`` is the running max and its index up to ``lo``, as
+    :func:`_last_max` gives it.  A search that resumes on a longer prefix
     passes ``lo = old_size - TAIL_RUN - 1``: every earlier candidate has its
-    50 following terms inside the old window and was already decided.
+    50 following terms inside the old prefix and was already decided.
 
     The running max at an index lies between the max before its block and
     the max at the block's end.  Rounding is monotone, so a block whose
@@ -290,7 +308,6 @@ def _find_horizons(t: np.ndarray, log_tail_tols, lo: int = 0,
     stays below ``prior_max + log_tail_tol`` is all small, and only the
     blocks in between need the running max term by term.
     """
-    seg = t[lo:]
     starts = np.arange(0, seg.size, _BLOCK)
     bmax = np.maximum.reduceat(seg, starts)
     bmin = np.minimum.reduceat(seg, starts)
@@ -310,38 +327,113 @@ def _find_horizons(t: np.ndarray, log_tail_tols, lo: int = 0,
             np.maximum(thr, prior_max[b], out=thr)
             thr += ltt
             big[i:i + _BLOCK] = blk >= thr
-        found[ltt] = _first_horizon(t, big, lo, prior)
+        found[ltt] = _first_horizon(seg, big, lo, prior)
     return [found[ltt] for ltt in log_tail_tols]
 
 
-def _scan(series: PowerSeries, x: float, tols,
-          start: int = _FIRST_WINDOW) -> tuple:
-    """Scan one window of term logs at ``x = log r`` for every tolerance.
+def _buffer_size() -> int:
+    """Terms a scan buffer holds: a block and the undecided tail."""
+    return _BLOCK_TERMS + TAIL_RUN + 1
+
+
+class _FirstBlock(_PrefixSource):
+    """The first :func:`_buffer_size` coefficients of a series whose source
+    holds none, kept for the radii of one walk; the later ones are asked of
+    the series each time."""
+
+    def __init__(self, series: PowerSeries):
+        self._series = series
+        self._cap = _buffer_size()
+
+    def _fill(self, buf, cur, stop):
+        buf[cur:stop] = self._series._coeffs(cur, stop)
+
+    def block(self, lo, hi):
+        cap = _buffer_size()
+        if hi <= cap:
+            return self.extend_to(hi)[lo:hi]
+        if lo >= cap:
+            return self._series._coeffs(lo, hi)
+        return np.concatenate((self.extend_to(cap)[lo:],
+                               self._series._coeffs(cap, hi)))
+
+
+class _Buffers:
+    """What a walk keeps from one radius to the next: the reader of the
+    coefficients, ``coeffs(lo, hi)``, which holds the first block of a
+    series whose source holds no prefix, and two buffers, the term logs and
+    a scratch for the readers' work on a block.
+
+    ``get(i, need, keep)`` returns buffer ``i`` with room for ``need``
+    values and its first ``keep`` values kept; a buffer grows to twice what
+    is asked, at most :func:`_buffer_size` values, so a walk of small
+    windows keeps small buffers.
+    """
+
+    def __init__(self, series: PowerSeries):
+        self.coeffs = series._coeffs if isinstance(
+            series._source, _PrefixSource) else _FirstBlock(series).block
+        self._arrays = [np.empty(0)] * 2
+
+    def get(self, i: int, need: int, keep: int = 0) -> np.ndarray:
+        self._arrays[i] = _reserve(self._arrays[i], keep, need,
+                                   _buffer_size())
+        return self._arrays[i]
+
+
+def _fill_terms(coeffs, out: np.ndarray, x: float, lo: int) -> None:
+    """Write the term logs ``log|a_n| + n*x`` for ``lo <= n < lo +
+    out.size`` into ``out``, with ``log|a_n|`` from ``coeffs(lo, hi)``.
+
+    Built elementwise, so a window filled piece by piece repeats the values
+    of one filled at once bit for bit.  The pieces are at most
+    ``_FILL_TERMS`` long: the allocator reuses temporaries that small,
+    while each fresh page of a large one costs a page fault.
+    """
+    for a in range(lo, lo + out.size, _FILL_TERMS):
+        b = min(a + _FILL_TERMS, lo + out.size)
+        t = out[a - lo:b - lo]
+        np.multiply(np.arange(a, b, dtype=float), x, out=t)
+        t += coeffs(a, b)
+
+
+def _scan(series: PowerSeries, x: float, tols, start: int = _FIRST_WINDOW,
+          bufs: _Buffers | None = None) -> tuple:
+    """Pass 1: scan the term logs at ``x = log r`` for every tolerance.
 
     The window starts at ``start`` terms (at least 512, at most
-    ``HARD_CAP``) and grows in place by a ``1/_GROWTH`` share (at least 512
-    terms) until each tolerance in ``tols`` has an accepted horizon inside
-    it.  Each step computes only the new terms, and the search resumes
-    where the last one could still change its answer (see
-    :func:`_find_horizons`); a tolerance keeps the horizon it found.
-    Returns ``(scans, t, stop)``: one :class:`_Scan` per tolerance, the term
-    logs of the final window and its size, which is the next radius's
-    start.  :func:`_walk` checks the series and the tolerances.
+    ``HARD_CAP``) and grows by a ``1/_GROWTH`` share (at least 512 terms)
+    until each tolerance in ``tols`` has an accepted horizon inside it.
+    Each step computes only the new terms, and the search resumes where the
+    last one could still change its answer (see :func:`_find_horizons`); a
+    tolerance keeps the horizon it found.  The terms live in the term
+    buffer of ``bufs`` (new ones if not given), which holds at most
+    :func:`_buffer_size` of them: the window grows in place while it fits,
+    and then slides, keeping the ``TAIL_RUN + 1`` terms the search resumes
+    at; while ``start`` is ahead, each step fills the buffer.  Returns
+    ``(scans, t, stop)``: one :class:`_Scan` per tolerance, the window
+    ``t[:stop]`` if it never slid (else ``None``) and its size, which is
+    the next radius's start.  :func:`_walk` checks the series and the
+    tolerances.
     """
     log_tail_tols = [math.log(tol / TAIL_RUN) for tol in tols]
     scans = [None] * len(tols)
+    size = _buffer_size()
+    bufs = _Buffers(series) if bufs is None else bufs
+    start = min(max(start, _FIRST_WINDOW), HARD_CAP)
     lo, prior = 0, (LOG_ZERO, -1)
-    stop = min(max(start, _FIRST_WINDOW), HARD_CAP)
-    buf = _reserve(np.empty(0), 0, stop)
-    series._fill_terms(buf, x, 0, stop)
+    base, stop, grown = 0, 0, min(start, size)  # buf[i] holds t[base + i]
     while True:
-        t = buf[:stop]
+        buf = bufs.get(0, grown - base, stop - base)
+        _fill_terms(bufs.coeffs, buf[stop - base:grown - base], x, stop)
+        stop = grown
         todo = [i for i, s in enumerate(scans) if s is None]
-        found = _find_horizons(t, [log_tail_tols[i] for i in todo], lo, prior)
+        found = _find_horizons(buf[lo - base:stop - base],
+                               [log_tail_tols[i] for i in todo], lo, prior)
         for i, s in zip(todo, found):
             scans[i] = s
         if None not in scans:
-            return scans, t, stop
+            return scans, (buf[:stop] if base == 0 else None), stop
         if stop >= HARD_CAP:
             raise TruncationError(
                 f"no certified horizon for {series.label!r} at log r={x:g} "
@@ -349,11 +441,67 @@ def _scan(series: PowerSeries, x: float, tols,
                 horizon=stop,
             )
         resume = max(stop - TAIL_RUN - 1, 0)
-        lo, prior = resume, _last_max(t, lo, resume, prior)
-        grown = min(stop + max(stop // _GROWTH, _FIRST_WINDOW), HARD_CAP)
-        buf = _reserve(buf, stop, grown)
-        series._fill_terms(buf, x, stop, grown)
-        stop = grown
+        prior = _last_max(buf[lo - base:resume - base], lo, prior)
+        lo = resume
+        if stop - base == size:  # full: keep the terms from lo on
+            buf[:stop - lo] = buf[lo - base:stop - base]
+            base = lo
+        grown = min(max(stop + max(stop // _GROWTH, _FIRST_WINDOW), start),
+                    base + size, HARD_CAP)
+
+
+class _Window:
+    """Pass 2: the term logs ``t[n]``, ``n < size``, at ``x = log r``: one
+    radius's window cut at its last horizon, read block by block.
+
+    A range of at most :func:`_buffer_size` terms is one block, a longer
+    one blocks of ``_BLOCK_TERMS``.  A window that never slid is its
+    in-memory buffer ``t``; one that slid is recomputed from the series,
+    one block at a time, into the term buffer of ``bufs``.  A block is
+    valid until the next one is read and must not be written.  ``log_mu``
+    is ``max(t)``; ``log_F``, the log-sum-exp of the window, is summed when
+    it is first read.
+    """
+
+    def __init__(self, x, size, log_mu, t, bufs, log_F=None):
+        self.size = size
+        self.log_mu = log_mu
+        self._x, self._t, self._bufs = x, t, bufs
+        self._log_F = log_F
+
+    def blocks(self, lo: int = 0, hi: int | None = None):
+        """``(start, terms)`` for the blocks that cover ``lo <= n < hi``."""
+        hi = self.size if hi is None else hi
+        step = hi - lo if hi - lo <= _buffer_size() else _BLOCK_TERMS
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            if self._t is not None:
+                yield a, self._t[a:b]
+            else:
+                out = self._bufs.get(0, b - a)[:b - a]
+                _fill_terms(self._bufs.coeffs, out, self._x, a)
+                yield a, out
+
+    def scratch(self, size: int) -> np.ndarray:
+        """``size`` values of the walk's scratch buffer, to work on a block
+        in; valid until the next call."""
+        return self._bufs.get(1, size)[:size]
+
+    def log_sum_exp(self, lo: int = 0, hi: int | None = None,
+                    m: float | None = None) -> float:
+        """log of the sum of ``exp(t[n])`` over ``lo <= n < hi``, given ``m``,
+        the range's max, or reading it from the blocks first."""
+        hi = self.size if hi is None else hi
+        if m is None:
+            m = max(float(t.max()) for _, t in self.blocks(lo, hi))
+        return log_sum_exp_blocks((t for _, t in self.blocks(lo, hi)), m,
+                                  self.scratch(min(hi - lo, _buffer_size())))
+
+    @property
+    def log_F(self) -> float:
+        if self._log_F is None:
+            self._log_F = self.log_sum_exp(m=self.log_mu)
+        return self._log_F
 
 
 def log_radius(r: float) -> float:
@@ -364,18 +512,19 @@ def log_radius(r: float) -> float:
 
 
 def _walk(series: PowerSeries, xs, tols, point, scale: float = 1.0) -> list:
-    """``point(x, scans, t, log_F)`` at each ``x = log r`` of ``xs``, in order.
+    """``point(x, scans, window)`` at each ``x = log r`` of ``xs``, in order.
 
     The one walk through radii; nothing else calls :func:`_scan`.  It checks
     the series and the tolerances once (scans run at ``tol * scale``; the
     moment sums ask for ``scale = 1e-6``; errors name ``tol``), then each x.
     ``x = -inf`` (``r = 0``) is the single-term window ``[log|a_0|]``, with
     the horizon a monomial has at every radius (1 for other series); any
-    other x is one scan, starting from the previous radius's final window.
-    ``scans`` holds one :class:`_Scan` per tolerance, ``t`` the window cut
-    at the last tolerance's horizon and ``log_F`` its log-sum-exp.  ``point``
-    may overwrite ``t`` but must not keep it: the walk drops each window
-    before it scans the next radius, so a grid holds one window at a time.
+    other x is one scan (pass 1), starting from the previous radius's final
+    window.  ``scans`` holds one :class:`_Scan` per tolerance and
+    ``window`` is the :class:`_Window` cut at the last tolerance's horizon.
+    Pass 2 runs only for a ``point`` that reads the window or its
+    ``log_F``.  ``point`` must not keep the window: the walk's buffers
+    (:class:`_Buffers`) serve every radius in turn.
     """
     if series._known_all_zero:
         raise DegenerateSeriesError(
@@ -390,6 +539,7 @@ def _walk(series: PowerSeries, xs, tols, point, scale: float = 1.0) -> list:
                 f"tol*{scale:g} underflows to 0, got {tol!r}")
     tols = [tol * scale for tol in tols]
     log_R = math.log(series.radius)
+    bufs = _Buffers(series)
     start, out = _FIRST_WINDOW, []
     for x in xs:
         x = float(x)
@@ -403,12 +553,14 @@ def _walk(series: PowerSeries, xs, tols, point, scale: float = 1.0) -> list:
             t = np.array([log_F])
             scans = [_Scan(log_F, 0, (series.monomial_degree or 0) + 1)
                      ] * len(tols)
+            window = _Window(x, 1, log_F, t, bufs, log_F)
         else:
-            scans, t, start = _scan(series, x, tols, start)
-            t = t[:scans[-1].horizon + 1]
-            log_F = log_sum_exp(t)
-        out.append(point(x, scans, t, log_F))
-        del t  # no window outlives its point
+            scans, t, start = _scan(series, x, tols, start, bufs)
+            size = scans[-1].horizon + 1
+            window = _Window(x, size, scans[-1].log_mu,
+                             None if t is None else t[:size], bufs)
+        out.append(point(x, scans, window))
+        del t, window  # no window outlives its point
     return out
 
 
@@ -425,19 +577,19 @@ def truncation_horizon(series: PowerSeries, r: float, tol: float) -> int:
     contract guarantees is that the 50 terms after the horizon each fall
     below ``mu * tol / 50`` and the horizon exceeds the central index.
     """
-    return _at(series, r, (tol,), lambda x, scans, t, log_F: scans[0].horizon)
+    return _at(series, r, (tol,), lambda x, scans, window: scans[0].horizon)
 
 
 def log_max_term(series: PowerSeries, r: float) -> MaxTermResult:
     """Max term log and central index at radius ``r``; ties break upward."""
-    return _at(series, r, (DEFAULT_TOL,), lambda x, scans, t, log_F:
+    return _at(series, r, (DEFAULT_TOL,), lambda x, scans, window:
                MaxTermResult(scans[0].log_mu, scans[0].nu))
 
 
 def log_positive_value(series: PowerSeries, r: float,
                        tol: float = DEFAULT_TOL) -> float:
     """log of ``sum_n |a_n| r^n`` with relative truncation error <= tol."""
-    return _at(series, r, (tol,), lambda x, scans, t, log_F: log_F)
+    return _at(series, r, (tol,), lambda x, scans, window: window.log_F)
 
 
 def max_modulus_sampled(
@@ -452,31 +604,32 @@ def max_modulus_sampled(
     Maximizes |f| over ``samples`` equally spaced points.  ``phases`` gives
     the coefficient arguments (array or vectorized callable over n); with the
     default of zero phases the maximum sits at ``z = r`` and the result equals
-    :func:`log_positive_value` up to tolerance.
+    :func:`log_positive_value` up to tolerance.  The sum at each point is
+    formed per window block.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
 
-    def point(x, scans, t, log_F):
-        if t.size == 1:  # the single-term window: |f| = |a_0| everywhere
-            return log_F
-        n = np.arange(t.size, dtype=float)
-        m = float(np.max(t))
-        w = np.exp(t - m)
-        if phases is None:
-            phi = 0.0
-        elif callable(phases):
-            phi = np.asarray(phases(n), dtype=float)
-        else:
-            phi = np.zeros(n.size)
-            given = np.asarray(phases, dtype=float)
-            phi[: min(given.size, n.size)] = given[: n.size]
-        best = 0.0
-        for k in range(samples):
-            theta = 2.0 * math.pi * k / samples
-            val = abs(np.sum(w * np.exp(1j * (n * theta + phi))))
-            if val > best:
-                best = val
+    def point(x, scans, window):
+        if window.size == 1:  # the single-term window: |f| = |a_0| everywhere
+            return window.log_F
+        m = window.log_mu
+        sums = np.zeros(samples, dtype=complex)
+        for lo, t in window.blocks():
+            n = np.arange(lo, lo + t.size, dtype=float)
+            w = np.exp(t - m)
+            if phases is None:
+                phi = 0.0
+            elif callable(phases):
+                phi = np.asarray(phases(n), dtype=float)
+            else:
+                given = np.asarray(phases, dtype=float)[lo:lo + t.size]
+                phi = np.zeros(n.size)
+                phi[:given.size] = given
+            for k in range(samples):
+                theta = 2.0 * math.pi * k / samples
+                sums[k] += np.sum(w * np.exp(1j * (n * theta + phi)))
+        best = float(np.max(np.abs(sums)))
         if best == 0.0:
             return LOG_ZERO
         return m + math.log(best)

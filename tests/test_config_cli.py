@@ -411,6 +411,22 @@ def test_cli_check_and_sweep(tmp_path):
     assert code == 0
 
 
+def test_cli_sweep_with_the_bound_undefined_everywhere_exits_4(tmp_path,
+                                                               capsys):
+    # kov_n at n = 3 needs log_3 of the max term, undefined on this whole
+    # grid: no C is tested, so no C_star may be reported
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--family", "geometric", "--grid-gap",
+                 "0.1:0.7:6", "--bound", "kov_n", "--n", "3", "--delta",
+                 "0.5", "--sweep-h", "disk", "--budget", "0",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "numeric failure: bound kov_n undefined on the whole grid" in err
+    assert "C_star" not in err
+    assert not out.exists()
+
+
 def test_cli_optimality(tmp_path):
     code = main(["optimality", "--family", "kovari", "--rho", "1",
                  "--grid-gap", "0.9:0.85:18", "--out",

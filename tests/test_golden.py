@@ -6,7 +6,12 @@ per radius; the pairs of ``.csv`` (standard output) and ``.stderr`` files
 were written before the CLI and ``wvlab report`` shared one mode table,
 except ``optimality_formula``, written before ``optimality`` walked its
 base and refined grids as one, and ``sweep_geometric_not_found.stderr``,
-rewritten when ``sweep`` began naming its undefined points.  The pairs
+rewritten when ``sweep`` began naming its undefined points.  The last
+three rows of ``stats_suleimanov.csv`` (r = 0.99907766279631449,
+0.99926213023705157 and 0.99940970418964126) were rewritten when windows
+past 2**19 terms began to slide: their moment windows (556,000 to
+1,214,000 terms) are summed per block, which moves ``g1`` and ``g2`` by
+2e-15 to 2e-14 relative; ``g`` and every other row kept their bytes.  The pairs
 under ``tests/data/bounds`` pin every bound id, every built-in psi in both
 slots of ``main`` under every built-in h, ``sk4`` under every h, and the
 budgeted lemma set for every psi; they were written before the psi, h and

@@ -6,7 +6,8 @@
   rho it is held to the convolution, to mpmath and to the closed form.
 * ``families._ScaledExpSource`` reorders each dot product, so it is held to
   the original negative-stride loop within a relative 1e-13.
-* Every coefficient source computes exactly the prefix it is asked for.
+* Every recurrence source computes exactly the prefix it is asked for, and
+  a formula source exactly the indices asked for, holding none of them.
 """
 
 import math
@@ -407,7 +408,6 @@ class CountingFormula:
 
 
 @pytest.mark.parametrize("make,floor", [
-    (lambda: VectorizedSource(CountingFormula()), 512),
     (lambda: ArraySource(np.zeros(700)), 700),
     (lambda: _KovariIntSource(1), 256),
     (lambda: _KovariIntSource(3), 256),
@@ -420,9 +420,18 @@ def test_sources_fill_exactly_the_prefix_asked_for(make, floor):
     for stop in (1, 300, 299, 700, 701, 3000, 2000, 5000, 5001):
         size = max(size, stop, floor)
         assert source.extend_to(stop).size == size, stop
-        fn = getattr(source, "_fn", None)
-        if fn is not None:
-            assert fn.top == size - 1
+
+
+def test_vectorized_source_computes_only_the_block_asked_for():
+    fn = CountingFormula()
+    source = VectorizedSource(fn)
+    for lo, hi in ((0, 1), (0, 300), (5000, 5001), (700, 3000), (2, 2)):
+        fn.top = -1
+        got = source.block(lo, hi)
+        assert np.array_equal(bits(got), bits(-gammaln(
+            np.arange(lo, hi, dtype=float) + 1.0))), (lo, hi)
+        assert fn.top == (hi - 1 if hi > lo else -1)
+    assert vars(source) == {"_fn": fn}  # no coefficient is kept
 
 
 def test_kovari1_holds_one_growth_step_past_the_optimality_horizon():

@@ -74,20 +74,23 @@ def run_both(mode, argv, sections, tmp_path):
 
 @pytest.fixture
 def scan_windows(monkeypatch):
-    """A weak reference to each ``series._scan`` window, in call order.
+    """A weak reference to each ``series._scan`` term buffer, in call order.
 
-    Each window must be gone when the next scan starts: a walk that kept
-    the previous window while scanning the next radius would hold two.
+    A walk reuses one term buffer for all its radii, and replaces it only
+    to grow it.  So when a scan ends, every earlier buffer but the one it
+    filled must be gone: a walk that kept the previous window while a scan
+    grew the buffer, or that made a buffer per radius, would hold two.
     """
     windows = []
     scan = series_mod._scan
 
-    def counted(*args, **kwargs):
-        assert not windows or windows[-1]() is None, "a window outlived " \
-            "its point"
-        scans, t, stop = scan(*args, **kwargs)
-        windows.append(weakref.ref(t.base))
-        return scans, t, stop
+    def counted(series, x, tols, start, bufs):
+        found = scan(series, x, tols, start, bufs)
+        current = bufs.get(0, 0)
+        assert all(w() is None or w() is current for w in windows), \
+            "a window outlived its point"
+        windows.append(weakref.ref(current))
+        return found
 
     monkeypatch.setattr(series_mod, "_scan", counted)
     return windows

@@ -201,3 +201,45 @@ def test_r_zero_is_the_point_mass_at_zero(geometric_series,
     for call in (distribution, stats):
         with pytest.raises(DomainError, match="F = 0 at x=-inf"):
             call(suleimanov_half_series, -math.inf)
+
+
+@pytest.mark.parametrize("gap", [0.02, 0.01, 0.005])
+def test_block_moments_are_no_less_accurate(gap, monkeypatch):
+    """A window that slides is summed per block: g1 and g2 are per-block
+    ``np.dot`` sums combined by ``math.fsum``, where one block is one
+    ``np.dot`` over the window.  Held to 40-digit sums of the same term
+    logs (the window has 4,700 to 35,000 terms, blocks 1024), each way
+    forms ``sum n p_n`` and ``sum (n - g1)^2 p_n`` with ``p_n = exp(t_n -
+    g)`` at least as closely as one block does.  Both ways share ``g``, so
+    against the true moments both carry its rounding (a few 1e-15 here)."""
+    import mpmath
+
+    from wvlab import series as series_mod
+
+    x = math.log1p(-gap)
+    one = stats(family("suleimanov", epsilon=0.5), x)
+    monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
+    series = family("suleimanov", epsilon=0.5)
+    blocks = stats(series, x)
+    assert blocks.g == one.g
+    horizon = series_mod._at(series, math.exp(x), (1e-9 * 1e-6,),
+                             lambda x, scans, window: scans[0].horizon)
+    assert horizon + 1 > 1024 + 51  # the window slid
+    t = series._terms(x, horizon + 1)
+    with mpmath.workdps(40):
+        w = [mpmath.exp(mpmath.mpf(float(v))) for v in t]
+        F = mpmath.fsum(w)
+        g1 = mpmath.fsum(n * v for n, v in enumerate(w)) / F
+        g2 = mpmath.fsum((n - g1) ** 2 * v for n, v in enumerate(w)) / F
+        p = [v / mpmath.exp(one.g) for v in w]
+
+        def error(got, want):
+            return float(abs(got - want) / want)
+
+        for st in (one, blocks):
+            assert error(st.g1, g1) < 1e-14 and error(st.g2, g2) < 1e-14
+        sum1 = mpmath.fsum(n * v for n, v in enumerate(p))
+        assert error(blocks.g1, sum1) <= error(one.g1, sum1)
+        sums2 = [mpmath.fsum((n - mpmath.mpf(st.g1)) ** 2 * v
+                             for n, v in enumerate(p)) for st in (one, blocks)]
+        assert error(blocks.g2, sums2[1]) <= error(one.g2, sums2[0])

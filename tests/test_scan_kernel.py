@@ -1,14 +1,19 @@
-"""The one-window horizon kernel against the original per-scan search."""
+"""The one-window horizon kernel against the original per-scan search, and
+windows that slide past the block size."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wvlab import PowerSeries, family
+from wvlab import PowerSeries, RadialGrid, evaluate_grid, family, \
+    log_max_term, log_positive_value, stats_grid, truncation_horizon
+from wvlab import logdomain
 from wvlab import series as series_mod
+from wvlab.logdomain import log_sum_exp_blocks
 from wvlab.series import TAIL_RUN, _find_horizons, _scan, _Scan
 
 LOG_ZERO = -math.inf
@@ -191,3 +196,83 @@ def test_kernel_result_independent_of_start(family_id, params, r,
         # a window grown in place is the window built at once
         assert np.array_equal(bits(t), bits(series._terms(x, stop)))
     assert stop == 2 ** 18
+
+
+# ---------------------------------------------------------------------------
+# Windows that slide past the block size, and pass 2.
+
+SLIDING = [
+    ("suleimanov", {"epsilon": 0.5}),
+    ("kovari", {"rho": 1}),
+    ("geometric", {}),
+    ("formula", {"formula": "log(2+(-1)**n)+sqrt(n)", "radius": 1.0}),
+]
+
+
+def walk(series, xs, tols):
+    """Each x's scans and log F, in one walk."""
+    return series_mod._walk(series, xs, tols,
+                            lambda x, scans, window: (scans, window.log_F))
+
+
+@pytest.mark.parametrize("family_id,params", SLIDING)
+def test_sliding_window_keeps_the_in_memory_results(family_id, params,
+                                                    monkeypatch):
+    """With 1024-term blocks every window here slides (the horizons run
+    from about 1,300 to 200,000 terms).  Horizons, nu and log_mu are those
+    of the in-memory scan and of the original search, bit for bit; log F is
+    the in-memory window's sum over the same blocks, bit for bit, and
+    within 1e-15 of its sum as one block."""
+    xs = [math.log(r) for r in RadialGrid.geometric_in_gap(0.98, 0.72,
+                                                             8).points]
+    tols = (1e-9, 1e-12)
+    in_memory = walk(family(family_id, **params), xs, tols)
+    monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
+    series = family(family_id, **params)
+    slid = walk(series, xs, tols)
+    for x, (scans, log_F), (want, one_block) in zip(xs, slid, in_memory):
+        assert scans == want
+        assert scans == [oracle_scan(series, x, tol) for tol in tols]
+        assert _scan(series, x, tols)[1] is None  # the window slid
+        t = series._terms(x, scans[-1].horizon + 1)
+        blocks = [t[a:a + 1024] for a in range(0, t.size, 1024)]
+        assert bits(log_F) == bits(log_sum_exp_blocks(
+            blocks, float(t.max()), np.empty(1024)))
+        assert log_F == pytest.approx(one_block, rel=1e-15, abs=1e-15)
+
+
+def test_sums_run_only_for_points_that_read_them(monkeypatch):
+    """Pass 2 sums a window only when its point reads it: once per block
+    for log F, never for the max term or the horizon."""
+    calls = []
+    block_sum = logdomain._sum_exp
+    monkeypatch.setattr(logdomain, "_sum_exp",
+                        lambda t, m, out: calls.append(t.size)
+                        or block_sum(t, m, out))
+    series, r = family("suleimanov", epsilon=0.5), 0.999
+    log_max_term(series, r)
+    truncation_horizon(series, r, 1e-9)
+    assert calls == []
+    log_F = log_positive_value(series, r)
+    assert len(calls) == 1
+    monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
+    horizon = truncation_horizon(series, r, 1e-9)
+    assert len(calls) == 1
+    assert log_positive_value(series, r) == pytest.approx(log_F, rel=1e-15)
+    assert calls[1:] == [1024] * (horizon // 1024) + [horizon % 1024 + 1]
+
+
+def test_memory_stays_flat_past_the_block_size():
+    """At gap 2e-4 the horizons reach 8.1M terms (10M for the moment
+    sums), 65 MB of term logs; the walks hold a few MB of buffers."""
+    grid = RadialGrid.geometric_in_gap(1 - 8e-4, 0.5, 3)
+    series = family("suleimanov", epsilon=0.5)
+    tracemalloc.start()
+    try:
+        rows = evaluate_grid(series, grid, 1e-9)
+        sts = stats_grid(series, [math.log(r) for r in grid.points])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[-1].nu > 6_000_000 and sts[-1].g1 > 6_000_000
+    assert peak < 48 * 2 ** 20
