@@ -78,7 +78,8 @@ def _folded(sums: np.ndarray) -> np.ndarray:
 
 
 def _sum_exp(t: np.ndarray, m: float, out: np.ndarray) -> float:
-    """The sum of ``exp(t - m)``, formed in ``out[:t.size]``.
+    """The sum of ``exp(t - m)``, formed in ``out[:t.size]``, which holds
+    the values ``exp(t - m)`` on return: a caller may weight them further.
 
     Exactly rounded (``_exact_sum``, the bits of ``math.fsum``) up to
     ``_FSUM_CUTOFF`` terms and deterministic pairwise summation beyond it.

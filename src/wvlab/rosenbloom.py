@@ -10,10 +10,11 @@ term, which yields an explicit pointwise constant.
 Every function here walks its x values through ``series._walk``: one scan
 per x, each starting from the previous x's final window, and ``x = -inf``
 (``r = 0``) is the single-term window ``[log|a_0|]``, where the masses are
-the point mass at 0 (and undefined when ``a_0 = 0``).  The moment sums are
-formed per window block with ``np.dot`` and combined across blocks with
-``math.fsum``, so a window of one block (at most 2**19 + 51 terms) gives
-the bits of one ``np.dot`` over the window.
+the point mass at 0 (and undefined when ``a_0 = 0``).  Pass 2 is one sweep
+(:func:`_sweep`): each window block is read once, and ``g``, the mean and
+the variance all come from the masses it forms there.  The block sums are
+combined with ``math.fsum``; the products run on ``np.einsum``, not BLAS,
+so the bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .logdomain import LOG_ZERO
+from .logdomain import LOG_ZERO, _sum_exp
 from .series import DEFAULT_TOL, PowerSeries, _walk
 
 # Moment sums weight the tail by (n - mean)^2, so their scans run far
@@ -83,65 +84,78 @@ class LemmaPointReport:
 
 
 def _walk_masses(series: PowerSeries, xs, tol: float, point) -> list:
-    """``point(x, log_mu, window, g)`` at each x of ``xs``, in order: the
-    ``series._Window`` of term logs up to the moment horizon and ``g = log
-    F``."""
+    """``point(x, scan, window, st)`` at each x of ``xs``, in order: the
+    :class:`series._Scan`, the ``series._Window`` of term logs up to the
+    moment horizon and the :class:`RosenbloomStats` of :func:`_sweep`."""
     def masses(x, scans, window):
-        g = window.log_F
-        if g == LOG_ZERO:
+        st = _sweep(window)
+        if st.g == LOG_ZERO:
             raise DomainError(
                 f"F = 0 at x={x:g}: the coefficient masses are undefined")
-        return point(x, scans[0].log_mu, window, g)
+        return point(x, scans[0], window, st)
 
     return _walk(series, xs, (tol,), masses, _MOMENT_SCALE)
 
 
-def _moments(window, g: float) -> tuple:
-    """Mean and centered variance of the masses ``exp(t - g)``.
+def _sweep(window) -> RosenbloomStats:
+    """``g = log F`` and the mean and variance of the masses, from one read
+    of each window block.
 
-    Computing ``E X^2 - (E X)^2`` cancels catastrophically once the mean is
-    large (it reaches 1e6 near the boundary), so g2 sums ``(n - g1)^2 p_n``
-    around the already-computed mean, in a second pass over the blocks.
+    A block's ``e = exp(t - log_mu)`` is formed by the kernel and in the
+    scratch that ``window.log_F`` uses, so ``g`` keeps its bits.  From the
+    same ``e`` come the block's first moment ``s1 = sum n e``, its mean
+    ``mu_b = s1 / s0`` and its second moment about that mean ``m2 = sum (n
+    - mu_b)^2 e``.  The blocks merge by the pairwise update of Chan, Golub
+    and LeVeque (1979): with ``S0 = sum s0``, ``g1 = sum s1 / S0`` and
+    ``g2 = (sum m2 + sum s0 (mu_b - g1)^2) / S0``.  Every term is
+    nonnegative, so nothing cancels, as ``E X^2 - (E X)^2`` would once the
+    mean is large (it reaches 1e6 near the boundary).  The products run on
+    ``np.einsum``, not BLAS, so the bits do not depend on its threads.
     """
-    def moment(weight) -> float:
-        parts = []
-        for lo, t in window.blocks():
-            p = np.subtract(t, g, out=window.scratch(t.size))
-            np.exp(p, out=p)  # the masses p_n
-            n = np.arange(lo, lo + t.size, dtype=float)
-            parts.append(float(np.dot(weight(n), p)))
-        return math.fsum(parts)
-
-    def centred(n):
-        n -= g1
+    m = window.log_mu
+    if not math.isfinite(m):  # F = 0, or a term log of +inf
+        return RosenbloomStats(m, math.nan, math.nan)
+    parts = []  # (s0, s1, mu_b, m2) per block of nonzero mass
+    for lo, t in window.blocks():
+        e = window.scratch(t.size)
+        s0 = _sum_exp(t, m, e)
+        if s0 == 0.0:
+            continue
+        n = np.arange(lo, lo + t.size, dtype=float)
+        s1 = float(np.einsum("i,i->", n, e))
+        mu_b = s1 / s0
+        n -= mu_b
         n *= n
-        return n
-
-    g1 = moment(lambda n: n)
-    return g1, moment(centred)
+        parts.append((s0, s1, mu_b, float(np.einsum("i,i->", n, e))))
+    s0, s1, mu_b, m2 = zip(*parts)
+    total = math.fsum(s0)
+    g1 = math.fsum(s1) / total
+    g2 = (math.fsum(m2) + math.fsum(
+        s * (mu - g1) ** 2 for s, mu in zip(s0, mu_b))) / total
+    return RosenbloomStats(m + math.log(total), g1, g2)
 
 
 def distribution(series: PowerSeries, x: float,
                  tol: float = DEFAULT_TOL) -> CoeffDistribution:
     """Coefficient distribution of ``series`` at ``x = log r``."""
-    (dist,) = _walk_masses(series, (x,), tol, lambda x, log_mu, window, g:
-                           CoeffDistribution(x=x, log_F=g, log_mass=(
-                               np.concatenate([t - g for _, t in
+    (dist,) = _walk_masses(series, (x,), tol, lambda x, scan, window, st:
+                           CoeffDistribution(x=x, log_F=st.g, log_mass=(
+                               np.concatenate([t - st.g for _, t in
                                                window.blocks()]))))
     return dist
 
 
 def stats(series: PowerSeries, x: float,
           tol: float = DEFAULT_TOL) -> RosenbloomStats:
-    """(g, g', g'') at x; the variance uses a centered second pass."""
+    """(g, g', g'') at x, from one sweep of the window (:func:`_sweep`)."""
     return stats_grid(series, [x], tol)[0]
 
 
 def stats_grid(series: PowerSeries, x_grid,
                tol: float = DEFAULT_TOL) -> list[RosenbloomStats]:
     """:func:`stats` at each x in order, in one walk."""
-    return _walk_masses(series, x_grid, tol, lambda x, log_mu, window, g:
-                        RosenbloomStats(g, *_moments(window, g)))
+    return _walk_masses(series, x_grid, tol,
+                        lambda x, scan, window, st: st)
 
 
 def _check_c(c: float) -> None:
@@ -155,18 +169,21 @@ def window_sum(series: PowerSeries, x: float, c: float,
     """log of the term sum over integers with ``|n - g1| < c*sqrt(g2)``."""
     _check_c(c)
 
-    def point(x, log_mu, window, g):
-        g1, g2 = _moments(window, g)
-        if g2 <= 0:
+    def point(x, scan, window, st):
+        if st.g2 <= 0:
             raise ValidationError("window requires positive variance "
                                   "(series must not be a monomial)")
-        return _window_sum_from(window, g1, g2, c)
+        return _window_sum_from(window, scan, st, c)
 
     (log_w,) = _walk_masses(series, (x,), tol, point)
     return log_w
 
 
-def _window_sum_from(window, g1: float, g2: float, c: float) -> float:
+def _window_sum_from(window, scan, st: RosenbloomStats, c: float) -> float:
+    """log of the term sum over ``|n - g1| < c*sqrt(g2)``.  A range that
+    holds the central index ``nu`` has the max term ``log_mu`` as its max,
+    so its blocks are read once, for the sum alone."""
+    g1, g2 = st.g1, st.g2
     half = c * math.sqrt(g2)
     lo = max(0, int(math.floor(g1 - half)) + 1)
     hi = min(window.size - 1, int(math.ceil(g1 + half)) - 1)
@@ -174,7 +191,8 @@ def _window_sum_from(window, g1: float, g2: float, c: float) -> float:
         raise RuntimeError(
             f"empty concentration window at g1={g1:g}, g2={g2:g}, c={c:g}"
         )
-    return window.log_sum_exp(lo, hi + 1)
+    return window.log_sum_exp(
+        lo, hi + 1, scan.log_mu if lo <= scan.nu <= hi else None)
 
 
 def verify_pointwise_lemma(
@@ -195,14 +213,14 @@ def verify_pointwise_lemma(
     """
     _check_c(c)
 
-    def point(x, log_mu, window, g):
-        g1, g2 = _moments(window, g)
+    def point(x, scan, window, st):
+        g, g1, g2, log_mu = st.g, st.g1, st.g2, scan.log_mu
         if g2 <= 0:
             raise ValidationError(
                 f"zero variance at x={x:g}: chain verification refuses "
                 "monomial-like inputs"
             )
-        log_w = _window_sum_from(window, g1, g2, c)
+        log_w = _window_sum_from(window, scan, st, c)
         count_bound = int(math.floor(2 * c * math.sqrt(g2))) + 1
         margin_cheb = log_w - (math.log1p(-(c ** -2)) + g)
         margin_count = math.log(count_bound) + log_mu - log_w

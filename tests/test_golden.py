@@ -6,20 +6,25 @@ per radius; the pairs of ``.csv`` (standard output) and ``.stderr`` files
 were written before the CLI and ``wvlab report`` shared one mode table,
 except ``optimality_formula``, written before ``optimality`` walked its
 base and refined grids as one, and ``sweep_geometric_not_found.stderr``,
-rewritten when ``sweep`` began naming its undefined points.  The last
-three rows of ``stats_suleimanov.csv`` (r = 0.99907766279631449,
-0.99926213023705157 and 0.99940970418964126) were rewritten when windows
-past 2**19 terms began to slide: their moment windows (556,000 to
-1,214,000 terms) are summed per block, which moves ``g1`` and ``g2`` by
-2e-15 to 2e-14 relative; ``g`` and every other row kept their bytes.  The pairs
+rewritten when ``sweep`` began naming its undefined points.  The pairs
 under ``tests/data/bounds`` pin every bound id, every built-in psi in both
 slots of ``main`` under every built-in h, ``sk4`` under every h, and the
 budgeted lemma set for every psi; they were written before the psi, h and
 bound vocabularies became one table each.  Refactors must reproduce them
 exactly.
+
+Eight files pin the moments, and they were rewritten when the moments
+became one sweep of each window, merged per block
+(``rosenbloom._sweep``): ``stats_suleimanov.csv``, ``lemma_exp.csv``,
+``lemma_exp_budgeted.csv`` and the ``lemma_*.csv`` files under
+``tests/data/bounds``.  Only ``g1``, ``g2`` and the lemma's
+``c_constant`` moved, by at most 2.7e-14 relative; every other column
+and every ``.stderr`` kept its bytes.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +108,27 @@ def test_cli_reproduces_golden_bytes(name, argv, tmp_path):
     with open(os.path.join(DATA, f"{name}.csv"), "rb") as fh:
         expected = fh.read()
     assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", *SULEIMANOV],
+    ["lemma", "--family", "exp", "--grid-geo", "2:100:50"],
+], ids=["stats_suleimanov", "lemma_exp"])
+def test_moment_bytes_do_not_depend_on_blas_threads(argv):
+    """The moment sums call no BLAS, so a multithreaded BLAS cannot move
+    their bits: the golden runs write the same bytes on 1 and 2 threads."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-m", "wvlab", *argv],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("name,argv", [

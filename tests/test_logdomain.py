@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wvlab.logdomain import LOG_ZERO, log_sum_exp
+from wvlab.logdomain import _FSUM_CUTOFF, LOG_ZERO, _sum_exp, log_sum_exp
 
 
 def log_add(a: float, b: float) -> float:
@@ -67,3 +67,13 @@ def test_ordering_matches_linear_domain():
     mags = [0.0, math.exp(-2), 1.0, math.exp(3.5)]
     assert sorted(vals) == vals
     assert sorted(mags) == mags
+
+
+@pytest.mark.parametrize("size", [1000, _FSUM_CUTOFF + 1])
+def test_sum_exp_leaves_the_values_in_its_scratch(size):
+    # exact and pairwise alike: a caller weights the values it summed
+    t = np.linspace(-30.0, 0.0, size)
+    out = np.full(size + 5, 7.0)
+    _sum_exp(t, 0.5, out)
+    assert np.array_equal(out[:size], np.exp(t - 0.5))
+    assert np.all(out[size:] == 7.0)

@@ -203,23 +203,18 @@ def test_r_zero_is_the_point_mass_at_zero(geometric_series,
             call(suleimanov_half_series, -math.inf)
 
 
-@pytest.mark.parametrize("gap", [0.02, 0.01, 0.005])
-def test_block_moments_are_no_less_accurate(gap, monkeypatch):
-    """A window that slides is summed per block: g1 and g2 are per-block
-    ``np.dot`` sums combined by ``math.fsum``, where one block is one
-    ``np.dot`` over the window.  Held to 40-digit sums of the same term
-    logs (the window has 4,700 to 35,000 terms, blocks 1024), each way
-    forms ``sum n p_n`` and ``sum (n - g1)^2 p_n`` with ``p_n = exp(t_n -
-    g)`` at least as closely as one block does.  Both ways share ``g``, so
-    against the true moments both carry its rounding (a few 1e-15 here)."""
+def _moment_errors(series_of, gap, monkeypatch):
+    """Relative errors of (g1, g2) at ``x = log(1 - gap)``, as one block
+    and in 1024-term blocks, against 40-digit sums of the same term logs;
+    the window must slide."""
     import mpmath
 
     from wvlab import series as series_mod
 
     x = math.log1p(-gap)
-    one = stats(family("suleimanov", epsilon=0.5), x)
+    one = stats(series_of(), x)
     monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
-    series = family("suleimanov", epsilon=0.5)
+    series = series_of()
     blocks = stats(series, x)
     assert blocks.g == one.g
     horizon = series_mod._at(series, math.exp(x), (1e-9 * 1e-6,),
@@ -231,15 +226,82 @@ def test_block_moments_are_no_less_accurate(gap, monkeypatch):
         F = mpmath.fsum(w)
         g1 = mpmath.fsum(n * v for n, v in enumerate(w)) / F
         g2 = mpmath.fsum((n - g1) ** 2 * v for n, v in enumerate(w)) / F
-        p = [v / mpmath.exp(one.g) for v in w]
+        return [tuple(float(abs(got - want) / want)
+                      for got, want in ((st.g1, g1), (st.g2, g2)))
+                for st in (one, blocks)]
 
-        def error(got, want):
-            return float(abs(got - want) / want)
 
-        for st in (one, blocks):
-            assert error(st.g1, g1) < 1e-14 and error(st.g2, g2) < 1e-14
-        sum1 = mpmath.fsum(n * v for n, v in enumerate(p))
-        assert error(blocks.g1, sum1) <= error(one.g1, sum1)
-        sums2 = [mpmath.fsum((n - mpmath.mpf(st.g1)) ** 2 * v
-                             for n, v in enumerate(p)) for st in (one, blocks)]
-        assert error(blocks.g2, sums2[1]) <= error(one.g2, sums2[0])
+@pytest.mark.parametrize("gap", [0.02, 0.01, 0.005])
+def test_block_moments_are_no_less_accurate(gap, monkeypatch):
+    """A window that slides is swept per block, and the blocks' masses,
+    means and centred second moments are merged by the pairwise variance
+    update; one block is the whole window.  Held to 40-digit sums of the
+    same term logs (the window has 4,700 to 35,000 terms, blocks 1024),
+    both ways give g1 and g2 within 1e-14, and g1 within 1e-15 at the two
+    longer windows."""
+    for e1, e2 in _moment_errors(
+            lambda: family("suleimanov", epsilon=0.5), gap, monkeypatch):
+        assert e1 < 1e-14 and e2 < 1e-14
+        if gap <= 0.01:
+            assert e1 < 1e-15
+
+
+def test_block_moments_merge_a_non_log_concave_family(monkeypatch):
+    """The coefficients of ``log(2+(-1)**n)+sqrt(n)`` alternate between two
+    rows, so the masses are not unimodal; the merged blocks (12,455
+    terms) keep the moments within 1e-14 of the 40-digit sums."""
+    for e1, e2 in _moment_errors(
+            lambda: family("formula", formula="log(2+(-1)**n)+sqrt(n)",
+                           radius=1), 0.01, monkeypatch):
+        assert e1 < 1e-14 and e2 < 1e-14
+
+
+def _count_block_reads(monkeypatch):
+    """Patch ``_Window.blocks`` to record the start of every block that
+    pass 2 reads; returns the list it fills."""
+    from wvlab import series as series_mod
+
+    starts = []
+    blocks = series_mod._Window.blocks
+
+    def counted(window, *args):
+        for lo, t in blocks(window, *args):
+            starts.append(lo)
+            yield lo, t
+
+    monkeypatch.setattr(series_mod._Window, "blocks", counted)
+    return starts
+
+
+def test_stats_reads_each_block_once(monkeypatch):
+    """Pass 2 of a slid stats point is one sweep: each block of the window
+    is recomputed and read once, for g, g1 and g2 together."""
+    from wvlab import series as series_mod
+
+    monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
+    series, x = family("suleimanov", epsilon=0.5), math.log1p(-0.01)
+    size = series_mod._at(series, math.exp(x), (1e-9 * 1e-6,),
+                          lambda x, scans, window: window.size)
+    assert size > 1024 + 51  # the window slid
+    starts = _count_block_reads(monkeypatch)
+    stats(series, x)
+    assert starts == list(range(0, size, 1024))
+
+
+def test_lemma_reads_the_concentration_window_once(monkeypatch):
+    """A lemma point sweeps the window once, then reads the blocks of the
+    concentration window once: its max is the max term, as it holds the
+    central index."""
+    from wvlab import series as series_mod
+
+    monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
+    series, x, c = family("suleimanov", epsilon=0.5), math.log1p(-0.01), 2.0
+    size = series_mod._at(series, math.exp(x), (1e-9 * 1e-6,),
+                          lambda x, scans, window: window.size)
+    starts = _count_block_reads(monkeypatch)
+    (rep,) = verify_pointwise_lemma(series, [x], c)
+    half = c * math.sqrt(rep.g2)
+    lo = int(math.floor(rep.g1 - half)) + 1
+    hi = int(math.ceil(rep.g1 + half))
+    assert hi - lo > 1024 + 51  # the concentration window is read in blocks
+    assert starts == list(range(0, size, 1024)) + list(range(lo, hi, 1024))
