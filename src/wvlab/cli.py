@@ -26,7 +26,7 @@ from .errors import (
 )
 from .families import FAMILY_IDS, FAMILY_PARAMS, FamilySpec, make_family
 from .measures import IntervalSet, final_density, h_log_measure, log_density
-from .reports import defaults_block, render_csv
+from .reports import defaults_block, render_csv, write_csv
 from .series import DEFAULT_TOL
 
 # ``--grid-<scheme>`` takes the values of these [grid] keys, colon-separated.
@@ -96,13 +96,11 @@ def _cmd_mode(args) -> int:
         x = tuple(parse_float(v, "--x value") for v in args.x.split(","))
     config = config_from_sections(sections, x)
     header, rows, diag, _ = experiments.MODE_TABLE[config.mode](series, config)
-    text = render_csv(header, rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_csv(args.out, header, rows)
         _diag(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_csv(header, rows))
     for line in diag:
         _diag(line)
     return 0

@@ -161,14 +161,14 @@ def evaluate_grid(series: PowerSeries, grid: RadialGrid,
                   tol: float = DEFAULT_TOL) -> list:
     """Per-point max term and positive value, in grid order.
 
-    One walk (``series._walk``): one scan per radius, each starting from
-    the previous radius's final window; a grid may start at ``r = 0``,
-    where the single term ``a_0`` is both.  ``log_mu`` and ``nu`` come from
-    the default tolerance, ``log_M`` from ``tol``.
+    One walk (``series._walk``) at ``tol``: one scan per radius, each
+    starting from the previous radius's final window, and a row's
+    ``log_mu``, ``nu`` and ``log_M`` come from that one window, so
+    ``log_mu <= log_M``; a grid may start at ``r = 0``, where the single
+    term ``a_0`` is both.
     """
-    rows = _walk(series, map(log_radius, grid.points), (DEFAULT_TOL, tol),
-                 lambda x, scans, window:
-                 (scans[0].log_mu, scans[0].nu, window.log_F))
+    rows = _walk(series, map(log_radius, grid.points), tol,
+                 lambda w: (w.log_mu, w.nu, w.log_F))
     return [PointEval(r, *row) for r, row in zip(grid.points, rows)]
 
 

@@ -193,6 +193,9 @@ def _split_toward_boundary(lo: float, hi: float, R: float) -> list:
 def h_log_measure(E: IntervalSet, h: HSpec,
                   tol: float = DEFAULT_MEASURE_TOL) -> MeasureOutcome:
     """Weight integral of h over E intersected with [rho_start, R)."""
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise ValidationError(
+            f"tolerance must be finite and > 0, got {tol!r}")
     R = h.radius
     if E.radius > R and any(hi > R for _, hi in E.intervals):
         raise DomainError(

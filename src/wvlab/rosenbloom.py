@@ -84,17 +84,17 @@ class LemmaPointReport:
 
 
 def _walk_masses(series: PowerSeries, xs, tol: float, point) -> list:
-    """``point(x, scan, window, st)`` at each x of ``xs``, in order: the
-    :class:`series._Scan`, the ``series._Window`` of term logs up to the
-    moment horizon and the :class:`RosenbloomStats` of :func:`_sweep`."""
-    def masses(x, scans, window):
+    """``point(window, st)`` at each x of ``xs``, in order: the
+    ``series._Window`` of term logs up to the moment horizon and the
+    :class:`RosenbloomStats` of :func:`_sweep`."""
+    def masses(window):
         st = _sweep(window)
         if st.g == LOG_ZERO:
-            raise DomainError(
-                f"F = 0 at x={x:g}: the coefficient masses are undefined")
-        return point(x, scans[0], window, st)
+            raise DomainError(f"F = 0 at x={window.x:g}: the coefficient "
+                              "masses are undefined")
+        return point(window, st)
 
-    return _walk(series, xs, (tol,), masses, _MOMENT_SCALE)
+    return _walk(series, xs, tol, masses, _MOMENT_SCALE)
 
 
 def _sweep(window) -> RosenbloomStats:
@@ -113,7 +113,7 @@ def _sweep(window) -> RosenbloomStats:
     ``np.einsum``, not BLAS, so the bits do not depend on its threads.
     """
     m = window.log_mu
-    if not math.isfinite(m):  # F = 0, or a term log of +inf
+    if not math.isfinite(m):  # F = 0: the sources reject +inf term logs
         return RosenbloomStats(m, math.nan, math.nan)
     parts = []  # (s0, s1, mu_b, m2) per block of nonzero mass
     for lo, t in window.blocks():
@@ -138,8 +138,8 @@ def _sweep(window) -> RosenbloomStats:
 def distribution(series: PowerSeries, x: float,
                  tol: float = DEFAULT_TOL) -> CoeffDistribution:
     """Coefficient distribution of ``series`` at ``x = log r``."""
-    (dist,) = _walk_masses(series, (x,), tol, lambda x, scan, window, st:
-                           CoeffDistribution(x=x, log_F=st.g, log_mass=(
+    (dist,) = _walk_masses(series, (x,), tol, lambda window, st:
+                           CoeffDistribution(x=window.x, log_F=st.g, log_mass=(
                                np.concatenate([t - st.g for _, t in
                                                window.blocks()]))))
     return dist
@@ -154,8 +154,7 @@ def stats(series: PowerSeries, x: float,
 def stats_grid(series: PowerSeries, x_grid,
                tol: float = DEFAULT_TOL) -> list[RosenbloomStats]:
     """:func:`stats` at each x in order, in one walk."""
-    return _walk_masses(series, x_grid, tol,
-                        lambda x, scan, window, st: st)
+    return _walk_masses(series, x_grid, tol, lambda window, st: st)
 
 
 def _check_c(c: float) -> None:
@@ -169,17 +168,17 @@ def window_sum(series: PowerSeries, x: float, c: float,
     """log of the term sum over integers with ``|n - g1| < c*sqrt(g2)``."""
     _check_c(c)
 
-    def point(x, scan, window, st):
+    def point(window, st):
         if st.g2 <= 0:
             raise ValidationError("window requires positive variance "
                                   "(series must not be a monomial)")
-        return _window_sum_from(window, scan, st, c)
+        return _window_sum_from(window, st, c)
 
     (log_w,) = _walk_masses(series, (x,), tol, point)
     return log_w
 
 
-def _window_sum_from(window, scan, st: RosenbloomStats, c: float) -> float:
+def _window_sum_from(window, st: RosenbloomStats, c: float) -> float:
     """log of the term sum over ``|n - g1| < c*sqrt(g2)``.  A range that
     holds the central index ``nu`` has the max term ``log_mu`` as its max,
     so its blocks are read once, for the sum alone."""
@@ -192,7 +191,7 @@ def _window_sum_from(window, scan, st: RosenbloomStats, c: float) -> float:
             f"empty concentration window at g1={g1:g}, g2={g2:g}, c={c:g}"
         )
     return window.log_sum_exp(
-        lo, hi + 1, scan.log_mu if lo <= scan.nu <= hi else None)
+        lo, hi + 1, window.log_mu if lo <= window.nu <= hi else None)
 
 
 def verify_pointwise_lemma(
@@ -213,14 +212,14 @@ def verify_pointwise_lemma(
     """
     _check_c(c)
 
-    def point(x, scan, window, st):
-        g, g1, g2, log_mu = st.g, st.g1, st.g2, scan.log_mu
+    def point(window, st):
+        x, g, g1, g2, log_mu = window.x, st.g, st.g1, st.g2, window.log_mu
         if g2 <= 0:
             raise ValidationError(
                 f"zero variance at x={x:g}: chain verification refuses "
                 "monomial-like inputs"
             )
-        log_w = _window_sum_from(window, scan, st, c)
+        log_w = _window_sum_from(window, st, c)
         count_bound = int(math.floor(2 * c * math.sqrt(g2))) + 1
         margin_cheb = log_w - (math.log1p(-(c ** -2)) + g)
         margin_count = math.log(count_bound) + log_mu - log_w

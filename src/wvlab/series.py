@@ -14,24 +14,25 @@ the verified window.
 Every evaluation, of one radius or a grid, is one walk through the radii
 (``_walk``), which scans each radius once and then reads the window of term
 logs it found.  Pass 1 (``_scan``) computes the term logs, starting at the
-previous radius's final window size, and yields the horizon of every
-tolerance the caller needs.  Until every tolerance has its horizon the
-window grows in place by an eighth (at least 512 terms, at most up to a
-hard cap): only the new terms are computed, and the horizon search resumes
-at the first candidate the new terms can still change.  The buffer holds at
-most ``_BLOCK_TERMS`` (2**19) terms plus the ``TAIL_RUN + 1`` undecided
-ones; a window that outgrows it slides: the buffer keeps those last terms
-and the running max, and fills up with the next ones.  The accepted horizon
-is the smallest ``N`` passing a rule that reads only the prefix
-``t[:N+51]``, so results depend neither on the start, nor on the steps, nor
-on the slides.  Pass 2 (``_Window``) reads the window cut at the last
-horizon, block by block, only for the callers that read it: a window that
-never slid is its one in-memory buffer, one that slid is recomputed from
-the series a block at a time.  Its sums are formed per block and combined
-with ``math.fsum``, so a grid holds a few MB of buffers however large its
-horizons are.  A source computes only the indices asked for; a recurrence
-keeps the prefix it computed, and a walk keeps the first block of any other
-series's coefficients for all its radii.  A grid may start at ``r = 0``, the
+previous radius's final window size, and yields the horizon of the walk's
+one tolerance.  Until it has its horizon the window grows in place by an
+eighth (at least 512 terms, at most up to a hard cap): only the new terms
+are computed, and the horizon search resumes at the first candidate the new
+terms can still change.  The buffer holds at most ``_BLOCK_TERMS`` (2**19)
+terms plus the ``TAIL_RUN + 1`` undecided ones; a window that outgrows it
+slides: the buffer keeps those last terms and the running max, and fills up
+with the next ones.  The accepted horizon is the smallest ``N`` passing a
+rule that reads only the prefix ``t[:N+51]``, so results depend neither on
+the start, nor on the steps, nor on the slides.  Pass 2 (``_Window``) hands
+each radius's point one object: the max term, the central index, the
+horizon and the window cut at that horizon, which is read block by block
+only by the points that read it.  A window that never slid is its one
+in-memory buffer, one that slid is recomputed from the series a block at
+a time.  Its sums are formed per block and combined with ``math.fsum``, so
+a grid holds a few MB of buffers however large its horizons are.  A source
+computes only the indices asked for; a recurrence keeps the prefix it
+computed, and a walk keeps the first block of any other series's
+coefficients for all its radii.  A grid may start at ``r = 0``, the
 single-term window ``[log|a_0|]``.
 """
 
@@ -126,7 +127,7 @@ class VectorizedSource(CoefficientSource):
     """Source backed by a vectorized formula ``fn(n_array) -> log|a_n|``.
 
     Each block is computed from the formula when it is asked for; the
-    source holds nothing.
+    source holds nothing.  A value of NaN or +inf is no coefficient's log.
     """
 
     def __init__(self, fn):
@@ -135,10 +136,11 @@ class VectorizedSource(CoefficientSource):
     def block(self, lo, hi):
         block = np.asarray(self._fn(np.arange(lo, hi, dtype=float)),
                            dtype=float)
-        if np.isnan(block).any():
-            bad = int(np.flatnonzero(np.isnan(block))[0]) + lo
+        ok = block < math.inf  # false exactly on NaN and +inf
+        if not ok.all():
+            i = int(np.argmin(ok))
             raise DomainError(
-                f"coefficient formula produced NaN at n={bad}",
+                f"coefficient formula produced {block[i]} at n={lo + i}",
                 subexpression="log_coeff(n)",
             )
         return block
@@ -286,14 +288,13 @@ def _first_horizon(seg: np.ndarray, big: np.ndarray, lo: int,
     return None
 
 
-def _find_horizons(seg: np.ndarray, log_tail_tols, lo: int = 0,
-                   prior: tuple = (LOG_ZERO, -1)) -> list:
-    """Smallest accepted horizon within a term prefix, per tolerance.
+def _find_horizon(seg: np.ndarray, log_tail_tol: float, lo: int = 0,
+                  prior: tuple = (LOG_ZERO, -1)) -> _Scan | None:
+    """Smallest accepted horizon within a term prefix, or ``None``.
 
     Accepts the smallest ``N`` strictly beyond the running central index such
     that the 50 terms after ``N`` each sit below ``running_max +
-    log_tail_tol``.  Ties for the max break upward.  ``None`` marks a
-    tolerance with no accepted horizon inside the prefix.
+    log_tail_tol``.  Ties for the max break upward.
 
     ``seg`` holds the prefix's terms from index ``lo`` on (``seg[i] =
     t[lo + i]``), and only the candidates ``N >= lo`` are examined;
@@ -314,21 +315,16 @@ def _find_horizons(seg: np.ndarray, log_tail_tols, lo: int = 0,
     end_max = np.maximum.accumulate(bmax)
     np.maximum(end_max, prior[0], out=end_max)
     prior_max = np.concatenate(([prior[0]], end_max[:-1]))
-    found = {}
-    for ltt in log_tail_tols:
-        if ltt in found:
-            continue
-        all_big = bmin >= end_max + ltt
-        big = np.repeat(all_big, _BLOCK)[:seg.size]
-        for b in np.flatnonzero(~all_big & (bmax >= prior_max + ltt)):
-            i = b * _BLOCK
-            blk = seg[i:i + _BLOCK]
-            thr = np.maximum.accumulate(blk)
-            np.maximum(thr, prior_max[b], out=thr)
-            thr += ltt
-            big[i:i + _BLOCK] = blk >= thr
-        found[ltt] = _first_horizon(seg, big, lo, prior)
-    return [found[ltt] for ltt in log_tail_tols]
+    all_big = bmin >= end_max + log_tail_tol
+    big = np.repeat(all_big, _BLOCK)[:seg.size]
+    for b in np.flatnonzero(~all_big & (bmax >= prior_max + log_tail_tol)):
+        i = b * _BLOCK
+        blk = seg[i:i + _BLOCK]
+        thr = np.maximum.accumulate(blk)
+        np.maximum(thr, prior_max[b], out=thr)
+        thr += log_tail_tol
+        big[i:i + _BLOCK] = blk >= thr
+    return _first_horizon(seg, big, lo, prior)
 
 
 def _buffer_size() -> int:
@@ -397,27 +393,24 @@ def _fill_terms(coeffs, out: np.ndarray, x: float, lo: int) -> None:
         t += coeffs(a, b)
 
 
-def _scan(series: PowerSeries, x: float, tols, start: int = _FIRST_WINDOW,
-          bufs: _Buffers | None = None) -> tuple:
-    """Pass 1: scan the term logs at ``x = log r`` for every tolerance.
+def _scan(series: PowerSeries, x: float, tol: float,
+          start: int = _FIRST_WINDOW, bufs: _Buffers | None = None) -> tuple:
+    """Pass 1: scan the term logs at ``x = log r`` for the horizon of ``tol``.
 
     The window starts at ``start`` terms (at least 512, at most
     ``HARD_CAP``) and grows by a ``1/_GROWTH`` share (at least 512 terms)
-    until each tolerance in ``tols`` has an accepted horizon inside it.
-    Each step computes only the new terms, and the search resumes where the
-    last one could still change its answer (see :func:`_find_horizons`); a
-    tolerance keeps the horizon it found.  The terms live in the term
+    until it holds an accepted horizon.  Each step computes only the new
+    terms, and the search resumes where the last one could still change
+    its answer (see :func:`_find_horizon`).  The terms live in the term
     buffer of ``bufs`` (new ones if not given), which holds at most
     :func:`_buffer_size` of them: the window grows in place while it fits,
     and then slides, keeping the ``TAIL_RUN + 1`` terms the search resumes
     at; while ``start`` is ahead, each step fills the buffer.  Returns
-    ``(scans, t, stop)``: one :class:`_Scan` per tolerance, the window
-    ``t[:stop]`` if it never slid (else ``None``) and its size, which is
-    the next radius's start.  :func:`_walk` checks the series and the
-    tolerances.
+    ``(scan, t, stop)``: the :class:`_Scan`, the window ``t[:stop]`` if it
+    never slid (else ``None``) and its size, which is the next radius's
+    start.  :func:`_walk` checks the series and the tolerance.
     """
-    log_tail_tols = [math.log(tol / TAIL_RUN) for tol in tols]
-    scans = [None] * len(tols)
+    log_tail_tol = math.log(tol / TAIL_RUN)
     size = _buffer_size()
     bufs = _Buffers(series) if bufs is None else bufs
     start = min(max(start, _FIRST_WINDOW), HARD_CAP)
@@ -427,13 +420,10 @@ def _scan(series: PowerSeries, x: float, tols, start: int = _FIRST_WINDOW,
         buf = bufs.get(0, grown - base, stop - base)
         _fill_terms(bufs.coeffs, buf[stop - base:grown - base], x, stop)
         stop = grown
-        todo = [i for i, s in enumerate(scans) if s is None]
-        found = _find_horizons(buf[lo - base:stop - base],
-                               [log_tail_tols[i] for i in todo], lo, prior)
-        for i, s in zip(todo, found):
-            scans[i] = s
-        if None not in scans:
-            return scans, (buf[:stop] if base == 0 else None), stop
+        scan = _find_horizon(buf[lo - base:stop - base], log_tail_tol, lo,
+                             prior)
+        if scan is not None:
+            return scan, (buf[:stop] if base == 0 else None), stop
         if stop >= HARD_CAP:
             raise TruncationError(
                 f"no certified horizon for {series.label!r} at log r={x:g} "
@@ -452,22 +442,22 @@ def _scan(series: PowerSeries, x: float, tols, start: int = _FIRST_WINDOW,
 
 class _Window:
     """Pass 2: the term logs ``t[n]``, ``n < size``, at ``x = log r``: one
-    radius's window cut at its last horizon, read block by block.
+    radius's window cut at its horizon, read block by block, with what
+    pass 1 found there: ``log_mu = max(t)``, the central index ``nu`` and
+    the ``horizon``.
 
     A range of at most :func:`_buffer_size` terms is one block, a longer
     one blocks of ``_BLOCK_TERMS``.  A window that never slid is its
     in-memory buffer ``t``; one that slid is recomputed from the series,
     one block at a time, into the term buffer of ``bufs``.  A block is
-    valid until the next one is read and must not be written.  ``log_mu``
-    is ``max(t)``; ``log_F``, the log-sum-exp of the window, is summed when
-    it is first read.
+    valid until the next one is read and must not be written.  ``log_F``,
+    the log-sum-exp of the window, is summed when it is first read.
     """
 
-    def __init__(self, x, size, log_mu, t, bufs, log_F=None):
-        self.size = size
-        self.log_mu = log_mu
-        self._x, self._t, self._bufs = x, t, bufs
-        self._log_F = log_F
+    def __init__(self, x, scan: _Scan, size, t, bufs, log_F=None):
+        self.x, self.size = x, size
+        self.log_mu, self.nu, self.horizon = scan.log_mu, scan.nu, scan.horizon
+        self._t, self._bufs, self._log_F = t, bufs, log_F
 
     def blocks(self, lo: int = 0, hi: int | None = None):
         """``(start, terms)`` for the blocks that cover ``lo <= n < hi``."""
@@ -479,7 +469,7 @@ class _Window:
                 yield a, self._t[a:b]
             else:
                 out = self._bufs.get(0, b - a)[:b - a]
-                _fill_terms(self._bufs.coeffs, out, self._x, a)
+                _fill_terms(self._bufs.coeffs, out, self.x, a)
                 yield a, out
 
     def scratch(self, size: int) -> np.ndarray:
@@ -511,33 +501,31 @@ def log_radius(r: float) -> float:
     return math.log(r) if r > 0 else -math.inf
 
 
-def _walk(series: PowerSeries, xs, tols, point, scale: float = 1.0) -> list:
-    """``point(x, scans, window)`` at each ``x = log r`` of ``xs``, in order.
+def _walk(series: PowerSeries, xs, tol: float, point,
+          scale: float = 1.0) -> list:
+    """``point(window)`` at each ``x = log r`` of ``xs``, in order.
 
     The one walk through radii; nothing else calls :func:`_scan`.  It checks
-    the series and the tolerances once (scans run at ``tol * scale``; the
+    the series and the tolerance once (scans run at ``tol * scale``; the
     moment sums ask for ``scale = 1e-6``; errors name ``tol``), then each x.
     ``x = -inf`` (``r = 0``) is the single-term window ``[log|a_0|]``, with
     the horizon a monomial has at every radius (1 for other series); any
     other x is one scan (pass 1), starting from the previous radius's final
-    window.  ``scans`` holds one :class:`_Scan` per tolerance and
-    ``window`` is the :class:`_Window` cut at the last tolerance's horizon.
-    Pass 2 runs only for a ``point`` that reads the window or its
-    ``log_F``.  ``point`` must not keep the window: the walk's buffers
+    window.  ``window`` is the :class:`_Window` cut at the horizon.  Pass 2
+    runs only for a ``point`` that reads the window or its ``log_F``.
+    ``point`` must not keep the window: the walk's buffers
     (:class:`_Buffers`) serve every radius in turn.
     """
     if series._known_all_zero:
         raise DegenerateSeriesError(
             f"series {series.label!r} has no nonzero coefficient")
-    for tol in tols:
-        if not 0 < tol < math.inf:  # also rejects nan
-            raise ValidationError(
-                f"tolerance must be finite and > 0, got {tol!r}")
-        if not tol * scale > 0:
-            raise ValidationError(
-                f"tolerance must not be so small that the scans' "
-                f"tol*{scale:g} underflows to 0, got {tol!r}")
-    tols = [tol * scale for tol in tols]
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise ValidationError(
+            f"tolerance must be finite and > 0, got {tol!r}")
+    if not tol * scale > 0:
+        raise ValidationError(
+            f"tolerance must not be so small that the scans' "
+            f"tol*{scale:g} underflows to 0, got {tol!r}")
     log_R = math.log(series.radius)
     bufs = _Buffers(series)
     start, out = _FIRST_WINDOW, []
@@ -551,22 +539,21 @@ def _walk(series: PowerSeries, xs, tols, point, scale: float = 1.0) -> list:
         if x == -math.inf:
             log_F = series.log_coeff(0)
             t = np.array([log_F])
-            scans = [_Scan(log_F, 0, (series.monomial_degree or 0) + 1)
-                     ] * len(tols)
-            window = _Window(x, 1, log_F, t, bufs, log_F)
+            scan = _Scan(log_F, 0, (series.monomial_degree or 0) + 1)
+            window = _Window(x, scan, 1, t, bufs, log_F)
         else:
-            scans, t, start = _scan(series, x, tols, start, bufs)
-            size = scans[-1].horizon + 1
-            window = _Window(x, size, scans[-1].log_mu,
+            scan, t, start = _scan(series, x, tol * scale, start, bufs)
+            size = scan.horizon + 1
+            window = _Window(x, scan, size,
                              None if t is None else t[:size], bufs)
-        out.append(point(x, scans, window))
+        out.append(point(window))
         del t, window  # no window outlives its point
     return out
 
 
-def _at(series: PowerSeries, r: float, tols, point):
+def _at(series: PowerSeries, r: float, tol: float, point):
     """:func:`_walk` at the one radius ``r``."""
-    (value,) = _walk(series, (log_radius(r),), tols, point)
+    (value,) = _walk(series, (log_radius(r),), tol, point)
     return value
 
 
@@ -577,19 +564,19 @@ def truncation_horizon(series: PowerSeries, r: float, tol: float) -> int:
     contract guarantees is that the 50 terms after the horizon each fall
     below ``mu * tol / 50`` and the horizon exceeds the central index.
     """
-    return _at(series, r, (tol,), lambda x, scans, window: scans[0].horizon)
+    return _at(series, r, tol, lambda window: window.horizon)
 
 
 def log_max_term(series: PowerSeries, r: float) -> MaxTermResult:
     """Max term log and central index at radius ``r``; ties break upward."""
-    return _at(series, r, (DEFAULT_TOL,), lambda x, scans, window:
-               MaxTermResult(scans[0].log_mu, scans[0].nu))
+    return _at(series, r, DEFAULT_TOL,
+               lambda window: MaxTermResult(window.log_mu, window.nu))
 
 
 def log_positive_value(series: PowerSeries, r: float,
                        tol: float = DEFAULT_TOL) -> float:
     """log of ``sum_n |a_n| r^n`` with relative truncation error <= tol."""
-    return _at(series, r, (tol,), lambda x, scans, window: window.log_F)
+    return _at(series, r, tol, lambda window: window.log_F)
 
 
 def max_modulus_sampled(
@@ -610,7 +597,7 @@ def max_modulus_sampled(
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
 
-    def point(x, scans, window):
+    def point(window):
         if window.size == 1:  # the single-term window: |f| = |a_0| everywhere
             return window.log_F
         m = window.log_mu
@@ -634,4 +621,4 @@ def max_modulus_sampled(
             return LOG_ZERO
         return m + math.log(best)
 
-    return _at(series, r, (tol,), point)
+    return _at(series, r, tol, point)

@@ -162,6 +162,29 @@ def test_cli_eval_deterministic_bytes(tmp_path):
     assert read(a) == read(b)
 
 
+def test_cli_eval_keeps_cauchy_at_a_loose_tolerance(capsys):
+    # The coefficients are 1 but for a bump of 1e20 near n = 300, which the
+    # run rule at tol 1e-2 stops before; log_mu, nu and log_M come from
+    # that one window, so Cauchy's mu(r) <= M(r) holds on every row.
+    assert main(["eval", "--family", "formula",
+                 "--formula=log(1+1e20*exp(-(n-300)**2/10))", "--radius",
+                 "1", "--grid-gap", "0.9:0.5:2", "--tol", "1e-2"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row["log_M"]) >= float(row["log_mu"])
+
+
+@pytest.mark.parametrize("mode", ["eval", "stats", "lemma"])
+def test_cli_infinite_coefficient_exits_4(mode, capsys):
+    # 1/(20-n) passes the formula's probe at n < 8 and is +inf at n = 20
+    code = main([mode, "--family", "formula", "--formula=1/(20-n)",
+                 "--radius", "1", "--grid-gap", "0.5:0.8:2"])
+    assert code == 4
+    assert "coefficient formula produced inf at n=20" in \
+        capsys.readouterr().err
+
+
 def test_cli_stats_geometric_x(capsys):
     # one value, and the README's list form: a list that starts with a
     # minus sign needs "=", or argparse takes it for an option
@@ -212,6 +235,18 @@ def test_cli_measure_densities(tmp_path, capsys):
                  "--final-density-at", "0.9"])
     assert code == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_cli_measure_rejects_a_bad_tolerance(tol, tmp_path, capsys):
+    setfile = tmp_path / "E.txt"
+    setfile.write_text("0.5 0.9\n", encoding="utf-8")
+    for query in (["--h", "disk"], ["--log-density-at", "0.95"]):
+        code = main(["measure", "--set", str(setfile), *query, "--tol", tol])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "validation error: tolerance must be finite and > 0, "
+            f"got {float(tol)!r}\n")
 
 
 def test_cli_lemma_runs(tmp_path):

@@ -251,8 +251,10 @@ def test_violation_measure_stable_under_refinement(geometric_series):
     ("kovari", {"rho": 1}),
 ])
 def test_evaluate_grid_two_tolerances_match_per_point(family_id, params, tol):
-    # nu and log_mu come from the default tolerance, log_M from ``tol``;
-    # the chained one-window scans must reproduce the per-point calls.
+    # log_mu, nu and log_M all come from one window at ``tol``; the max
+    # term of these unimodal families lies before every horizon, so it is
+    # the default tolerance's, and the chained one-window scans must
+    # reproduce the per-point calls.
     series = family(family_id, **params)
     grid = RadialGrid.gap_span(0.0, 0.995, 12)  # r = 0 takes no scan
     for ev in evaluate_grid(series, grid, tol):

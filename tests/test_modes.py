@@ -84,8 +84,8 @@ def scan_windows(monkeypatch):
     windows = []
     scan = series_mod._scan
 
-    def counted(series, x, tols, start, bufs):
-        found = scan(series, x, tols, start, bufs)
+    def counted(series, x, tol, start, bufs):
+        found = scan(series, x, tol, start, bufs)
         current = bufs.get(0, 0)
         assert all(w() is None or w() is current for w in windows), \
             "a window outlived its point"

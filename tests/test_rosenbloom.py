@@ -217,8 +217,8 @@ def _moment_errors(series_of, gap, monkeypatch):
     series = series_of()
     blocks = stats(series, x)
     assert blocks.g == one.g
-    horizon = series_mod._at(series, math.exp(x), (1e-9 * 1e-6,),
-                             lambda x, scans, window: scans[0].horizon)
+    horizon = series_mod._at(series, math.exp(x), 1e-9 * 1e-6,
+                             lambda window: window.horizon)
     assert horizon + 1 > 1024 + 51  # the window slid
     t = series._terms(x, horizon + 1)
     with mpmath.workdps(40):
@@ -280,8 +280,8 @@ def test_stats_reads_each_block_once(monkeypatch):
 
     monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
     series, x = family("suleimanov", epsilon=0.5), math.log1p(-0.01)
-    size = series_mod._at(series, math.exp(x), (1e-9 * 1e-6,),
-                          lambda x, scans, window: window.size)
+    size = series_mod._at(series, math.exp(x), 1e-9 * 1e-6,
+                          lambda window: window.size)
     assert size > 1024 + 51  # the window slid
     starts = _count_block_reads(monkeypatch)
     stats(series, x)
@@ -296,8 +296,8 @@ def test_lemma_reads_the_concentration_window_once(monkeypatch):
 
     monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
     series, x, c = family("suleimanov", epsilon=0.5), math.log1p(-0.01), 2.0
-    size = series_mod._at(series, math.exp(x), (1e-9 * 1e-6,),
-                          lambda x, scans, window: window.size)
+    size = series_mod._at(series, math.exp(x), 1e-9 * 1e-6,
+                          lambda window: window.size)
     starts = _count_block_reads(monkeypatch)
     (rep,) = verify_pointwise_lemma(series, [x], c)
     half = c * math.sqrt(rep.g2)

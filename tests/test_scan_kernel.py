@@ -14,14 +14,9 @@ from wvlab import PowerSeries, RadialGrid, evaluate_grid, family, \
 from wvlab import logdomain
 from wvlab import series as series_mod
 from wvlab.logdomain import log_sum_exp_blocks
-from wvlab.series import TAIL_RUN, _find_horizons, _scan, _Scan
+from wvlab.series import TAIL_RUN, _find_horizon, _scan, _Scan
 
 LOG_ZERO = -math.inf
-
-
-def _find_horizon(t, log_tail_tol):
-    """Smallest accepted horizon within ``t`` for one tolerance."""
-    return _find_horizons(t, [log_tail_tol])[0]
 
 
 def oracle_find_horizon(t, log_tail_tol):
@@ -94,37 +89,29 @@ def test_find_horizon_matches_original(t, log_tail_tol, block):
             oracle_find_horizon(t, log_tail_tol)
 
 
-@settings(max_examples=300, deadline=None)
-@given(t=_terms, tols=st.lists(_log_tail_tol, min_size=1, max_size=3),
-       block=_block)
-def test_find_horizons_matches_each_tolerance(t, tols, block):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series_mod, "_BLOCK", block)
-        assert _find_horizons(t, tols) == \
-            [oracle_find_horizon(t, ltt) for ltt in tols]
-
-
 def test_find_horizon_leaves_terms_untouched():
     t = np.array([0.0, 1.0, -5.0] + [-100.0] * 60)
     before = t.copy()
-    _find_horizons(t, [-10.0, -3.0])
+    for log_tail_tol in (-10.0, -3.0):
+        _find_horizon(t, log_tail_tol)
     assert np.array_equal(t, before)
 
 
+_tol = st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2])
+
+
 @settings(max_examples=150, deadline=None)
-@given(t=_terms, k=st.integers(0, 4),
-       tols=st.lists(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]),
-                     min_size=1, max_size=2), block=_block)
-def test_kernel_matches_original_scan(t, k, tols, block):
+@given(t=_terms, k=st.integers(0, 4), tol=_tol, block=_block)
+def test_kernel_matches_original_scan(t, k, tol, block):
     if not np.any(t > LOG_ZERO):
         return  # an all-zero series is refused before any scan
     series = PowerSeries.from_log_coeffs(t)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series_mod, "_BLOCK", block)
-        scans, window, stop = _scan(series, 0.0, tols, 512 * 2 ** k)
-    assert scans == [oracle_scan(series, 0.0, tol) for tol in tols]
+        scan, window, stop = _scan(series, 0.0, tol, 512 * 2 ** k)
+    assert scan == oracle_scan(series, 0.0, tol)
     assert window.size == stop
-    assert all(s.horizon + TAIL_RUN < stop for s in scans)
+    assert scan.horizon + TAIL_RUN < stop
 
 
 def bits(a):
@@ -138,16 +125,14 @@ def grown(stop):
 
 
 @settings(max_examples=300, deadline=None)
-@given(t=_terms, tols=st.lists(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]),
-                               min_size=1, max_size=3),
-       x=st.sampled_from([0.0, -0.37, -1e-3]), start=st.integers(1, 100),
-       first=st.sampled_from([1, 2, 7, 64]),
+@given(t=_terms, tol=_tol, x=st.sampled_from([0.0, -0.37, -1e-3]),
+       start=st.integers(1, 100), first=st.sampled_from([1, 2, 7, 64]),
        growth=st.sampled_from([1, 2, 4, 10 ** 9]), block=_block)
-def test_resumed_search_matches_one_shot(t, tols, x, start, first, growth,
+def test_resumed_search_matches_one_shot(t, tol, x, start, first, growth,
                                          block):
     """Growing the window in steps down to one term and resuming the search
-    gives every tolerance the horizon a one-shot search of the final window
-    gives, and the window is the one ``_terms`` builds at once."""
+    gives the horizon a one-shot search of the final window gives, and the
+    window is the one ``_terms`` builds at once."""
     if not np.any(t > LOG_ZERO):
         return
     series = PowerSeries.from_log_coeffs(t)
@@ -158,10 +143,9 @@ def test_resumed_search_matches_one_shot(t, tols, x, start, first, growth,
         # every horizon lies within t, so a search that misses one stops
         # at this cap instead of crawling on one term at a time
         mp.setattr(series_mod, "HARD_CAP", t.size + 2 * TAIL_RUN + 100)
-        scans, window, stop = _scan(series, x, tols, start)
-        one_shot = _find_horizons(window, [math.log(tol / TAIL_RUN)
-                                           for tol in tols])
-    assert scans == one_shot
+        scan, window, stop = _scan(series, x, tol, start)
+        one_shot = _find_horizon(window, math.log(tol / TAIL_RUN))
+    assert scan == one_shot
     assert window.size == stop
     assert np.array_equal(bits(window), bits(series._terms(x, stop)))
 
@@ -179,23 +163,23 @@ def test_kernel_result_independent_of_start(family_id, params, r,
     monkeypatch.setattr(series_mod, "HARD_CAP", 2 ** 18)
     series = family(family_id, **params)
     x = math.log(r)
-    tols = (1e-9, 1e-15)
-    expect = [oracle_scan(series, x, tol) for tol in tols]
-    reach = max(s.horizon for s in expect) + TAIL_RUN + 1
-    cold, _, cold_stop = _scan(series, x, tols)
-    assert cold == expect
-    assert cold_stop <= grown(reach)
-    for start in [512 * 2 ** k for k in range(10)] + [2 ** 19]:
-        scans, t, stop = _scan(series, x, tols, start)
-        assert scans == expect
-        assert t.size == stop
-        assert all(s.horizon + TAIL_RUN < stop for s in scans)
-        # tight: the start, or at most one growth step past what the
-        # horizons read
-        assert stop <= max(min(start, 2 ** 18), grown(reach))
-        # a window grown in place is the window built at once
-        assert np.array_equal(bits(t), bits(series._terms(x, stop)))
-    assert stop == 2 ** 18
+    for tol in (1e-9, 1e-15):
+        expect = oracle_scan(series, x, tol)
+        reach = expect.horizon + TAIL_RUN + 1
+        cold, _, cold_stop = _scan(series, x, tol)
+        assert cold == expect
+        assert cold_stop <= grown(reach)
+        for start in [512 * 2 ** k for k in range(10)] + [2 ** 19]:
+            scan, t, stop = _scan(series, x, tol, start)
+            assert scan == expect
+            assert t.size == stop
+            assert scan.horizon + TAIL_RUN < stop
+            # tight: the start, or at most one growth step past what the
+            # horizon reads
+            assert stop <= max(min(start, 2 ** 18), grown(reach))
+            # a window grown in place is the window built at once
+            assert np.array_equal(bits(t), bits(series._terms(x, stop)))
+        assert stop == 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +193,11 @@ SLIDING = [
 ]
 
 
-def walk(series, xs, tols):
-    """Each x's scans and log F, in one walk."""
-    return series_mod._walk(series, xs, tols,
-                            lambda x, scans, window: (scans, window.log_F))
+def walk(series, xs, tol):
+    """Each x's max term, central index and horizon, and log F, in one
+    walk."""
+    return series_mod._walk(series, xs, tol, lambda w: (
+        _Scan(w.log_mu, w.nu, w.horizon), w.log_F))
 
 
 @pytest.mark.parametrize("family_id,params", SLIDING)
@@ -226,19 +211,19 @@ def test_sliding_window_keeps_the_in_memory_results(family_id, params,
     xs = [math.log(r) for r in RadialGrid.geometric_in_gap(0.98, 0.72,
                                                              8).points]
     tols = (1e-9, 1e-12)
-    in_memory = walk(family(family_id, **params), xs, tols)
+    in_memory = [walk(family(family_id, **params), xs, tol) for tol in tols]
     monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
     series = family(family_id, **params)
-    slid = walk(series, xs, tols)
-    for x, (scans, log_F), (want, one_block) in zip(xs, slid, in_memory):
-        assert scans == want
-        assert scans == [oracle_scan(series, x, tol) for tol in tols]
-        assert _scan(series, x, tols)[1] is None  # the window slid
-        t = series._terms(x, scans[-1].horizon + 1)
-        blocks = [t[a:a + 1024] for a in range(0, t.size, 1024)]
-        assert bits(log_F) == bits(log_sum_exp_blocks(
-            blocks, float(t.max()), np.empty(1024)))
-        assert log_F == pytest.approx(one_block, rel=1e-15, abs=1e-15)
+    for tol, rows in zip(tols, in_memory):
+        slid = walk(series, xs, tol)
+        for x, (scan, log_F), (want, one_block) in zip(xs, slid, rows):
+            assert scan == want == oracle_scan(series, x, tol)
+            assert _scan(series, x, tol)[1] is None  # the window slid
+            t = series._terms(x, scan.horizon + 1)
+            blocks = [t[a:a + 1024] for a in range(0, t.size, 1024)]
+            assert bits(log_F) == bits(log_sum_exp_blocks(
+                blocks, float(t.max()), np.empty(1024)))
+            assert log_F == pytest.approx(one_block, rel=1e-15, abs=1e-15)
 
 
 def test_sums_run_only_for_points_that_read_them(monkeypatch):
