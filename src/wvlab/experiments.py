@@ -188,6 +188,18 @@ def _log_bounds(series: PowerSeries, bound: BoundSpec, grid: RadialGrid,
     return evals, log_bounds, undefined
 
 
+def _defined_bounds(series: PowerSeries, bound: BoundSpec, grid: RadialGrid,
+                    tol: float) -> tuple:
+    """:func:`_log_bounds`, refusing a bound undefined at every point."""
+    evals, log_bounds, undefined = _log_bounds(series, bound, grid, tol)
+    if len(undefined) == len(evals):
+        raise DomainError(
+            f"bound {bound.bound_id} undefined on the whole grid "
+            f"(at r={undefined[0][0]:.12g}: {undefined[0][1]}); "
+            "start the grid at larger radii")
+    return evals, log_bounds, undefined
+
+
 @dataclass(frozen=True)
 class PointMargin:
     r: float
@@ -232,14 +244,15 @@ def violation_set(
     """Estimate the set where log M exceeds the bound, cell by cell.
 
     Grid points where the bound expression is undefined are excluded and
-    reported, never silently dropped.
+    reported, never silently dropped; a bound undefined at every grid point
+    is a DomainError.
     """
     if bound.bound_id == "lower":
         raise ValidationError(
             "lower bounds go through optimality_check, not violation_set"
         )
     _reject_monomial(series, "violation_set")
-    evals, log_bounds, undefined = _log_bounds(series, bound, grid, tol)
+    evals, log_bounds, undefined = _defined_bounds(series, bound, grid, tol)
     margins = [PointMargin(r=ev.r, log_M=ev.log_M, log_bound=b,
                            slack=b - ev.log_M)
                for ev, b in zip(evals, log_bounds) if b is not None]
@@ -361,12 +374,7 @@ def constant_sweep(
         raise ValidationError("the sweep budget must be a number, got nan")
     bound = replace(bound, C=1.0)
     _reject_monomial(series, "constant_sweep")
-    evals, log_bounds, undefined = _log_bounds(series, bound, grid, tol)
-    if len(undefined) == len(evals):
-        raise DomainError(
-            f"bound {bound.bound_id} undefined on the whole grid "
-            f"(at r={undefined[0][0]:.12g}: {undefined[0][1]}); "
-            "start the grid at larger radii")
+    evals, log_bounds, undefined = _defined_bounds(series, bound, grid, tol)
     deficits = [None if b is None else ev.log_M - b
                 for ev, b in zip(evals, log_bounds)]
     pts = grid.points

@@ -14,10 +14,11 @@ formulas:
 ``FAMILY_PARAMS`` declares each family's parameters once; ``make_family``
 builds from the values they check.
 
-The closed-form families (``exp``, ``geometric``, ``suleimanov``,
-``formula``) are a ``VectorizedSource``: a scan computes each block of
-coefficients from the formula when it needs it, and nothing is cached.  The
-recurrences below keep the prefix they have computed.
+The closed-form families (``exp``, ``geometric``, ``monomial``,
+``suleimanov``, ``formula``) are a ``VectorizedSource``: a scan computes
+each block of coefficients from the formula when it needs it, and nothing
+is cached.  Only the ``kovari`` recurrences below keep the prefix they have
+computed.
 
 The ``kovari`` coefficients grow sub-factorially but overflow floats well
 before interesting radii, so the recurrences run on linearly scaled values
@@ -141,8 +142,8 @@ FAMILY_PARAMS = {
     "monomial": {
         "coeff": (_number(lambda c: c != 0 and math.isfinite(c)),
                   "a nonzero finite coefficient c"),
-        # A monomial's coefficient array has k + 1 entries, so k is capped
-        # like every other term count.
+        # A monomial's scans read k + 52 terms (its horizon is k + 1), so k
+        # is capped like every other term count.
         "degree": (_number(lambda k: 0 <= k < HARD_CAP and k.is_integer()),
                    f"an integer degree 0 <= k < {HARD_CAP}"),
     },
@@ -249,8 +250,6 @@ class _ScaledExpSource(_PrefixSource):
     rescaling whenever they approach float overflow.
     """
 
-    _floor = 256
-
     def __init__(self, b_fn):
         self._b_fn = b_fn          # count -> array of b_0..b_{count-1}
         self._kbr = np.empty(0)    # k*b_k, reversed
@@ -302,7 +301,6 @@ class _KovariIntSource(_PrefixSource):
     """
 
     _CHUNK = 1 << 16
-    _floor = 256
 
     def __init__(self, rho: int):
         self._rho = rho
@@ -375,15 +373,13 @@ def make_family(spec: FamilySpec) -> PowerSeries:
             1.0, "geometric", family_id="geometric",
         )
     if fid == "monomial":
-        c = p["coeff"]
-        k = int(p["degree"])
-        values = np.full(k + 1, LOG_ZERO)
-        values[k] = math.log(abs(c))
-        s = PowerSeries.from_log_coeffs(
-            values, math.inf, f"monomial({c:g}, {k})", monomial_degree=k
+        c, k = p["coeff"], int(p["degree"])
+        log_c = math.log(abs(c))
+        return PowerSeries(
+            VectorizedSource(lambda n: np.where(n == k, log_c, LOG_ZERO)),
+            math.inf, f"monomial({c:g}, {k})", family_id="monomial",
+            monomial_degree=k,
         )
-        s.family_id = "monomial"
-        return s
     if fid == "kovari":
         rho = p["rho"]
         if rho.is_integer() and rho <= _KOVARI_MAX_ORDER:
@@ -405,16 +401,14 @@ def make_family(spec: FamilySpec) -> PowerSeries:
             VectorizedSource(log_coeff), 1.0,
             f"suleimanov({eps:g})", family_id="suleimanov",
         )
-    if fid == "formula":
-        text, fn = spec.params["formula"], p["formula"]
-        probe = fn(np.arange(8, dtype=float))
-        if np.isnan(probe).any() or np.isposinf(probe).any():
-            raise ValidationError(
-                "formula must evaluate to a finite value or -inf at small n"
-            )
-        return PowerSeries(VectorizedSource(fn), p["radius"],
-                           f"formula({text})", family_id="formula")
-    raise ValidationError(f"unknown family {fid!r}")  # pragma: no cover
+    text, fn = spec.params["formula"], p["formula"]  # fid == "formula"
+    probe = fn(np.arange(8, dtype=float))
+    if np.isnan(probe).any() or np.isposinf(probe).any():
+        raise ValidationError(
+            "formula must evaluate to a finite value or -inf at small n"
+        )
+    return PowerSeries(VectorizedSource(fn), p["radius"],
+                       f"formula({text})", family_id="formula")
 
 
 def family(family_id: str, **params) -> PowerSeries:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import HSpec
+from .bounds import HSpec, h_disk
 from .errors import DomainError, ValidationError
 
 DEFAULT_MEASURE_TOL = 1e-9
@@ -239,8 +239,6 @@ def h_log_measure(E: IntervalSet, h: HSpec,
 def log_density(E: IntervalSet, r: float,
                 tol: float = DEFAULT_MEASURE_TOL) -> float:
     """Disk-weight integral of E up to r, normalized by log(1/(1-r))."""
-    from .bounds import h_disk
-
     if E.radius != 1.0:
         raise ValidationError("logarithmic density is defined on [0, 1)")
     if not (0 <= r < 1):

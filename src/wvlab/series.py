@@ -30,10 +30,10 @@ only by the points that read it.  A window that never slid is its one
 in-memory buffer, one that slid is recomputed from the series a block at
 a time.  Its sums are formed per block and combined with ``math.fsum``, so
 a grid holds a few MB of buffers however large its horizons are.  A source
-computes only the indices asked for; a recurrence keeps the prefix it
-computed, and a walk keeps the first block of any other series's
-coefficients for all its radii.  A grid may start at ``r = 0``, the
-single-term window ``[log|a_0|]``.
+computes only the indices asked for: closed forms, monomials and coefficient
+arrays included, hold none, and a walk keeps their first block for all its
+radii; only a recurrence keeps the prefix it computed.  A grid may start at
+``r = 0``, the single-term window ``[log|a_0|]``.
 """
 
 from __future__ import annotations
@@ -62,19 +62,6 @@ _BLOCK_TERMS = 2 ** 19  # a window slides past this many term logs
 _FILL_TERMS = 2 ** 16  # terms computed per piece
 
 
-class CoefficientSource:
-    """Provides log coefficient magnitudes by index range.
-
-    ``block(lo, hi)`` returns an array of ``log|a_n|`` for ``lo <= n <
-    hi``.  Values must be identical across calls (deterministic queries),
-    and the source must be safe to query under the owner's lock while
-    readers hold previously returned arrays.
-    """
-
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        raise NotImplementedError
-
-
 def _reserve(buf: np.ndarray, filled: int, need: int,
              cap: int = HARD_CAP) -> np.ndarray:
     """``buf`` if it holds ``need`` values, else a buffer of ``2 * need``
@@ -91,17 +78,16 @@ def _reserve(buf: np.ndarray, filled: int, need: int,
     return grown
 
 
-class _PrefixSource(CoefficientSource):
+class _PrefixSource:
     """A source that holds the prefix it has computed, as a recurrence must:
-    it fills exactly the prefix asked for, at least ``_floor`` values, into
-    one buffer with spare capacity.
+    it fills exactly the prefix asked for into one buffer with spare
+    capacity.
 
     ``_fill(buf, cur, stop)`` writes the values ``cur..stop-1`` into
     ``buf``.  Values already handed out are never written again, and a
     buffer that is outgrown stays alive under the views that readers hold.
     """
 
-    _floor = _FIRST_WINDOW
     _cap = HARD_CAP  # the buffer's spare room stops here
     _buf = np.empty(0)
     _size = 0
@@ -110,10 +96,9 @@ class _PrefixSource(CoefficientSource):
         raise NotImplementedError
 
     def extend_to(self, stop: int) -> np.ndarray:
-        """The prefix of at least ``stop`` values."""
+        """The prefix of ``max(stop, computed so far)`` values."""
         cur = self._size
         if stop > cur:
-            stop = max(stop, self._floor)
             self._buf = _reserve(self._buf, cur, stop, self._cap)
             self._fill(self._buf, cur, stop)
             self._size = stop
@@ -123,7 +108,7 @@ class _PrefixSource(CoefficientSource):
         return self.extend_to(hi)[lo:hi]
 
 
-class VectorizedSource(CoefficientSource):
+class VectorizedSource:
     """Source backed by a vectorized formula ``fn(n_array) -> log|a_n|``.
 
     Each block is computed from the formula when it is asked for; the
@@ -146,19 +131,6 @@ class VectorizedSource(CoefficientSource):
         return block
 
 
-class ArraySource(_PrefixSource):
-    """Source backed by an explicit finite prefix; zero beyond it."""
-
-    _floor = 0
-
-    def __init__(self, values: np.ndarray):
-        self._buf = np.asarray(values, dtype=float)
-        self._size = self._buf.size
-
-    def _fill(self, buf, cur, stop):
-        buf[cur:stop] = LOG_ZERO
-
-
 @dataclass(frozen=True)
 class MaxTermResult:
     """Largest term log and the largest index attaining it."""
@@ -177,6 +149,10 @@ class _Scan:
 class PowerSeries:
     """Analytic function given by coefficient magnitude logs.
 
+    ``source.block(lo, hi)`` gives ``log|a_n|`` for ``lo <= n < hi``, the
+    same values on every call; it must be safe to query under the series's
+    lock while readers hold arrays it returned earlier.
+
     Instances are immutable apart from a recurrence source's internal,
     lock-protected coefficient cache, so they are safe to share between
     concurrent readers.  A series keeps no scan state: the walk over several
@@ -187,7 +163,7 @@ class PowerSeries:
 
     def __init__(
         self,
-        source: CoefficientSource,
+        source,
         radius: float,
         label: str = "series",
         family_id: str | None = None,
@@ -208,15 +184,17 @@ class PowerSeries:
         values,
         radius: float = math.inf,
         label: str = "series",
-        monomial_degree: int | None = None,
     ) -> "PowerSeries":
+        """The polynomial with ``log|a_n| = values[n]``, zero beyond."""
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1:
             raise ValidationError("log coefficient array must be 1-d")
         if np.isnan(arr).any() or np.isposinf(arr).any():
             raise ValidationError("log coefficients must be finite or -inf")
-        series = cls(ArraySource(arr), radius, label,
-                     monomial_degree=monomial_degree)
+        padded = np.append(arr, LOG_ZERO)  # every n >= arr.size reads -inf
+        source = VectorizedSource(
+            lambda n: padded[np.minimum(n, arr.size).astype(np.intp)])
+        series = cls(source, radius, label)
         series._known_all_zero = not np.any(arr > LOG_ZERO)
         series._known_finite_support = True
         return series

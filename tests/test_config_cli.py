@@ -462,6 +462,34 @@ def test_cli_sweep_with_the_bound_undefined_everywhere_exits_4(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("surface", ["cli", "config"])
+def test_check_with_the_bound_undefined_everywhere_exits_4(surface, tmp_path,
+                                                           capsys):
+    # the sweep's grid and bound: a check there tests no point, so it may
+    # report no violation count, measure or CSV
+    if surface == "config":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[experiment]\nmode = check\nlabel = demo\n\n"
+            "[family]\nid = geometric\n\n"
+            "[grid]\nscheme = gap\nr0 = 0.1\nq = 0.7\ncount = 6\n\n"
+            "[bound]\nid = kov_n\nn = 3\ndelta = 0.5\n\n"
+            "[measure]\nh = disk\n", encoding="utf-8")
+        out = tmp_path / "out" / "demo.csv"
+        argv = ["report", "--config", str(cfg), "--out-dir", str(out.parent)]
+    else:
+        out = tmp_path / "c.csv"
+        argv = ["check", "--family", "geometric", "--grid-gap", "0.1:0.7:6",
+                "--bound", "kov_n", "--n", "3", "--delta", "0.5",
+                "--measure-h", "disk", "--out", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "numeric failure: bound kov_n undefined on the whole grid")
+    assert "violating" not in err and "measure[" not in err
+    assert not out.exists()
+
+
 def test_cli_optimality(tmp_path):
     code = main(["optimality", "--family", "kovari", "--rho", "1",
                  "--grid-gap", "0.9:0.85:18", "--out",

@@ -261,3 +261,21 @@ def test_memory_stays_flat_past_the_block_size():
         tracemalloc.stop()
     assert rows[-1].nu > 6_000_000 and sts[-1].g1 > 6_000_000
     assert peak < 48 * 2 ** 20
+
+
+def test_monomial_of_large_degree_holds_no_coefficient_array():
+    """``z^k`` at k = 3M has its horizon at k + 1 at every radius: its
+    coefficients come from the closed form a block at a time, so neither
+    the series nor the walk holds k of them (24 MB)."""
+    k = 3_000_000
+    tracemalloc.start()
+    try:
+        mono = family("monomial", coeff=1, degree=k)
+        rows = evaluate_grid(mono, RadialGrid.geometric(1, 2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for row in rows:
+        assert row.nu == k
+        assert row.log_mu == row.log_M == k * math.log(row.r)
+    assert peak < 32 * 2 ** 20
