@@ -27,7 +27,11 @@ before interesting radii, so the recurrences run on linearly scaled values
 an O(N) recurrence of order ``rho + 1`` on Python floats in bounded chunks
 (``_KovariIntSource``); every other ``rho`` uses the O(N^2) exp-of-series
 convolution, one contiguous dot product per coefficient (``_exp_step``,
-shared with ``exp_of_series``).
+shared with ``exp_of_series``), on the binomial table of (1-z)^-rho that
+``binomial_series`` builds as an exact ratio product.
+
+Only the ``exp`` family uses ``scipy.special`` (``gammaln``), and it imports
+it when it is built: the import costs more than all of wvlab's own.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ValidationError
 from .logdomain import LOG_ZERO
@@ -199,11 +202,18 @@ def _check_params(family_id: str, params: Mapping) -> dict:
 # Coefficient recurrences.
 
 def binomial_series(rho: float, count: int) -> np.ndarray:
-    """Coefficients b_n of (1-z)^(-rho): b_n = C(n+rho-1, n), via log-Gamma."""
+    """Coefficients b_n of (1-z)^(-rho): b_n = C(n+rho-1, n).
+
+    The exact ratio product b_0 = 1, b_n = b_{n-1} * (n-1+rho)/n, one
+    sequential ``np.cumprod``: within 2n ulps of the exact binomial.  The
+    numerator is formed as ``(n-1) + rho``, which is exact at n = 1.
+    """
     if not rho > 0:
         raise ValidationError(f"rho must be > 0, got {rho}")
-    n = np.arange(count, dtype=float)
-    return np.exp(gammaln(n + rho) - gammaln(rho) - gammaln(n + 1.0))
+    b = np.ones(count)
+    n = np.arange(1, count, dtype=float)
+    b[1:] = ((n - 1.0) + rho) / n
+    return np.cumprod(b)
 
 
 def _exp_step(kbr: np.ndarray, v: np.ndarray, n: int) -> float:
@@ -261,9 +271,11 @@ class _ScaledExpSource(_PrefixSource):
             # the table is cheap next to the convolution, so it doubles
             b = np.asarray(self._b_fn(max(count, 2 * self._kbr.size)),
                            dtype=float)
-            if not np.all(np.isfinite(b)) or np.any(b < 0):
+            kbr = _reversed_kb(b)
+            # k*b_k can overflow where b_k does not
+            if not np.all(np.isfinite(kbr)) or np.any(b < 0):
                 raise ValidationError("exp-of-series input must be b_k >= 0")
-            self._kbr = _reversed_kb(b)
+            self._kbr = kbr
 
     def _fill(self, logc, cur, stop):
         self._ensure_kb(stop)
@@ -363,6 +375,8 @@ def make_family(spec: FamilySpec) -> PowerSeries:
     p = _check_params(spec.family_id, spec.params)
     fid = spec.family_id
     if fid == "exp":
+        from scipy.special import gammaln  # its only user; slow to import
+
         return PowerSeries(
             VectorizedSource(lambda n: -gammaln(n + 1.0)),
             math.inf, "exp", family_id="exp",

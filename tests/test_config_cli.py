@@ -420,11 +420,16 @@ def test_grid_count_above_the_cap_exits_2(surface, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _src_env()
     for module in ("wvlab", "wvlab.cli"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "eval", "--family", "exp",
@@ -433,6 +438,35 @@ def test_python_dash_m_runs_the_cli():
         assert proc.returncode == 0, (module, proc.stderr)
         assert proc.stdout.splitlines()[:2] == [CSV_VERSION_LINE,
                                                 "r,log_mu,nu,log_M"]
+
+
+IMPORT_GUARD = """
+import sys
+from wvlab import cli, family
+cli.build_parser()
+assert "scipy.special" not in sys.modules
+out = sys.argv[1]
+for argv in (
+    ["eval", "--family", "kovari", "--rho", "0.5", "--grid-gap", "0.9:0.8:4"],
+    ["stats", "--family", "suleimanov", "--epsilon", "0.5",
+     "--grid-gap", "0.9:0.8:4"],
+    ["optimality", "--family", "kovari", "--rho", "1",
+     "--grid-gap", "0.9:0.8:4"],
+):
+    assert cli.main([*argv, "--out", out]) == 0, argv
+    assert "scipy.special" not in sys.modules, argv
+family("exp")
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_the_exp_family_loads_scipy_special(tmp_path):
+    """``import wvlab`` and runs that build no ``exp`` family leave
+    ``scipy.special``, the slowest import of all, unloaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_check_and_sweep(tmp_path):

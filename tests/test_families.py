@@ -177,9 +177,7 @@ def test_parameter_validation(family_id, params):
         make_family(FamilySpec(family_id, params))
 
 
-def test_formula_family_matches_exp():
-    from scipy.special import gammaln
-
+def test_formula_family_log_coeffs_and_value():
     f = family("formula", formula="-(log(n+1) + n*0 ) - 0", radius=1.0)
     # a second, nontrivial formula: log|a_n| = -n*log(2)
     g = family("formula", formula="-n * log(2)", radius=2.0)
@@ -188,7 +186,6 @@ def test_formula_family_matches_exp():
     # value cross-check: sum 2^-n r^n = 1/(1 - r/2)
     got = log_positive_value(g, 1.0)
     assert got == pytest.approx(math.log(2.0), abs=1e-9)
-    del gammaln
 
 
 @pytest.mark.parametrize("bad", [

@@ -20,6 +20,8 @@ from scipy.special import gammaln
 
 from wvlab import RadialGrid, evaluate_grid, family, log_positive_value
 from wvlab import series as series_mod
+from wvlab.cli import main
+from wvlab.errors import ValidationError
 from wvlab.families import _KOVARI_MAX_ORDER, _RESCALE_SHIFT, \
     _RESCALE_THRESHOLD, _KovariIntSource, _ScaledExpSource, binomial_series
 from wvlab.logdomain import _FSUM_CUTOFF, _exact_sum, log_sum_exp
@@ -310,6 +312,69 @@ def test_kovari_int_log_M_is_the_closed_form_near_the_boundary(rho, gap):
     got = log_positive_value(kov, 1.0 - gap, tol)
     want = gap ** -rho
     assert abs(got - want) <= tol + ulp_budget(rho, horizon)
+
+
+# ---------------------------------------------------------------------------
+# The binomial table of (1-z)^-rho.
+
+BINOMIAL_RHOS = [1e-6, 0.01, 0.5, 1.7, 2.5, 7.3, 123.4]
+BINOMIAL_NS = np.unique(np.concatenate([
+    np.arange(64), np.geomspace(64, 100_000, 40).astype(int)]))
+
+
+@pytest.mark.parametrize("rho", BINOMIAL_RHOS)
+def test_binomial_series_matches_mpmath(rho):
+    """Each ratio step rounds at most a few times, so b_n is within 2n ulps
+    of C(n+rho-1, n); past the float range it is inf."""
+    import mpmath
+
+    b = binomial_series(rho, int(BINOMIAL_NS[-1]) + 1)
+    with mpmath.workdps(40):
+        for n in BINOMIAL_NS:
+            n = int(n)
+            want = mpmath.binomial(n + mpmath.mpf(rho) - 1, n)
+            if want > np.finfo(float).max:
+                assert b[n] == math.inf, n
+                continue
+            err = float(abs(mpmath.mpf(b[n]) - want) / want)
+            assert err <= max(2 * n, 1) * ULP, n
+
+
+@pytest.mark.parametrize("count,want", [(0, []), (1, [1.0]), (2, [1.0, 0.3])])
+def test_binomial_series_short_tables(count, want):
+    assert binomial_series(0.3, count).tolist() == want
+
+
+def test_kovari_half_convolution_matches_mpmath():
+    """log a_n of exp((1-z)^-1/2) against the same convolution in mpmath on
+    exact binomials."""
+    import mpmath
+
+    count = 600
+    got = _ScaledExpSource(
+        lambda c: binomial_series(0.5, c)).extend_to(count)[:count]
+    with mpmath.workdps(40):
+        kb = [k * mpmath.binomial(k - mpmath.mpf(0.5), k)
+              for k in range(count)]
+        a = [mpmath.e]
+        for n in range(1, count):
+            a.append(mpmath.fdot(kb[1:n + 1], a[::-1]) / n)
+        want = np.array([float(mpmath.log(v)) for v in a])
+    assert np.max(np.abs(got - want)) <= 2e-14
+
+
+def test_overflowing_binomial_table_is_a_validation_error(capsys):
+    """kovari(300)'s table passes the float range within 2048 terms."""
+    assert main(["eval", "--family", "kovari", "--rho", "300",
+                 "--grid-geo", "0.1:0.9:3"]) == 2
+    assert "exp-of-series input must be b_k >= 0" in capsys.readouterr().err
+
+
+def test_overflowing_k_b_k_is_a_validation_error():
+    """kovari(300)'s b_n is finite up to n = 1049 but n*b_n only up to
+    1021; the convolution must not turn the overflow into log a_n = -inf."""
+    with pytest.raises(ValidationError):
+        family("kovari", rho=300).log_coeffs(1049)
 
 
 # ---------------------------------------------------------------------------
