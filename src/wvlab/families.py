@@ -21,13 +21,14 @@ is cached.  Only the ``kovari`` recurrences below keep the prefix they have
 computed.
 
 The ``kovari`` coefficients grow sub-factorially but overflow floats well
-before interesting radii, so the recurrences run on linearly scaled values
-``a_n * exp(-shift)`` with a running rescale; logs are taken at the end.
-``kovari`` at an integer ``rho`` from 1 to ``_KOVARI_MAX_ORDER`` (8) runs
-an O(N) recurrence of order ``rho + 1`` on Python floats in bounded chunks
-(``_KovariIntSource``); every other ``rho`` uses the O(N^2) exp-of-series
-convolution, one contiguous dot product per coefficient (``_exp_step``,
-shared with ``exp_of_series``), on the binomial table of (1-z)^-rho that
+before interesting radii, so the recurrences run on scaled linear values
+and logs are taken at the end.  ``kovari`` at an integer ``rho`` from 1 to
+``_KOVARI_MAX_ORDER`` (8) runs an O(N) subtraction-free recurrence over
+the repeated partial sums of its coefficients, in lockstep blocks stitched
+by powers of two (``_KovariIntSource``), to about one ulp of exact.  Every
+other ``rho`` uses the O(N^2) exp-of-series convolution, one contiguous
+dot product per coefficient (``_exp_step``, shared with
+``exp_of_series``), on the binomial table of (1-z)^-rho that
 ``binomial_series`` builds as an exact ratio product.
 
 Only the ``exp`` family uses ``scipy.special`` (``gammaln``), and it imports
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import ast
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -53,6 +53,16 @@ _RESCALE_THRESHOLD = 1e200
 _RESCALE_SHIFT = 230.0  # exp(-230) ~ 1e-100 per rescale
 # kovari at an integer rho up to this order runs the linear-time recurrence
 _KOVARI_MAX_ORDER = 8
+# Its blocks of steps.  The unit-start solutions grow fastest in the first
+# block: at rho = _KOVARI_MAX_ORDER they reach 4e126 there, 8e225 at twice
+# this length, and overflow at four times it.
+_KOVARI_BLOCK = 256
+# It stages at most this many blocks at once.
+_KOVARI_BATCH = 128
+# log 2 in two parts: the first has 32 significant bits, so E * _LN2_HI is
+# exact for |E| < 2^21, and the second is the rest (fdlibm's constants).
+_LN2_HI = float.fromhex("0x1.62e42feep-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 
 
 def _number(cond, default=None):
@@ -205,15 +215,17 @@ def binomial_series(rho: float, count: int) -> np.ndarray:
     """Coefficients b_n of (1-z)^(-rho): b_n = C(n+rho-1, n).
 
     The exact ratio product b_0 = 1, b_n = b_{n-1} * (n-1+rho)/n, one
-    sequential ``np.cumprod``: within 2n ulps of the exact binomial.  The
-    numerator is formed as ``(n-1) + rho``, which is exact at n = 1.
+    sequential ``np.cumprod``: within 2n ulps of the exact binomial, and inf
+    past the float range.  The numerator is formed as ``(n-1) + rho``, which
+    is exact at n = 1.
     """
     if not rho > 0:
         raise ValidationError(f"rho must be > 0, got {rho}")
     b = np.ones(count)
     n = np.arange(1, count, dtype=float)
     b[1:] = ((n - 1.0) + rho) / n
-    return np.cumprod(b)
+    with np.errstate(over="ignore"):
+        return np.cumprod(b)
 
 
 def _exp_step(kbr: np.ndarray, v: np.ndarray, n: int) -> float:
@@ -228,8 +240,11 @@ def _exp_step(kbr: np.ndarray, v: np.ndarray, n: int) -> float:
 
 
 def _reversed_kb(b: np.ndarray) -> np.ndarray:
-    """``k*b_k`` for k = 0..len(b)-1, reversed and contiguous."""
-    return np.ascontiguousarray((b * np.arange(b.size, dtype=float))[::-1])
+    """``k*b_k`` for k = 0..len(b)-1, reversed and contiguous; inf where it
+    passes the float range."""
+    with np.errstate(over="ignore"):
+        kb = b * np.arange(b.size, dtype=float)
+    return np.ascontiguousarray(kb[::-1])
 
 
 def exp_of_series(b) -> np.ndarray:
@@ -257,11 +272,13 @@ class _ScaledExpSource(_PrefixSource):
 
     Runs the subtraction-free convolution recurrence (``_exp_step``, one
     contiguous dot product per coefficient) on scaled linear values,
-    rescaling whenever they approach float overflow.
+    rescaling whenever they approach float overflow.  ``table`` names the
+    b_k in the error raised when k*b_k passes the float range.
     """
 
-    def __init__(self, b_fn):
+    def __init__(self, b_fn, table="the exponent's coefficient table"):
         self._b_fn = b_fn          # count -> array of b_0..b_{count-1}
+        self._table = table
         self._kbr = np.empty(0)    # k*b_k, reversed
         self._v = np.empty(0)      # scaled a_n values
         self._shift = 0.0
@@ -271,10 +288,15 @@ class _ScaledExpSource(_PrefixSource):
             # the table is cheap next to the convolution, so it doubles
             b = np.asarray(self._b_fn(max(count, 2 * self._kbr.size)),
                            dtype=float)
+            if np.any(b < 0):
+                raise ValidationError("exp-of-series input must be b_k >= 0")
             kbr = _reversed_kb(b)
             # k*b_k can overflow where b_k does not
-            if not np.all(np.isfinite(kbr)) or np.any(b < 0):
-                raise ValidationError("exp-of-series input must be b_k >= 0")
+            inf = np.flatnonzero(~np.isfinite(kbr[::-1]))
+            if inf.size:
+                raise ValidationError(
+                    f"{self._table} overflows the float range: n*b_n is inf "
+                    f"from n = {inf[0]}")
             self._kbr = kbr
 
     def _fill(self, logc, cur, stop):
@@ -298,74 +320,108 @@ class _ScaledExpSource(_PrefixSource):
 class _KovariIntSource(_PrefixSource):
     """log coefficients of exp((1-z)^-rho) for an integer rho, in linear time.
 
-    (1-z)^(rho+1) f' = rho f gives, with a_0 = e and a_k = 0 for k < 0,
+    ``f' = rho f (1-z)^-(rho+1)`` gives, with a_0 = e,
 
-        (n+1)a_{n+1} = (rho + (rho+1)n)a_n
-                 + sum_{j=2..rho+1} (-1)^(j+1) C(rho+1, j)(n+1-j)a_{n+1-j},
+        (n+1) a_{n+1} = rho S_{rho+1}(n),
 
-    which is what makes horizons of ~1e6 terms near r -> 1 affordable.  At
-    rho = 1 it is (n+1)a_{n+1} = (2n+1)a_n - (n-1)a_{n-1}, run as that
-    straight line.  The integer factors are exact Python ints before they
-    multiply a float.  The recurrence runs on scaled Python floats in chunks
-    of at most ``_CHUNK`` values, and their logs are taken per chunk; a
-    rescale multiplies all rho + 1 carried values, and only those are kept
-    between calls.  Cross-checked against the convolution and mpmath in tests.
+    where S_1(n) = a_0 + ... + a_n and S_{j+1}(n) = S_j(0) + ... + S_j(n)
+    are the repeated partial sums of a.  A step is a_{n+1} from S_{rho+1}(n),
+    then S_1 plus a_{n+1} and each later S_j plus the new S_{j-1}: every
+    number in the loop is nonnegative, so nothing cancels, and a relative
+    error made in a step stays that size in every later value.
+
+    The indices run in blocks of ``_KOVARI_BLOCK`` steps at fixed places:
+    block b takes the state S(bL) to a_{bL+1}, ..., a_{bL+L} and S(bL+L).
+    That map is linear with nonnegative coefficients, so a batch of blocks
+    runs the rho + 1 unit-start solutions of each block in lockstep, one
+    numpy step per index for the whole batch (:meth:`_unit_starts`).  The
+    blocks are then stitched in order: each block's state is the transfer
+    matrix of the block before it times that block's state, scaled by a
+    power of two so that its largest value is in [1/2, 1), with the binary
+    exponent E kept as an int.  A coefficient is its block's unit-start
+    values dotted with the block's state, v, and log a_n = log(v) + E log 2
+    + 1, where E log 2 is split in two so that its larger part is exact and
+    is added last.  A block's values do not depend on which call computed
+    it, so the bits of a prefix are the same however it was asked for.  Only
+    the state after the last block and the logs of that block are kept
+    between calls.  Cross-checked against mpmath and the convolution in
+    tests.
     """
-
-    _CHUNK = 1 << 16
 
     def __init__(self, rho: int):
         self._rho = rho
-        # (-1)^(j+1) C(rho+1, j) paired with j, for j = 2..rho+1
-        self._terms = [((-1) ** (j + 1) * math.comb(rho + 1, j), j)
-                       for j in range(2, rho + 2)]
-        self._carry = [0.0] * rho + [1.0]  # scaled a_{n-rho}..a_n; a_0 = e
-        self._shift = 1.0
+        self._state = [1.0] * (rho + 1)  # S / (e 2^E), S_j(0) = a_0 = e
+        self._exp = 0                    # E
+        self._blocks = 0                 # the state is S(blocks * L)
+        self._last = np.empty(0)         # log a_n of the last block
 
-    def _run(self, carry: list, vals: list, k: int, end: int) -> list:
-        """Append the scaled a_{k+1}, ..., a_end to ``vals`` from the carried
-        a_{k-rho}..a_k, stopping after the first value past the rescale
-        threshold; return the new carried values."""
-        rho, terms = self._rho, self._terms
-        v = deque(carry, maxlen=rho + 1)
-        for k in range(k, end):
-            if v[-1] > _RESCALE_THRESHOLD:
-                break
-            s = (rho + (rho + 1) * k) * v[-1]
-            for c, j in terms:
-                s += c * (k + 1 - j) * v[-j]
-            s /= k + 1
-            v.append(s)
-            vals.append(s)
-        return list(v)
+    def _unit_starts(self, b0: int, b1: int):
+        """The rho + 1 unit-start solutions of blocks b0..b1-1: ``a[t, i, b]``
+        is a_{(b0+b)L+t+1} and ``s[j, i, b]`` is S_{j+1} at the end of the
+        block, from the start state S_{i+1} = 1 and every other S_j = 0."""
+        rho, size = self._rho, _KOVARI_BLOCK
+        count = b1 - b0
+        # rho / (n+1) for the step from n = (b0+b)L + t, at [t, b]
+        coef = rho / np.arange(b0 * size + 1, b1 * size + 1,
+                               dtype=float).reshape(count, size).T
+        s = np.zeros((rho + 1, rho + 1, count))
+        for i in range(rho + 1):
+            s[i, i] = 1.0
+        a = np.empty((size, rho + 1, count))
+        rows = list(s)  # views, made once: the loop is numpy call overhead
+        first, last, pairs = rows[0], rows[-1], list(zip(rows, rows[1:]))
+        for a_t, coef_t in zip(a, coef):
+            np.multiply(last, coef_t, out=a_t)
+            np.add(first, a_t, out=first)
+            for prev, row in pairs:
+                np.add(row, prev, out=row)
+        # the end state bounds every value of the block
+        if not np.isfinite(s[rho]).all():
+            raise OverflowError(f"a kovari({rho}) block of {size} terms "
+                                "overflows; the block length is too long")
+        return a, s
 
-    def _run1(self, carry: list, vals: list, k: int, end: int) -> list:
-        """``_run`` at rho = 1 as a straight line, bit for bit."""
-        a, b = carry
-        for k in range(k, end):
-            if b > _RESCALE_THRESHOLD:
-                break
-            a, b = b, ((2 * k + 1) * b - (k - 1) * a) / (k + 1)
-            vals.append(b)
-        return [a, b]
+    def _stitch(self, b0: int, b1: int) -> np.ndarray:
+        """log a_n for n = b0*L+1 .. b1*L, stitching blocks b0..b1-1 onto
+        the carried state."""
+        a, s = self._unit_starts(b0, b1)
+        state, exp = self._state, self._exp
+        starts, exps = [], []
+        for matrix in s.transpose(2, 0, 1).tolist():  # [j][i] per block
+            starts.append(state)
+            exps.append(exp)
+            state = [sum(x * y for x, y in zip(row, state))
+                     for row in matrix]
+            shift = math.frexp(max(state))[1]
+            state = [math.ldexp(x, -shift) for x in state]
+            exp += shift
+        self._state, self._exp = state, exp
+        starts = np.array(starts).T  # [i, b]
+        v = a[:, 0] * starts[0]
+        for i in range(1, self._rho + 1):
+            v += a[:, i] * starts[i]
+        exps = np.array(exps, dtype=float)
+        logs = (np.log(v) + (exps * _LN2_LO + 1.0)) + exps * _LN2_HI
+        return logs.T.ravel()
 
     def _fill(self, logc, cur, stop):
         if cur == 0:
-            logc[0] = self._shift
+            logc[0] = 1.0
             cur = 1
-        carry, shift = self._carry, self._shift
-        run = self._run1 if self._rho == 1 else self._run
-        n = cur - 1  # carry[-1] is the scaled a_n
-        while n < stop - 1:
-            if carry[-1] > _RESCALE_THRESHOLD:
-                carry = [x * math.exp(-_RESCALE_SHIFT) for x in carry]
-                shift += _RESCALE_SHIFT
-            vals = []
-            carry = run(carry, vals, n, min(n + self._CHUNK, stop - 1))
-            logs = np.fromiter(map(math.log, vals), float, len(vals))
-            logc[n + 1: n + 1 + len(vals)] = logs + shift
-            n += len(vals)
-        self._carry, self._shift = carry, shift
+        size = _KOVARI_BLOCK
+        done = self._blocks * size + 1  # a_1..a_{done-1} are stitched
+        if cur < done:
+            hi = min(stop, done)
+            logc[cur:hi] = self._last[cur - done + size: hi - done + size]
+            cur = hi
+        while cur < stop:  # cur = blocks * L + 1
+            b0 = self._blocks
+            b1 = min(b0 + _KOVARI_BATCH, (stop - 2) // size + 1)
+            logs = self._stitch(b0, b1)
+            hi = min(stop, b1 * size + 1)
+            logc[cur:hi] = logs[:hi - cur]
+            self._blocks, self._last = b1, logs[-size:].copy()
+            cur = hi
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +456,8 @@ def make_family(spec: FamilySpec) -> PowerSeries:
             source = _KovariIntSource(int(rho))
         else:
             source = _ScaledExpSource(
-                lambda count, _r=rho: binomial_series(_r, count))
+                lambda count, _r=rho: binomial_series(_r, count),
+                f"the binomial table of (1-z)^-{rho:g}")
         return PowerSeries(source, 1.0, f"kovari({rho:g})", family_id="kovari")
     if fid == "suleimanov":
         eps = p["epsilon"]

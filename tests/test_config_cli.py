@@ -420,21 +420,12 @@ def test_grid_count_above_the_cap_exits_2(surface, tmp_path, capsys,
     assert not out.exists()
 
 
-def _src_env():
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
-
-def test_python_dash_m_runs_the_cli():
-    env = _src_env()
+def test_python_dash_m_runs_the_cli(src_env):
     for module in ("wvlab", "wvlab.cli"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "eval", "--family", "exp",
              "--grid-geo", "2:4:3"],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=src_env, timeout=120)
         assert proc.returncode == 0, (module, proc.stderr)
         assert proc.stdout.splitlines()[:2] == [CSV_VERSION_LINE,
                                                 "r,log_mu,nu,log_M"]
@@ -460,12 +451,12 @@ assert "scipy.special" in sys.modules
 """
 
 
-def test_only_the_exp_family_loads_scipy_special(tmp_path):
+def test_only_the_exp_family_loads_scipy_special(tmp_path, src_env):
     """``import wvlab`` and runs that build no ``exp`` family leave
     ``scipy.special``, the slowest import of all, unloaded."""
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out.csv")],
-        capture_output=True, text=True, env=_src_env(), timeout=120)
+        capture_output=True, text=True, env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

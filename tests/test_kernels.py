@@ -1,16 +1,21 @@
 """The array kernels against the scalar loops they replace.
 
 * ``logdomain._exact_sum`` must give the bits of ``math.fsum``.
-* ``families._KovariIntSource(1)`` must give the bits of the original
-  numpy-scalar kovari(1) loop, copied below as the oracle.  At other integer
-  rho it is held to the convolution, to mpmath and to the closed form.
+* ``families._KovariIntSource`` must give the same bits however its prefix
+  is asked for, at block and batch edges and at the stops its earlier form
+  was pinned at.  Its values are held to 4 ulps of a 40-digit ``mpmath``
+  k-sum out to n = 1,493,063, and to the alternating recurrence replayed in
+  ``mpmath``, the convolution and the closed form ``log M``.
 * ``families._ScaledExpSource`` reorders each dot product, so it is held to
   the original negative-stride loop within a relative 1e-13.
 * Every recurrence source computes exactly the prefix it is asked for, and
   a formula source exactly the indices asked for, holding none of them.
 """
 
+import functools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,11 +24,12 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from wvlab import RadialGrid, evaluate_grid, family, log_positive_value
+from wvlab import families as families_mod
 from wvlab import series as series_mod
-from wvlab.cli import main
 from wvlab.errors import ValidationError
-from wvlab.families import _KOVARI_MAX_ORDER, _RESCALE_SHIFT, \
-    _RESCALE_THRESHOLD, _KovariIntSource, _ScaledExpSource, binomial_series
+from wvlab.families import _KOVARI_BATCH, _KOVARI_BLOCK, \
+    _KOVARI_MAX_ORDER, _RESCALE_SHIFT, _RESCALE_THRESHOLD, \
+    _KovariIntSource, _ScaledExpSource, binomial_series
 from wvlab.logdomain import _FSUM_CUTOFF, _exact_sum, log_sum_exp
 from wvlab.series import TAIL_RUN, VectorizedSource, truncation_horizon
 
@@ -144,110 +150,128 @@ def test_log_sum_exp_nan_in_nan_out(values):
 
 
 # ---------------------------------------------------------------------------
-# The kovari(1) three-term recurrence.
+# kovari at an integer rho: the nonnegative recurrence, run in blocks.
+
+STOP_RHOS = [1, 2, _KOVARI_MAX_ORDER]
+LONG = 200_001
 
 
-class SeedKovariRho1Source:
-    """The original loop, numpy scalar indexing over the full history."""
-
-    def __init__(self):
-        self._v = np.empty(0)
-        self._shift = 0.0
-        self._logc = np.empty(0)
-        self.rescaled_at = []  # the n whose v[n] triggered a rescale
-
-    def extend_to(self, stop):
-        cur = self._logc.size
-        if stop <= cur:
-            return self._logc
-        grow = max(stop, 2 * cur, 256)
-        v = np.empty(grow)
-        v[:cur] = self._v
-        logc = np.empty(grow)
-        logc[:cur] = self._logc
-        if cur == 0:
-            v[0] = 1.0
-            v[1] = 1.0
-            self._shift = 1.0
-            logc[0] = 1.0
-            logc[1] = 1.0
-            cur = 2
-        shift = self._shift
-        for n in range(cur - 1, grow - 1):
-            if v[n] > _RESCALE_THRESHOLD:
-                v[: n + 1] *= math.exp(-_RESCALE_SHIFT)
-                shift += _RESCALE_SHIFT
-                self.rescaled_at.append(n)
-            v[n + 1] = ((2 * n + 1) * v[n] - (n - 1) * v[n - 1]) / (n + 1)
-            logc[n + 1] = math.log(v[n + 1]) + shift
-        self._shift = shift
-        self._v = v
-        self._logc = logc
-        return self._logc
+def block_and_batch_stops():
+    """Stops around block edges and batch edges: a stop of k*L + 1 ends
+    exactly at the last value of block k - 1."""
+    size, batch = _KOVARI_BLOCK, _KOVARI_BATCH
+    return sorted({k * size + d
+                   for k in (1, 2, 3, batch - 1, batch, batch + 1, 2 * batch,
+                             3 * batch)
+                   for d in (-1, 0, 1, 2)})
 
 
-@pytest.fixture(scope="module")
-def kovari1_oracle():
-    """Seed coefficients to 250k terms, past three rescales and three
-    chunk edges."""
-    oracle = SeedKovariRho1Source()
-    oracle.extend_to(250_000)
-    assert len(oracle.rescaled_at) >= 3
-    return oracle
+# the stops the recurrence's earlier form was pinned at: its chunk edges
+# (65536 values) and the growth of a doubling buffer
+OLD_STOPS = [[65_535, 65_536, 65_537, 65_538, 131_073, 196_608],
+             [300, 5000, 60_000, 70_000, 200_000],
+             [1, 2, 3, 257, 513, 1025]]
 
 
-def kovari1_stops(oracle):
-    chunk = _KovariIntSource._CHUNK
-    near = [n + d for n in oracle.rescaled_at[:3] for d in (-1, 0, 1, 2)]
-    return sorted(near + [chunk - 1, chunk, chunk + 1, chunk + 2,
-                          2 * chunk + 1, 3 * chunk])
+@functools.cache
+def kovari_int_prefix(rho):
+    """The first ``LONG`` values of ``kovari(rho)`` from one call."""
+    return _KovariIntSource(rho).extend_to(LONG).copy()
 
 
-def test_kovari1_one_call_per_stop_matches_seed_bits(kovari1_oracle):
-    want = kovari1_oracle._logc
-    for stop in kovari1_stops(kovari1_oracle):
-        got = _KovariIntSource(1).extend_to(stop)
-        assert got.size == max(stop, 256)
-        assert np.array_equal(bits(got), bits(want[:got.size])), stop
+@pytest.mark.parametrize("rho", STOP_RHOS)
+def test_kovari_int_one_call_per_stop_matches_one_long_call(rho):
+    want = kovari_int_prefix(rho)
+    for stop in block_and_batch_stops() + OLD_STOPS[0] + OLD_STOPS[1]:
+        got = _KovariIntSource(rho).extend_to(stop)
+        assert got.size == stop
+        assert np.array_equal(bits(got), bits(want[:stop])), stop
 
 
-@pytest.mark.parametrize("stops", [
-    "rescales_and_chunks",
-    [300, 5000, 60_000, 70_000, 200_000],
-    [1, 2, 3, 257, 513, 1025],
-])
-def test_kovari1_extending_in_steps_matches_seed_bits(kovari1_oracle,
-                                                      stops):
-    if stops == "rescales_and_chunks":
-        stops = kovari1_stops(kovari1_oracle)
-    want = kovari1_oracle._logc
-    source = _KovariIntSource(1)
+@pytest.mark.parametrize("stops", ["block_and_batch_edges", *OLD_STOPS],
+                         ids=["edges", "old_chunks", "old_steps", "small"])
+@pytest.mark.parametrize("rho", STOP_RHOS)
+def test_kovari_int_extending_in_steps_matches_one_long_call(rho, stops):
+    if stops == "block_and_batch_edges":
+        stops = block_and_batch_stops() + [LONG]
+    want = kovari_int_prefix(rho)
+    source = _KovariIntSource(rho)
     for stop in stops:
         got = source.extend_to(stop)
-        assert got.size >= stop
-        assert np.array_equal(bits(got), bits(want[:got.size])), stop
+        assert got.size == stop
+        assert np.array_equal(bits(got), bits(want[:stop])), stop
 
 
-def test_kovari1_family_uses_the_recurrence(kovari1_oracle):
+def test_kovari1_family_uses_the_recurrence():
     got = family("kovari", rho=1).log_coeffs(100_000)
-    assert np.array_equal(bits(got), bits(kovari1_oracle._logc[:100_000]))
+    assert np.array_equal(bits(got), bits(kovari_int_prefix(1)[:100_000]))
 
 
-def test_kovari1_straight_line_is_the_general_step():
-    """At rho = 1 the general step computes (1 + 2k)b + (-(k-1))a, which
-    rounds exactly like the straight line's (2k+1)b - (k-1)a."""
-    source = _KovariIntSource(1)
-    for k0, carry in ((0, [0.0, 1.0]), (1, [1.0, 1.0]),
-                      (70_000, [3.7e199, 3.8e199])):
-        got, want = [], []
-        got_carry = source._run(carry, got, k0, k0 + 5000)
-        want_carry = source._run1(carry, want, k0, k0 + 5000)
-        assert np.array_equal(bits(got), bits(want)), k0
-        assert got_carry == want_carry
+def test_kovari_unit_start_solutions_stay_finite_at_the_top_order(
+        monkeypatch):
+    """They grow fastest in the first block; at rho = 8 they stay far from
+    overflow there, and a block four times as long is refused rather than
+    let an inf through."""
+    a, s = _KovariIntSource(_KOVARI_MAX_ORDER)._unit_starts(0, 1)
+    assert np.isfinite(a).all() and np.isfinite(s).all()
+    assert s.max() < 1e200
+    monkeypatch.setattr(families_mod, "_KOVARI_BLOCK", 4 * _KOVARI_BLOCK)
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        _KovariIntSource(_KOVARI_MAX_ORDER)._unit_starts(0, 1)
+
+
+def mpmath_kovari_ksum_log(rho, n, dps=40):
+    """log a_n of exp((1-z)^-rho) for n >= 1 and an integer rho from
+    a_n = sum_{k>=1} C(n + rho k - 1, n) / k!, whose terms are positive.
+
+    Each term is the one before it times an exact ratio of integers; the
+    terms rise to a peak and then fall ever faster, so the sum stops once
+    they fall and the next is below 10^-(dps+5) of the sum."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        term = total = mpmath.mpf(math.comb(n + rho - 1, n))
+        eps = mpmath.mpf(10) ** -(dps + 5)
+        k = 1
+        while True:
+            m = n + rho * k - 1  # C(m, n) -> C(m + rho, n), k! -> (k+1)!
+            num = math.prod(range(m + 1, m + rho + 1))
+            den = math.prod(range(m + 1 - n, m + rho + 1 - n)) * (k + 1)
+            term = term * num / den
+            total += term
+            k += 1
+            if num < den and term < eps * total:
+                return mpmath.log(total)
+
+
+KSUM_NS = {
+    1: [1, 2, 3, 255, 256, 257, 1000, 65_536, 100_000, 400_000, 1_000_000,
+        1_335_738, 1_493_063],
+    2: [1, 2, 256, 257, 5000, 100_000, 400_000],
+    3: [1, 2, 256, 257, 5000, 100_000, 400_000],
+    _KOVARI_MAX_ORDER: [1, 2, 256, 257, 5000, 100_000, 400_000],
+}
+
+
+@pytest.mark.parametrize("rho", sorted(KSUM_NS))
+def test_kovari_int_matches_the_mpmath_k_sum(rho):
+    """Within 4 ulps of log a_n out to the optimality workload's reach
+    (n = 1,493,063 for kovari(1)) and to n = 4e5 at rho = 2, 3 and 8: the
+    recurrence subtracts nothing, so its relative error stays near one
+    rounding however far it runs."""
+    import mpmath
+
+    ns = KSUM_NS[rho]
+    got = _KovariIntSource(rho).extend_to(ns[-1] + 1)
+    for n in ns:
+        want = mpmath_kovari_ksum_log(rho, n)
+        err = float(abs(mpmath.mpf(float(got[n])) - want))
+        assert err <= 4 * np.spacing(abs(float(want))), (n, err)
 
 
 # ---------------------------------------------------------------------------
-# kovari at integer rho > 1: the order rho+1 recurrence.
+# kovari at integer rho against the alternating recurrence and the
+# convolution.
 
 INT_RHOS = [2, 3, _KOVARI_MAX_ORDER]
 N_ORACLE = 20_000
@@ -255,17 +279,18 @@ ULP = 2.0 ** -53
 
 
 def ulp_budget(rho, n):
-    """The recurrence's error allowance at a_n: 2^(rho+1) ulps per step.
+    """An error allowance at a_n of 2^(rho+1) ulps per step.
 
-    Its terms alternate in sign, and their sizes add up to about
-    2^(rho+1) = sum_j C(rho+1, j) times the new value, so a step's rounding
-    is worth up to 2^(rho+1) ulps of it; the n steps add up.
+    It is what the alternating form of the recurrence, (1-z)^(rho+1) f' =
+    rho f, could lose: its terms add up to about 2^(rho+1) = sum_j
+    C(rho+1, j) times the new value.  The nonnegative recurrence keeps far
+    inside it (the k-sum test above holds it to 4 ulps of log a_n).
     """
     return 2.0 ** (rho + 1) * np.maximum(n, 1) * ULP
 
 
 def mpmath_kovari_logs(rho, count, dps=40):
-    """log a_n by the same recurrence in mpmath at ``dps`` digits."""
+    """log a_n by the alternating recurrence in mpmath at ``dps`` digits."""
     import mpmath
 
     with mpmath.workdps(dps):
@@ -363,11 +388,19 @@ def test_kovari_half_convolution_matches_mpmath():
     assert np.max(np.abs(got - want)) <= 2e-14
 
 
-def test_overflowing_binomial_table_is_a_validation_error(capsys):
-    """kovari(300)'s table passes the float range within 2048 terms."""
-    assert main(["eval", "--family", "kovari", "--rho", "300",
-                 "--grid-geo", "0.1:0.9:3"]) == 2
-    assert "exp-of-series input must be b_k >= 0" in capsys.readouterr().err
+def test_overflowing_binomial_table_is_a_validation_error(src_env):
+    """kovari(300)'s table passes the float range within 2048 terms.  The
+    message names the overflow, and numpy's overflow warnings stay off
+    stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wvlab", "eval", "--family", "kovari",
+         "--rho", "300", "--grid-geo", "0.1:0.9:3"],
+        capture_output=True, text=True, env=src_env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "validation error: the binomial table of (1-z)^-300 overflows the "
+        "float range: n*b_n is inf from n = 1022\n")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_overflowing_k_b_k_is_a_validation_error():
