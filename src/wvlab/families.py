@@ -20,6 +20,23 @@ each block of coefficients from the formula when it needs it, and nothing
 is cached.  Only the ``kovari`` recurrences below keep the prefix they have
 computed.
 
+Three families declare that their ``log|a_n|`` is concave from an index
+``n0`` (``PowerSeries.concave_from``), which lets a scan past its buffer
+jump to the peak and the horizon (``series._jump``):
+
+* ``exp`` from 0: ``-lgamma(n + 1)`` is concave, as ``lgamma`` is convex
+  on (0, inf);
+* ``geometric`` from 0: a constant is concave;
+* ``suleimanov`` from 1 (``a_0 = 0``): ``n^eps`` has second derivative
+  ``eps (eps - 1) n^(eps - 2) < 0`` for ``0 < eps < 1``.
+
+Their sources are within a few ulps of the exact values (``gammaln``,
+``pow``, exact zeros), far inside the bound ``series._DELTA`` states.
+``kovari`` does not declare it: log-concavity of the coefficients of
+``exp((1-z)^-rho)`` is plausible but unproven here, and numerical evidence
+alone is no certificate.  ``monomial`` and ``formula`` do not either (a
+monomial's one nonzero term is handled in closed form).
+
 The ``kovari`` coefficients grow sub-factorially but overflow floats well
 before interesting radii, so the recurrences run on scaled linear values
 and logs are taken at the end.  ``kovari`` at an integer ``rho`` from 1 to
@@ -342,10 +359,12 @@ class _KovariIntSource(_PrefixSource):
     values dotted with the block's state, v, and log a_n = log(v) + E log 2
     + 1, where E log 2 is split in two so that its larger part is exact and
     is added last.  A block's values do not depend on which call computed
-    it, so the bits of a prefix are the same however it was asked for.  Only
-    the state after the last block and the logs of that block are kept
-    between calls.  Cross-checked against mpmath and the convolution in
-    tests.
+    it, so the bits of a prefix are the same however it was asked for.  A
+    fill stitches whole batches of ``_KOVARI_BATCH`` blocks (up to
+    ``HARD_CAP``), since a batch costs its ``L`` numpy steps however few
+    blocks it holds; the state after the last block and the logs of the
+    last batch are kept between calls, and serve the next fill first.
+    Cross-checked against mpmath and the convolution in tests.
     """
 
     def __init__(self, rho: int):
@@ -353,7 +372,7 @@ class _KovariIntSource(_PrefixSource):
         self._state = [1.0] * (rho + 1)  # S / (e 2^E), S_j(0) = a_0 = e
         self._exp = 0                    # E
         self._blocks = 0                 # the state is S(blocks * L)
-        self._last = np.empty(0)         # log a_n of the last block
+        self._last = np.empty(0)         # log a_n of the last batch
 
     def _unit_starts(self, b0: int, b1: int):
         """The rho + 1 unit-start solutions of blocks b0..b1-1: ``a[t, i, b]``
@@ -410,17 +429,17 @@ class _KovariIntSource(_PrefixSource):
             cur = 1
         size = _KOVARI_BLOCK
         done = self._blocks * size + 1  # a_1..a_{done-1} are stitched
-        if cur < done:
-            hi = min(stop, done)
-            logc[cur:hi] = self._last[cur - done + size: hi - done + size]
+        if cur < done:  # the last batch holds them
+            hi, lo = min(stop, done), done - self._last.size
+            logc[cur:hi] = self._last[cur - lo:hi - lo]
             cur = hi
         while cur < stop:  # cur = blocks * L + 1
             b0 = self._blocks
-            b1 = min(b0 + _KOVARI_BATCH, (stop - 2) // size + 1)
+            b1 = min(b0 + _KOVARI_BATCH, (HARD_CAP - 2) // size + 1)
             logs = self._stitch(b0, b1)
             hi = min(stop, b1 * size + 1)
             logc[cur:hi] = logs[:hi - cur]
-            self._blocks, self._last = b1, logs[-size:].copy()
+            self._blocks, self._last = b1, logs
             cur = hi
 
 
@@ -435,12 +454,12 @@ def make_family(spec: FamilySpec) -> PowerSeries:
 
         return PowerSeries(
             VectorizedSource(lambda n: -gammaln(n + 1.0)),
-            math.inf, "exp", family_id="exp",
+            math.inf, "exp", family_id="exp", concave_from=0,
         )
     if fid == "geometric":
         return PowerSeries(
             VectorizedSource(lambda n: np.zeros(np.shape(n))),
-            1.0, "geometric", family_id="geometric",
+            1.0, "geometric", family_id="geometric", concave_from=0,
         )
     if fid == "monomial":
         c, k = p["coeff"], int(p["degree"])
@@ -470,7 +489,7 @@ def make_family(spec: FamilySpec) -> PowerSeries:
 
         return PowerSeries(
             VectorizedSource(log_coeff), 1.0,
-            f"suleimanov({eps:g})", family_id="suleimanov",
+            f"suleimanov({eps:g})", family_id="suleimanov", concave_from=1,
         )
     text, fn = spec.params["formula"], p["formula"]  # fid == "formula"
     probe = fn(np.arange(8, dtype=float))

@@ -23,17 +23,35 @@ terms plus the ``TAIL_RUN + 1`` undecided ones; a window that outgrows it
 slides: the buffer keeps those last terms and the running max, and fills up
 with the next ones.  The accepted horizon is the smallest ``N`` passing a
 rule that reads only the prefix ``t[:N+51]``, so results depend neither on
-the start, nor on the steps, nor on the slides.  Pass 2 (``_Window``) hands
-each radius's point one object: the max term, the central index, the
-horizon and the window cut at that horizon, which is read block by block
-only by the points that read it.  A window that never slid is its one
-in-memory buffer, one that slid is recomputed from the series a block at
-a time.  Its sums are formed per block and combined with ``math.fsum``, so
-a grid holds a few MB of buffers however large its horizons are.  A source
-computes only the indices asked for: closed forms, monomials and coefficient
-arrays included, hold none, and a walk keeps their first block for all its
-radii; only a recurrence keeps the prefix it computed.  A grid may start at
-``r = 0``, the single-term window ``[log|a_0|]``.
+the start, nor on the steps, nor on the slides.
+
+A family whose ``log|a_n|`` is provably concave from some ``n0`` declares
+it (``PowerSeries.concave_from``; see ``families``): its terms are then
+unimodal at every radius.  When such a window outgrows the buffer it jumps
+instead of sliding (``_jump``): bisections guess the peak and the first
+term below the tail threshold, one slab of 4096 terms each side of each
+guess is read, and certificates with a stated bound ``delta`` on each
+term's rounding (margins above ``2 * delta`` between computed terms) show
+that every skipped term is below the peak and, before the horizon's slab,
+big under the run rule.  The horizon search on that slab then gives the
+slide's ``(log_mu, nu, horizon)`` bit for bit, from about 17,000 terms past
+the buffer instead of every term up to the horizon.  A failed certificate
+falls back to the slide; certificates that the terms still rise at
+``HARD_CAP``, or that no tail run fits below it, raise the slide's
+``TruncationError`` at once.  A monomial needs no scan at all: its max
+term and horizon are known in closed form at every radius.
+
+Pass 2 (``_Window``) hands each radius's point one object: the max term,
+the central index, the horizon and the window cut at that horizon, which is
+read block by block only by the points that read it.  A window that never
+slid is its one in-memory buffer, one that slid or jumped is recomputed
+from the series a block at a time.  Its sums are formed per block and
+combined with ``math.fsum``, so a grid holds a few MB of buffers however
+large its horizons are.  A source computes only the indices asked for:
+closed forms, monomials and coefficient arrays included, hold none, and a
+walk keeps their first block for all its radii; only a recurrence keeps the
+prefix it computed.  A grid may start at ``r = 0``, the single-term window
+``[log|a_0|]``.
 """
 
 from __future__ import annotations
@@ -60,6 +78,10 @@ _GROWTH = 8  # a scan window grows by an eighth per step
 _BLOCK = 4096  # the horizon search's block of running-max bounds
 _BLOCK_TERMS = 2 ** 19  # a window slides past this many term logs
 _FILL_TERMS = 2 ** 16  # terms computed per piece
+_SLAB = 4096  # a jump reads this many terms on each side of a probe
+# Relative bound on a term log's error: a source's own error (a few ulps)
+# and two roundings, so margins of 2 * delta need no further rounding care.
+_DELTA = 2.0 ** -40
 
 
 def _reserve(buf: np.ndarray, filled: int, need: int,
@@ -159,6 +181,12 @@ class PowerSeries:
     radii (:func:`_walk`) owns the scan buffers and passes each scan's final
     window size as the next scan's start, and results are bitwise
     independent of the start.
+
+    ``concave_from = n0`` declares that ``log|a_n|`` is ``-inf`` below
+    ``n0`` and finite and concave in ``n`` from ``n0`` on, and that a
+    source value is within ``_DELTA`` of ``log|a_n|`` relative to its
+    magnitude.  Every radius's terms are then unimodal, and a scan may jump
+    to its peak and horizon (:func:`_jump`).
     """
 
     def __init__(
@@ -168,6 +196,7 @@ class PowerSeries:
         label: str = "series",
         family_id: str | None = None,
         monomial_degree: int | None = None,
+        concave_from: int | None = None,
     ):
         if not (radius > 0):
             raise ValidationError(f"radius must be positive, got {radius}")
@@ -176,6 +205,7 @@ class PowerSeries:
         self.label = label
         self.family_id = family_id
         self.monomial_degree = monomial_degree
+        self.concave_from = concave_from
         self._lock = threading.Lock()
 
     @classmethod
@@ -371,6 +401,112 @@ def _fill_terms(coeffs, out: np.ndarray, x: float, lo: int) -> None:
         t += coeffs(a, b)
 
 
+def _no_horizon(series: PowerSeries, x: float) -> TruncationError:
+    """The error of a scan that reaches ``HARD_CAP`` without a horizon."""
+    return TruncationError(
+        f"no certified horizon for {series.label!r} at log r={x:g} "
+        f"within {HARD_CAP} terms",
+        horizon=HARD_CAP,
+    )
+
+
+def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
+          log_tail_tol: float) -> _Scan | None:
+    """The :class:`_Scan` a slide would find for a series declared concave
+    from ``n0`` (``series.concave_from``), given its first buffer of term
+    logs ``t`` (``t[n]``, ``n < t.size``) that holds no horizon; ``None``
+    where a certificate fails, and then the scan slides.
+
+    The exact terms ``t(n) = log|a_n| + n x`` are concave from ``n0``, and
+    the computed ones are within ``delta`` of them on ``[n0, N)``, where
+    ``N`` is the end of the reads: ``delta = _DELTA * (T + 2 N |x|)``, with
+    ``T`` the largest ``|t|`` at ``n0``, at the peak and at the end of the
+    reads, which bound a concave sequence (so ``|log|a_n|| + n|x| <= T +
+    2 N |x|``).  A certificate is a margin above ``2 * delta`` between two
+    computed terms, so the exact terms are ordered the same way.
+
+    1. The peak.  A bisection on ``t[m+1] < t[m]`` out to ``HARD_CAP``
+       guesses it, and a slab of ``_SLAB`` terms on each side of the guess
+       (clamped to start after the buffer) is read.  ``(log_mu, nu)`` is the
+       max of the buffer and the slab and its last index.  Certified: the
+       slab's last term, and the end nearer the peak of any gap between the
+       buffer and the slab, lie below ``log_mu``; by concavity every unread
+       term lies further below.
+    2. The horizon.  A bisection guesses ``q``, the first term past ``nu``
+       below ``log_mu + log_tail_tol``, and the slab ``[q - _SLAB, q +
+       _SLAB + TAIL_RUN]`` (starting after ``nu``) is read.  Certified: its
+       first term, and ``log_mu`` itself, lie above that threshold.  A
+       concave sequence is at least the smaller of its values at the ends
+       of an interval, and rises up to its peak, so every term before the
+       slab is big under the run rule (:func:`_find_horizon`), and the
+       slab's search from ``prior = (log_mu, nu)`` gives the slide's
+       horizon.
+
+    A jump computes about 17,000 terms past the buffer.  Each comes from
+    :func:`_fill_terms`, with the bits the slide computes, so the result is
+    the slide's bit for bit.  Where the certificates show that the terms
+    still rise at ``HARD_CAP``, or that no tail run fits below it, it raises
+    the slide's :class:`TruncationError`.
+    """
+    n0, size = series.concave_from, t.size
+    if not (0 <= n0 < size and size + _SLAB < HARD_CAP):
+        return None
+
+    def read(lo, hi):
+        out = np.empty(hi - lo)
+        _fill_terms(coeffs, out, x, lo)
+        return out
+
+    def falls(n):
+        a, b = read(n, n + 2)
+        return b < a
+
+    def first(lo, hi, pred):
+        """The smallest ``n`` in ``[lo, hi)`` with ``pred(n)``, else ``hi``,
+        for a ``pred`` false and then true."""
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
+        return lo
+
+    def certified(margins, ends, n):
+        """Whether every margin exceeds ``2 * delta`` on ``[n0, n)``, whose
+        terms lie within the concave hull of ``ends``."""
+        extent = max(abs(v) for v in (t[n0], *ends)) + 2 * n * abs(x)
+        return min(margins) > 2 * _DELTA * extent
+
+    m = first(size - 1, HARD_CAP - 1, falls)
+    lo, hi = max(m - _SLAB, size), min(m + _SLAB + 1, HARD_CAP)
+    slab = read(lo, hi)
+    log_mu, nu = _last_max(slab, lo, _last_max(t, 0, (LOG_ZERO, -1)))
+    if nu == HARD_CAP - 1:  # still rising at the cap: no term is small
+        if certified((-log_tail_tol, slab[-1] - slab[-2]), (slab[-1],), hi):
+            raise _no_horizon(series, x)
+        return None
+    margins = [-log_tail_tol, log_mu - slab[-1]]
+    if lo > size:  # the gap's terms lie below its end nearer the peak
+        margins.append(log_mu - (slab[0] if nu >= lo else t[-1]))
+    ends = [log_mu, slab[-1]]
+
+    theta = log_mu + log_tail_tol
+    end = HARD_CAP - TAIL_RUN  # the last index a tail run can start at
+    q = first(nu + 1, end + 1, lambda n: read(n, n + 1)[0] < theta)
+    if q > end:  # no tail run fits below the cap
+        if nu < end:  # the terms up to ``end`` stay big
+            (past,) = read(end, end + 1)
+            margins.append(past - theta)
+            ends.append(past)
+        if certified(margins, ends, max(hi, end + 1)):
+            raise _no_horizon(series, x)
+        return None
+    lo2, hi2 = max(q - _SLAB, nu + 1), min(q + _SLAB + TAIL_RUN + 1, HARD_CAP)
+    slab2 = read(lo2, hi2)
+    if not certified(margins + [slab2[0] - theta], ends + [slab2[-1]],
+                     max(hi, hi2)):
+        return None
+    return _find_horizon(slab2, log_tail_tol, lo2, (log_mu, nu))
+
+
 def _scan(series: PowerSeries, x: float, tol: float,
           start: int = _FIRST_WINDOW, bufs: _Buffers | None = None) -> tuple:
     """Pass 1: scan the term logs at ``x = log r`` for the horizon of ``tol``.
@@ -383,10 +519,15 @@ def _scan(series: PowerSeries, x: float, tol: float,
     buffer of ``bufs`` (new ones if not given), which holds at most
     :func:`_buffer_size` of them: the window grows in place while it fits,
     and then slides, keeping the ``TAIL_RUN + 1`` terms the search resumes
-    at; while ``start`` is ahead, each step fills the buffer.  Returns
+    at; while ``start`` is ahead, each step fills the buffer.  A series
+    declared concave (``concave_from``) whose first buffer fills without a
+    horizon jumps instead (:func:`_jump`): it reads slabs around its peak
+    and its horizon and certifies that every term it skips leaves the
+    slide's result unchanged; if a certificate fails, it slides.  Returns
     ``(scan, t, stop)``: the :class:`_Scan`, the window ``t[:stop]`` if it
-    never slid (else ``None``) and its size, which is the next radius's
-    start.  :func:`_walk` checks the series and the tolerance.
+    never slid or jumped (else ``None``) and its size, which is the next
+    radius's start (after a jump, the size the horizon reads).
+    :func:`_walk` checks the series and the tolerance.
     """
     log_tail_tol = math.log(tol / TAIL_RUN)
     size = _buffer_size()
@@ -403,11 +544,11 @@ def _scan(series: PowerSeries, x: float, tol: float,
         if scan is not None:
             return scan, (buf[:stop] if base == 0 else None), stop
         if stop >= HARD_CAP:
-            raise TruncationError(
-                f"no certified horizon for {series.label!r} at log r={x:g} "
-                f"within {HARD_CAP} terms",
-                horizon=stop,
-            )
+            raise _no_horizon(series, x)
+        if stop == size and base == 0 and series.concave_from is not None:
+            scan = _jump(series, bufs.coeffs, buf[:stop], x, log_tail_tol)
+            if scan is not None:
+                return scan, None, scan.horizon + TAIL_RUN + 1
         resume = max(stop - TAIL_RUN - 1, 0)
         prior = _last_max(buf[lo - base:resume - base], lo, prior)
         lo = resume
@@ -487,7 +628,11 @@ def _walk(series: PowerSeries, xs, tol: float, point,
     the series and the tolerance once (scans run at ``tol * scale``; the
     moment sums ask for ``scale = 1e-6``; errors name ``tol``), then each x.
     ``x = -inf`` (``r = 0``) is the single-term window ``[log|a_0|]``, with
-    the horizon a monomial has at every radius (1 for other series); any
+    the horizon a monomial has at every radius (1 for other series).  A
+    monomial ``c z^k`` needs no scan at any x while ``tol * scale <= 50``
+    (the run rule then puts its horizon at ``k + 1``, with ``nu = k``, and
+    ``k + 52 <= HARD_CAP``): its max term and ``log_F`` are its one finite
+    term, ``k*x + log|c|`` rounded as :func:`_fill_terms` rounds it.  Any
     other x is one scan (pass 1), starting from the previous radius's final
     window.  ``window`` is the :class:`_Window` cut at the horizon.  Pass 2
     runs only for a ``point`` that reads the window or its ``log_F``.
@@ -507,6 +652,9 @@ def _walk(series: PowerSeries, xs, tol: float, point,
     log_R = math.log(series.radius)
     bufs = _Buffers(series)
     start, out = _FIRST_WINDOW, []
+    k = series.monomial_degree
+    closed = k is not None and tol * scale <= TAIL_RUN \
+        and k + TAIL_RUN + 2 <= HARD_CAP
     for x in xs:
         x = float(x)
         if not x < math.inf:
@@ -519,6 +667,10 @@ def _walk(series: PowerSeries, xs, tol: float, point,
             t = np.array([log_F])
             scan = _Scan(log_F, 0, (series.monomial_degree or 0) + 1)
             window = _Window(x, scan, 1, t, bufs, log_F)
+        elif closed:  # z^k: its one finite term is the max and the sum
+            t, log_mu = None, k * x + series.log_coeff(k)  # as _fill_terms
+            window = _Window(x, _Scan(log_mu, k, k + 1), k + 2, t, bufs,
+                             log_mu)
         else:
             scan, t, start = _scan(series, x, tol * scale, start, bufs)
             size = scan.horizon + 1

@@ -23,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from wvlab import RadialGrid, evaluate_grid, family, log_positive_value
+from wvlab import RadialGrid, evaluate_grid, family, log_positive_value, \
+    optimality_check
 from wvlab import families as families_mod
 from wvlab import series as series_mod
 from wvlab.errors import ValidationError
@@ -218,6 +219,25 @@ def test_kovari_unit_start_solutions_stay_finite_at_the_top_order(
     monkeypatch.setattr(families_mod, "_KOVARI_BLOCK", 4 * _KOVARI_BLOCK)
     with np.errstate(over="ignore"), pytest.raises(OverflowError):
         _KovariIntSource(_KOVARI_MAX_ORDER)._unit_starts(0, 1)
+
+
+def test_kovari_int_fills_whole_batches_over_the_optimality_grid(
+        monkeypatch):
+    """``optimality`` on kovari(1) out to gap 1e-3 grows the prefix in 71
+    fills; each batch stitches all its blocks and serves the next fills,
+    so the 1.49M-term prefix costs one ``_unit_starts`` call per
+    ``_KOVARI_BATCH`` blocks, not one or more per fill."""
+    calls = []
+    unit_starts = _KovariIntSource._unit_starts
+    monkeypatch.setattr(_KovariIntSource, "_unit_starts", lambda self, b0, b1:
+                        calls.append(b1 - b0) or unit_starts(self, b0, b1))
+    series = family("kovari", rho=1)
+    q = (1e-3 / 0.1) ** (1 / 59)
+    optimality_check(series, RadialGrid.geometric_in_gap(0.9, q, 60))
+    size = series._source._size
+    assert size > 1_400_000
+    assert calls == [_KOVARI_BATCH] * math.ceil(
+        (size - 1) / (_KOVARI_BLOCK * _KOVARI_BATCH))
 
 
 def mpmath_kovari_ksum_log(rho, n, dps=40):

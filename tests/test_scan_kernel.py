@@ -1,5 +1,6 @@
-"""The one-window horizon kernel against the original per-scan search, and
-windows that slide past the block size."""
+"""The one-window horizon kernel against the original per-scan search,
+windows that slide past the block size, the jumps of declared-concave
+families, and monomials in closed form."""
 
 import math
 import tracemalloc
@@ -13,6 +14,8 @@ from wvlab import PowerSeries, RadialGrid, evaluate_grid, family, \
     log_max_term, log_positive_value, stats_grid, truncation_horizon
 from wvlab import logdomain
 from wvlab import series as series_mod
+from wvlab.cli import main
+from wvlab.errors import TruncationError
 from wvlab.logdomain import log_sum_exp_blocks
 from wvlab.series import TAIL_RUN, _find_horizon, _scan, _Scan
 
@@ -279,3 +282,202 @@ def test_monomial_of_large_degree_holds_no_coefficient_array():
         assert row.nu == k
         assert row.log_mu == row.log_M == k * math.log(row.r)
     assert peak < 32 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# Declared concavity: a full first buffer jumps to the peak and the horizon.
+
+def undeclared(series):
+    """The same source without the declaration: it always slides."""
+    return PowerSeries(series._source, series.radius, series.label)
+
+
+def pass1_terms(monkeypatch):
+    """A list that collects the size of every term fill."""
+    sizes, fill = [], series_mod._fill_terms
+    monkeypatch.setattr(series_mod, "_fill_terms", lambda coeffs, out, x, lo:
+                        sizes.append(out.size) or fill(coeffs, out, x, lo))
+    return sizes
+
+
+def slab_work():
+    """Most terms a jump reads past the buffer: two slabs and the probes
+    of two bisections out to ``HARD_CAP``."""
+    probes = 3 * math.ceil(math.log2(series_mod.HARD_CAP))
+    return 4 * series_mod._SLAB + TAIL_RUN + 2 + probes
+
+
+JUMPS = [  # horizons at tol 1e-9 and 1e-15
+    ("suleimanov", {"epsilon": 0.25}, 1 - 1e-5),   # 5.0M, 6.7M
+    ("suleimanov", {"epsilon": 0.5}, 1 - 2e-4),    # 8.1M, 8.6M
+    ("suleimanov", {"epsilon": 0.5}, 1 - 1e-4),    # 30.2M, 31.6M
+    ("suleimanov", {"epsilon": 0.75}, 0.98),       # 2.04M, 2.07M
+    ("exp", {}, 5.25e5),                           # 530k: peak in reach
+    ("exp", {}, 4e6),                              # 4.01M
+    ("geometric", {}, 1 - 1e-6),                   # 24.6M, 38.5M
+]
+
+
+@pytest.mark.parametrize("family_id,params,r", JUMPS)
+def test_jump_keeps_the_slides_results(family_id, params, r, monkeypatch):
+    """Max term, central index, horizon and log F of a declared family are
+    those of the same source sliding, bit for bit; pass 1 reads one buffer
+    and the slabs."""
+    series = family(family_id, **params)
+    x = math.log(r)
+    for tol in (1e-9, 1e-15):
+        want = walk(undeclared(series), [x], tol)
+        sizes = pass1_terms(monkeypatch)
+        got = series_mod._walk(series, [x], tol, lambda w: (
+            _Scan(w.log_mu, w.nu, w.horizon), sizes.copy(), w.log_F))
+        monkeypatch.undo()
+        (scan, pass1, log_F), ((want_scan, want_F),) = got[0], want
+        assert scan == want_scan
+        assert bits(log_F) == bits(want_F)
+        assert scan.horizon > series_mod._buffer_size()
+        assert sum(pass1) <= series_mod._buffer_size() + slab_work()
+
+
+@pytest.mark.parametrize("family_id,params,rs", [
+    ("suleimanov", {"epsilon": 0.25}, (0.9993, 0.9997, 0.9999)),
+    ("suleimanov", {"epsilon": 0.5}, (0.99, 0.997, 0.999)),
+    ("suleimanov", {"epsilon": 0.75}, (0.95, 0.96, 0.97)),
+    ("exp", {}, (3e3, 1e4, 6e4)),
+    ("geometric", {}, (0.999, 0.9995, 0.9999)),
+])
+def test_jump_past_small_blocks_matches_the_original_search(
+        family_id, params, rs, monkeypatch):
+    """With 1024-term blocks every window here jumps, in one walk whose
+    starts carry over; each result is the slide's and the original
+    search's."""
+    monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
+    series = family(family_id, **params)
+    xs = [math.log(r) for r in rs]
+    for tol in (1e-9, 1e-15):
+        got = walk(series, xs, tol)
+        assert got == walk(undeclared(series), xs, tol)
+        for x, (scan, _) in zip(xs, got):
+            assert scan.horizon > series_mod._buffer_size()
+            assert scan == oracle_scan(series, x, tol)
+
+
+def test_jump_with_slabs_that_overlap(monkeypatch):
+    """Slabs wider than the tail: the horizon's slab starts just past the
+    central index, inside the peak's slab, and the result is the slide's."""
+    series, x = family("exp"), math.log(6e5)
+    want = walk(undeclared(series), [x], 1e-9)
+    monkeypatch.setattr(series_mod, "_SLAB", 50_000)
+    assert walk(series, [x], 1e-9) == want
+
+
+@pytest.mark.parametrize("patch", [("_SLAB", 1), ("_DELTA", 1e-3)],
+                         ids=["narrow_slab", "loose_delta"])
+def test_jump_falls_back_to_the_slide(patch, monkeypatch):
+    """A slab too narrow for its edges to clear the peak by 2 delta, or a
+    delta too large for any margin: no certificate holds, so the scan
+    slides, with the slide's results."""
+    series, x = family("suleimanov", epsilon=0.5), math.log(1 - 5e-4)
+    want = walk(undeclared(series), [x], 1e-9)
+    monkeypatch.setattr(series_mod, *patch)
+    jumps = []
+    jump = series_mod._jump
+    monkeypatch.setattr(series_mod, "_jump",
+                        lambda *a: jumps.append(jump(*a)) or jumps[-1])
+    sizes = pass1_terms(monkeypatch)
+    got = series_mod._walk(series, [x], 1e-9, lambda w: (
+        _Scan(w.log_mu, w.nu, w.horizon), sizes.copy(), w.log_F))
+    (scan, pass1, log_F), ((want_scan, want_F),) = got[0], want
+    assert jumps == [None]
+    assert scan == want_scan and bits(log_F) == bits(want_F)
+    assert sum(pass1) > want_scan.horizon
+
+
+def test_jump_reads_a_buffer_and_two_slabs_at_gap_2e4(monkeypatch):
+    """The boundary workload's last radius: a horizon of 8.1M terms found
+    from one buffer, two slabs and the probes."""
+    series = family("suleimanov", epsilon=0.5)
+    sizes = pass1_terms(monkeypatch)
+    scan, t, _ = _scan(series, math.log(1 - 2e-4), 1e-9)
+    assert t is None and scan.horizon > 8_000_000
+    assert sum(sizes) <= series_mod._buffer_size() + slab_work()
+
+
+@pytest.mark.parametrize("eps,gap,nu", [
+    (0.25, 1e-5, None), (0.5, 1e-4, 24_997_500), (0.75, 0.012, None)])
+def test_jump_central_index_is_the_continuous_maximiser_rounded(eps, gap,
+                                                                 nu):
+    """``n^eps + n log r`` peaks at ``(eps / -log r)^(1/(1-eps))``, so the
+    central index is its floor or its ceiling."""
+    x = math.log(1 - gap)
+    peak = (eps / -x) ** (1 / (1 - eps))
+    got = log_max_term(family("suleimanov", epsilon=eps), 1 - gap)
+    assert got.central_index in (math.floor(peak), math.ceil(peak))
+    assert got.central_index > series_mod._buffer_size()
+    assert nu is None or got.central_index == nu
+
+
+def test_jump_fails_fast_past_the_cap(monkeypatch, capsys):
+    """At gap 5e-5 the peak of suleimanov(0.5) is below the cap and its
+    tail is not; at 3e-5 the peak is past it.  Each exits 4 with the
+    slide's error after one buffer and the slabs, where the slide scans
+    1e8 terms."""
+    series = family("suleimanov", epsilon=0.5)
+    x = math.log(0.99995)
+    with pytest.raises(TruncationError) as slid:
+        _scan(undeclared(series), x, 1e-9)
+    argv = ["eval", "--family", "suleimanov", "--epsilon", "0.5",
+            "--grid-gap", "0.99995:0.5:2"]
+    monkeypatch.setattr(series_mod, "_jump", lambda *a: None)
+    assert main(argv) == 4
+    slide_err = capsys.readouterr().err
+    monkeypatch.undo()
+    sizes = pass1_terms(monkeypatch)
+    with pytest.raises(TruncationError) as jumped:
+        _scan(series, x, 1e-9)
+    assert sum(sizes) <= series_mod._buffer_size() + slab_work()
+    assert str(jumped.value) == str(slid.value)
+    assert jumped.value.horizon == slid.value.horizon == series_mod.HARD_CAP
+    assert main(argv) == 4
+    assert capsys.readouterr().err == slide_err
+    sizes.clear()
+    x = math.log(0.99997)
+    with pytest.raises(TruncationError) as past:
+        _scan(series, x, 1e-9)
+    assert sum(sizes) <= series_mod._buffer_size() + slab_work()
+    assert str(past.value) == (
+        f"no certified horizon for 'suleimanov(0.5)' at log r={x:g} "
+        f"within {series_mod.HARD_CAP} terms")
+
+
+# ---------------------------------------------------------------------------
+# Monomials: the max term and the horizon in closed form.
+
+@pytest.mark.parametrize("k", [0, 1, 7, 3_000_000])
+def test_monomial_walk_matches_the_scan(k, monkeypatch):
+    """``c z^k`` at any radius: nu = k, horizon k + 1 and log F = log mu =
+    fl(fl(k x) + log|c|), the scan's bits, with no term computed."""
+    mono = family("monomial", coeff=-2.5, degree=k)
+    scanned = PowerSeries(mono._source, mono.radius, mono.label)
+    xs = [math.log(r) for r in (1e-3, 0.5, 1.0, 1.7, 40.0)]
+    for tol in (1e-9, 1e-15):
+        want = walk(scanned, xs, tol)
+        sizes = pass1_terms(monkeypatch)
+        got = walk(mono, xs, tol)
+        assert sizes == []
+        monkeypatch.undo()
+        for x, (scan, log_F), (want_scan, want_F) in zip(xs, got, want):
+            assert scan == want_scan == _Scan(scan.log_mu, k, k + 1)
+            assert bits(scan.log_mu) == bits(k * x + math.log(2.5))
+            assert bits(log_F) == bits(want_F) == bits(scan.log_mu)
+
+
+def test_monomial_at_the_cap_keeps_the_scans_outcome(monkeypatch):
+    """The closed form holds while the scan's 52 terms past ``k`` fit under
+    the cap; one degree more and the scan runs, and reaches the cap."""
+    monkeypatch.setattr(series_mod, "HARD_CAP", 1000)
+    x = math.log(0.9)
+    mono = family("monomial", coeff=3, degree=948)
+    scanned = PowerSeries(mono._source, mono.radius, mono.label)
+    assert walk(mono, [x], 1e-9) == walk(scanned, [x], 1e-9)
+    with pytest.raises(TruncationError):
+        walk(family("monomial", coeff=3, degree=949), [x], 1e-9)
