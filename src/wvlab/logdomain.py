@@ -91,17 +91,35 @@ def _sum_exp(t: np.ndarray, m: float, out: np.ndarray) -> float:
     return float(np.sum(shifted))
 
 
-def log_sum_exp_blocks(blocks, m: float, out: np.ndarray) -> float:
-    """log of the sum of exp over every value of ``blocks``, given their
-    maximum ``m``.
+def absorbs(values, bound: float) -> bool:
+    """Whether ``math.fsum`` of ``values`` keeps its bits when nonnegative
+    values totalling at most ``bound`` join them.
+
+    ``math.fsum`` rounds the exact sum correctly, and correct rounding is
+    monotone: a total ``s`` in ``[0, bound]`` puts the sum's rounding
+    between ``fsum(values)`` and ``fsum(values + [bound])``, so where those
+    two agree, it is both.
+    """
+    return math.fsum([*values, bound]) == math.fsum(values)
+
+
+def log_sum_exp_blocks(blocks, m: float, out: np.ndarray, quiet=(),
+                       bound: float = 0.0) -> float:
+    """log of the sum of exp over every value of ``blocks`` and ``quiet``,
+    given their maximum ``m``.
 
     Each block is summed by :func:`_sum_exp` in the scratch ``out`` (as long
     as the largest block), and the block sums are combined by ``math.fsum``.
-    A non-finite ``m`` (all values -inf, or a +inf value) is the result.
+    The ``quiet`` blocks, whose sums total at most ``bound``, are read only
+    where that bound could move the result (:func:`absorbs`).  A non-finite
+    ``m`` (all values -inf, or a +inf value) is the result.
     """
     if not math.isfinite(m):
         return m
-    return m + math.log(math.fsum(_sum_exp(t, m, out) for t in blocks))
+    sums = [_sum_exp(t, m, out) for t in blocks]
+    if not absorbs(sums, bound):
+        sums += [_sum_exp(t, m, out) for t in quiet]
+    return m + math.log(math.fsum(sums))
 
 
 def log_sum_exp(values) -> float:

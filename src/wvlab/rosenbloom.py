@@ -14,7 +14,9 @@ the point mass at 0 (and undefined when ``a_0 = 0``).  Pass 2 is one sweep
 (:func:`_sweep`): each window block is read once, and ``g``, the mean and
 the variance all come from the masses it forms there.  The block sums are
 combined with ``math.fsum``; the products run on ``np.einsum``, not BLAS,
-so the bits do not depend on the BLAS thread count.
+so the bits do not depend on the BLAS thread count.  A declared-concave
+window's quiet leading blocks are not read at all where certificates show
+that their sums cannot move a bit of the four ``math.fsum`` results.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .logdomain import LOG_ZERO, _sum_exp
+from .logdomain import LOG_ZERO, _sum_exp, absorbs
 from .series import DEFAULT_TOL, PowerSeries, _walk
 
 # Moment sums weight the tail by (n - mean)^2, so their scans run far
@@ -111,12 +113,41 @@ def _sweep(window) -> RosenbloomStats:
     nonnegative, so nothing cancels, as ``E X^2 - (E X)^2`` would once the
     mean is large (it reaches 1e6 near the boundary).  The products run on
     ``np.einsum``, not BLAS, so the bits do not depend on its threads.
+
+    The quiet blocks of ``[0, end)`` (``window.quiet()``), whose ``s0``
+    total at most ``beta``, are skipped where four certificates hold
+    (:func:`~wvlab.logdomain.absorbs`): their indices and means lie in
+    ``[0, end)``, so their ``s1`` total at most ``beta * end``, their
+    ``m2`` at most ``beta * end^2`` and their Chan terms at most ``beta *
+    max(g1, end)^2``, and adding each bound leaves its ``math.fsum``
+    unchanged; the bits are then those of every block.  Otherwise the
+    quiet blocks are read too.
     """
     m = window.log_mu
     if not math.isfinite(m):  # F = 0: the sources reject +inf term logs
         return RosenbloomStats(m, math.nan, math.nan)
-    parts = []  # (s0, s1, mu_b, m2) per block of nonzero mass
-    for lo, t in window.blocks():
+    end, beta = window.quiet()
+    parts = _moments(window, m, window.blocks(0, window.size, end))
+    while True:
+        s0, s1, mu_b, m2 = zip(*parts)
+        total = math.fsum(s0)
+        g1 = math.fsum(s1) / total
+        chan = [s * (mu - g1) ** 2 for s, mu in zip(s0, mu_b)]
+        if end == 0 or all(absorbs(v, beta * w) for v, w in (
+                (s0, 1.0), (s1, end), (m2, end ** 2),
+                (chan, max(g1, end) ** 2))):
+            break
+        parts += _moments(window, m, window.blocks(0, end))
+        end = 0
+    g2 = (math.fsum(m2) + math.fsum(chan)) / total
+    return RosenbloomStats(m + math.log(total), g1, g2)
+
+
+def _moments(window, m: float, blocks) -> list:
+    """``(s0, s1, mu_b, m2)`` of each of ``blocks`` that has a nonzero
+    mass (:func:`_sweep`)."""
+    parts = []
+    for lo, t in blocks:
         e = window.scratch(t.size)
         s0 = _sum_exp(t, m, e)
         if s0 == 0.0:
@@ -127,12 +158,7 @@ def _sweep(window) -> RosenbloomStats:
         n -= mu_b
         n *= n
         parts.append((s0, s1, mu_b, float(np.einsum("i,i->", n, e))))
-    s0, s1, mu_b, m2 = zip(*parts)
-    total = math.fsum(s0)
-    g1 = math.fsum(s1) / total
-    g2 = (math.fsum(m2) + math.fsum(
-        s * (mu - g1) ** 2 for s, mu in zip(s0, mu_b))) / total
-    return RosenbloomStats(m + math.log(total), g1, g2)
+    return parts
 
 
 def distribution(series: PowerSeries, x: float,

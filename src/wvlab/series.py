@@ -45,9 +45,17 @@ Pass 2 (``_Window``) hands each radius's point one object: the max term,
 the central index, the horizon and the window cut at that horizon, which is
 read block by block only by the points that read it.  A window that never
 slid is its one in-memory buffer, one that slid or jumped is recomputed
-from the series a block at a time.  Its sums are formed per block and
-combined with ``math.fsum``, so a grid holds a few MB of buffers however
-large its horizons are.  A source computes only the indices asked for:
+from the series a block at a time (after a jump, the first block comes
+from the scan's buffer while it still holds it).  Its sums are formed per
+block and combined with ``math.fsum``, so a grid holds a few MB of buffers
+however large its horizons are.  The sums of a declared-concave window
+skip its quiet leading blocks, those that end 50 or more below the max
+term left of the central index: concavity and the rounding bound give
+each a bound on its sum, and where adding the bounds leaves a correctly
+rounded ``math.fsum`` unchanged, adding the true sums does too, so the
+bits are those of every block; otherwise the quiet blocks are read.
+Readers that need every term (the distribution, sampled maxima and window
+sums) read them all.  A source computes only the indices asked for:
 closed forms, monomials and coefficient arrays included, hold none, and a
 walk keeps their first block for all its radii; only a recurrence keeps the
 prefix it computed.  A grid may start at ``r = 0``, the single-term window
@@ -79,6 +87,7 @@ _BLOCK = 4096  # the horizon search's block of running-max bounds
 _BLOCK_TERMS = 2 ** 19  # a window slides past this many term logs
 _FILL_TERMS = 2 ** 16  # terms computed per piece
 _SLAB = 4096  # a jump reads this many terms on each side of a probe
+_QUIET = 50.0  # pass 2 may skip a block that ends this far below log_mu
 # Relative bound on a term log's error: a source's own error (a few ulps)
 # and two roundings, so margins of 2 * delta need no further rounding care.
 _DELTA = 2.0 ** -40
@@ -261,13 +270,20 @@ class PowerSeries:
 def _last_max(w: np.ndarray, lo: int, prior: tuple) -> tuple:
     """The max of the terms ``w`` (indices ``lo``, ``lo + 1``, ...) and of
     the terms before them, and the last index holding it, given ``prior``,
-    the same pair for the terms before ``lo``."""
+    the same pair for the terms before ``lo``.  ``argmax`` gives the first
+    index of the max (the sources give no NaN), and only the terms after
+    it are searched for a tie; ``argmax`` of the reversed terms would copy
+    them all."""
     if w.size == 0:
         return prior
-    m = float(w.max())
+    i = int(np.argmax(w))
+    m = float(w[i])
     if m < prior[0]:
         return prior
-    return m, lo + w.size - 1 - int(np.argmax(w[::-1] == m))
+    ties = (w[i + 1:] == m).nonzero()[0]
+    if ties.size:
+        i += 1 + int(ties[-1])
+    return m, lo + i
 
 
 def _first_horizon(seg: np.ndarray, big: np.ndarray, lo: int,
@@ -371,8 +387,12 @@ class _Buffers:
     ``get(i, need, keep)`` returns buffer ``i`` with room for ``need``
     values and its first ``keep`` values kept; a buffer grows to twice what
     is asked, at most :func:`_buffer_size` values, so a walk of small
-    windows keeps small buffers.
+    windows keeps small buffers.  ``head`` is the first buffer of term logs
+    that the last scan filled, when it jumped (else ``None``): the term
+    buffer still holds it until the window's reads refill it.
     """
+
+    head = None
 
     def __init__(self, series: PowerSeries):
         self.coeffs = series._coeffs if isinstance(
@@ -526,12 +546,14 @@ def _scan(series: PowerSeries, x: float, tol: float,
     slide's result unchanged; if a certificate fails, it slides.  Returns
     ``(scan, t, stop)``: the :class:`_Scan`, the window ``t[:stop]`` if it
     never slid or jumped (else ``None``) and its size, which is the next
-    radius's start (after a jump, the size the horizon reads).
-    :func:`_walk` checks the series and the tolerance.
+    radius's start (after a jump, the size the horizon reads; the first
+    buffer is then ``bufs.head``).  :func:`_walk` checks the series and the
+    tolerance.
     """
     log_tail_tol = math.log(tol / TAIL_RUN)
     size = _buffer_size()
     bufs = _Buffers(series) if bufs is None else bufs
+    bufs.head = None
     start = min(max(start, _FIRST_WINDOW), HARD_CAP)
     lo, prior = 0, (LOG_ZERO, -1)
     base, stop, grown = 0, 0, min(start, size)  # buf[i] holds t[base + i]
@@ -548,6 +570,7 @@ def _scan(series: PowerSeries, x: float, tol: float,
         if stop == size and base == 0 and series.concave_from is not None:
             scan = _jump(series, bufs.coeffs, buf[:stop], x, log_tail_tol)
             if scan is not None:
+                bufs.head = buf[:stop]
                 return scan, None, scan.horizon + TAIL_RUN + 1
         resume = max(stop - TAIL_RUN - 1, 0)
         prior = _last_max(buf[lo - base:resume - base], lo, prior)
@@ -567,29 +590,87 @@ class _Window:
 
     A range of at most :func:`_buffer_size` terms is one block, a longer
     one blocks of ``_BLOCK_TERMS``.  A window that never slid is its
-    in-memory buffer ``t``; one that slid is recomputed from the series,
-    one block at a time, into the term buffer of ``bufs``.  A block is
+    in-memory buffer ``t``; one that slid or jumped is recomputed from the
+    series, one block at a time, into the term buffer of ``bufs``, except
+    that after a jump ``t`` is the first buffer, which serves the reads
+    inside it until the first block is recomputed over it.  A block is
     valid until the next one is read and must not be written.  ``log_F``,
     the log-sum-exp of the window, is summed when it is first read.
+
+    The sums of a series declared concave from ``n0`` skip its quiet
+    blocks (:meth:`quiet`): the leading blocks whose last term lies
+    ``_QUIET`` or more below ``log_mu`` left of ``nu``.  Each has a bound
+    on its sum, and ``math.fsum`` rounds correctly, so where adding the
+    bounds leaves a sum's bits unchanged, so does adding the true block
+    sums (:func:`~wvlab.logdomain.absorbs`); where it does not, the quiet
+    blocks are read and summed as any other.
     """
 
-    def __init__(self, x, scan: _Scan, size, t, bufs, log_F=None):
+    def __init__(self, x, scan: _Scan, size, t, bufs, log_F=None,
+                 concave_from=None):
         self.x, self.size = x, size
         self.log_mu, self.nu, self.horizon = scan.log_mu, scan.nu, scan.horizon
         self._t, self._bufs, self._log_F = t, bufs, log_F
+        self._n0 = concave_from
 
-    def blocks(self, lo: int = 0, hi: int | None = None):
-        """``(start, terms)`` for the blocks that cover ``lo <= n < hi``."""
+    def blocks(self, lo: int = 0, hi: int | None = None,
+               first: int | None = None):
+        """``(start, terms)`` for the blocks that cover ``lo <= n < hi``,
+        from the one that starts at ``first`` (``lo`` if not given)."""
         hi = self.size if hi is None else hi
         step = hi - lo if hi - lo <= _buffer_size() else _BLOCK_TERMS
-        for a in range(lo, hi, step):
+        for a in range(lo if first is None else first, hi, step):
             b = min(a + step, hi)
-            if self._t is not None:
+            if self._t is not None and b <= self._t.size:
                 yield a, self._t[a:b]
             else:
+                self._t = None  # the term buffer holds other terms now
                 out = self._bufs.get(0, b - a)[:b - a]
                 _fill_terms(self._bufs.coeffs, out, self.x, a)
                 yield a, out
+
+    def _term(self, n: int) -> float:
+        out = np.empty(1)
+        _fill_terms(self._bufs.coeffs, out, self.x, n)
+        return float(out[0])
+
+    def quiet(self) -> tuple:
+        """``(end, beta)``: the quiet blocks cover ``[0, end)``, and
+        ``beta`` bounds the sum of ``exp(t[n] - log_mu)`` over them, as a
+        block's kernel computes it, whatever its rounding.
+
+        A block that ends at ``e < nu`` with ``t[e] <= log_mu - _QUIET`` is
+        quiet.  The exact terms are concave from ``n0``, and ``-inf``
+        before it, and each computed one is within ``delta`` of its exact
+        value (as in :func:`_jump`: ``delta = _DELTA * (T + 2 * size *
+        |x|)``, ``T`` the largest ``|t|`` at ``n0``, ``nu`` and the window's
+        end).  As ``_QUIET > 2 * delta``, the exact ``t[e]`` lies below
+        ``t[nu]``, so the exact terms rise up to ``e``, and each computed
+        term of the block is at most ``t[e] + 2 * delta``.  The block's sum
+        is then at most ``B * exp(t[e] + 2 * delta - log_mu)`` for ``B``
+        terms; ``beta`` doubles it, and adds the least subnormal per term,
+        for the roundings of ``exp`` and of the sum.  ``(0, 0.0)`` for an
+        undeclared series or a window of one block."""
+        n0, step = self._n0, _BLOCK_TERMS
+        if n0 is None or self.size <= _buffer_size() \
+                or not math.isfinite(self.log_mu):
+            return 0, 0.0
+        ends = []
+        for e in range(step - 1, self.nu, step):
+            t_e = self._term(e)
+            if not t_e <= self.log_mu - _QUIET:
+                break
+            ends.append(t_e)
+        if not ends:
+            return 0, 0.0
+        extent = max(abs(self._term(n0)), abs(self.log_mu),
+                     abs(self._term(self.size - 1)))
+        delta = _DELTA * (extent + 2 * self.size * abs(self.x))
+        if not 2 * delta < _QUIET:
+            return 0, 0.0
+        return len(ends) * step, math.fsum(
+            2 * step * (math.exp(t_e + 2 * delta - self.log_mu) + 2.0 ** -1074)
+            for t_e in ends)
 
     def scratch(self, size: int) -> np.ndarray:
         """``size`` values of the walk's scratch buffer, to work on a block
@@ -608,8 +689,14 @@ class _Window:
 
     @property
     def log_F(self) -> float:
+        """The log-sum-exp of the window, its quiet blocks skipped where
+        that leaves the bits unchanged."""
         if self._log_F is None:
-            self._log_F = self.log_sum_exp(m=self.log_mu)
+            end, beta = self.quiet()
+            self._log_F = log_sum_exp_blocks(
+                (t for _, t in self.blocks(0, self.size, end)), self.log_mu,
+                self.scratch(min(self.size, _buffer_size())),
+                (t for _, t in self.blocks(0, end)), beta)
         return self._log_F
 
 
@@ -675,7 +762,8 @@ def _walk(series: PowerSeries, xs, tol: float, point,
             scan, t, start = _scan(series, x, tol * scale, start, bufs)
             size = scan.horizon + 1
             window = _Window(x, scan, size,
-                             None if t is None else t[:size], bufs)
+                             bufs.head if t is None else t[:size], bufs,
+                             concave_from=series.concave_from)
         out.append(point(window))
         del t, window  # no window outlives its point
     return out

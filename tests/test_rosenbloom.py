@@ -326,3 +326,115 @@ def test_lemma_reads_the_concentration_window_once(monkeypatch):
     hi = int(math.ceil(rep.g1 + half))
     assert hi - lo > 1024 + 51  # the concentration window is read in blocks
     assert starts == list(range(0, size, 1024)) + list(range(lo, hi, 1024))
+
+
+# ---------------------------------------------------------------------------
+# Pass 2 of a declared-concave family skips its quiet blocks, bit for bit.
+
+def _undeclared(series):
+    """The same source without the concavity declaration: pass 2 then
+    reads every block."""
+    from wvlab import PowerSeries
+
+    return PowerSeries(series._source, series.radius, series.label)
+
+
+def _pass2(series, xs):
+    """log F, stats and lemma reports at each x, and how many leading terms
+    the log F and moment windows may skip (``_Window.quiet``)."""
+    from wvlab import series as series_mod
+    from wvlab.rosenbloom import _walk_masses
+
+    ends = []
+    log_F = series_mod._walk(series, xs, 1e-9, lambda w: (
+        ends.append(w.quiet()[0]) or w.log_F))
+    sts = _walk_masses(series, xs, 1e-9, lambda w, st: (
+        ends.append(w.quiet()[0]) or st))
+    reps = verify_pointwise_lemma(series, xs, 2.0)
+    return repr((log_F, sts, reps)), ends
+
+
+SKIPS = [  # 2^19-term blocks of the log F and moment windows
+    ("suleimanov", {"epsilon": 0.25}, (0.99998,)),               # 5, 7
+    ("suleimanov", {"epsilon": 0.5}, (0.9993, 0.9995, 0.9998)),  # 2 to 17
+    ("suleimanov", {"epsilon": 0.75}, (0.975, 0.98)),            # 2, 4
+    ("exp", {}, (6e5, 4e6)),                                     # 2, 8
+    ("geometric", {}, (1 - 5e-6,)),                              # 10, 15
+]
+SMALL_SKIPS = [  # with 1024-term blocks: windows of 2 to about 1,000
+    ("suleimanov", {"epsilon": 0.25}, (0.9993, 0.9997, 0.9999)),
+    ("suleimanov", {"epsilon": 0.5}, (0.99, 0.997, 0.999)),
+    ("suleimanov", {"epsilon": 0.75}, (0.95, 0.96, 0.97)),
+    ("exp", {}, (3e3, 1e4, 6e4)),
+    ("geometric", {}, (0.999, 0.9995, 0.9999)),
+]
+
+
+@pytest.mark.parametrize("block", [None, 1024], ids=["2^19", "1024"])
+def test_quiet_blocks_keep_every_bit(block, monkeypatch):
+    """log F, stats (g, g1, g2) and lemma (with the window sum) of each
+    declared family are those of the same source undeclared, which reads
+    every block, bit for bit; the windows whose peak lies far from n = 0
+    skip blocks."""
+    from wvlab import series as series_mod
+
+    if block is not None:
+        monkeypatch.setattr(series_mod, "_BLOCK_TERMS", block)
+    skipped = 0
+    for family_id, params, rs in SKIPS if block is None else SMALL_SKIPS:
+        series = family(family_id, **params)
+        xs = [math.log(r) for r in rs]
+        got, ends = _pass2(series, xs)
+        want, none = _pass2(_undeclared(series), xs)
+        assert got == want
+        assert not any(none)
+        skipped += sum(e > 0 for e in ends)
+    # suleimanov(0.5) at gap 2e-4, suleimanov(0.75) and exp; the peaks of
+    # suleimanov(0.25) and geometric lie too far left for a quiet block
+    assert skipped >= (10 if block is None else 16)
+
+
+def test_a_failed_certificate_reads_every_block(monkeypatch):
+    """A bound too large for any certificate: log F and the moments sum
+    every term of their windows, the quiet blocks too, and keep their
+    bits."""
+    from wvlab import logdomain
+    from wvlab import rosenbloom
+    from wvlab import series as series_mod
+
+    series, xs = family("suleimanov", epsilon=0.5), [math.log(1 - 2e-4)]
+    want, ends = _pass2(series, xs)
+    assert all(e > 0 for e in ends)
+    quiet = series_mod._Window.quiet
+    monkeypatch.setattr(series_mod._Window, "quiet", lambda w: (
+        quiet(w)[0], quiet(w)[1] + 1e30))
+    summed = []
+    for mod in (logdomain, rosenbloom):
+        monkeypatch.setattr(mod, "_sum_exp", lambda t, m, out, k=mod._sum_exp:
+                            summed.append(t.size) or k(t, m, out))
+    (size,) = series_mod._walk(series, xs, 1e-9, lambda w: (
+        w.log_F, w.size)[1])
+    (moment_size,) = rosenbloom._walk_masses(series, xs, 1e-9,
+                                             lambda w, st: w.size)
+    assert sum(summed) == size + moment_size
+    assert _pass2(series, xs)[0] == want
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-3, 2e-4])
+def test_hayman_log_M_minus_log_mu(gap):
+    """Hayman (1956): for an admissible function, ``log M(r) - log mu(r) -
+    (1/2) log(2 pi g2(r)) -> 0`` as ``r -> 1``.  On suleimanov(0.5) the
+    difference is -0.0149, -0.0015 and -0.0003 at gaps 1e-2, 1e-3 and 2e-4,
+    within twice the gap; at 2e-4 both windows skip quiet blocks."""
+    from wvlab import series as series_mod
+    from wvlab.rosenbloom import _walk_masses
+
+    series, x = family("suleimanov", epsilon=0.5), math.log(1 - gap)
+    ((log_M, log_mu, end),) = series_mod._walk(series, [x], 1e-9, lambda w: (
+        w.log_F, w.log_mu, w.quiet()[0]))
+    ((st, moment_end),) = _walk_masses(series, [x], 1e-9, lambda w, st: (
+        st, w.quiet()[0]))
+    assert st == stats(series, x)
+    diff = log_M - log_mu - 0.5 * math.log(2 * math.pi * st.g2)
+    assert abs(diff) <= 2 * gap
+    assert (end > 0 and moment_end > 0) == (gap == 2e-4)

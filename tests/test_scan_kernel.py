@@ -231,7 +231,9 @@ def test_sliding_window_keeps_the_in_memory_results(family_id, params,
 
 def test_sums_run_only_for_points_that_read_them(monkeypatch):
     """Pass 2 sums a window only when its point reads it: once per block
-    for log F, never for the max term or the horizon."""
+    for log F, never for the max term or the horizon.  The quiet blocks, the
+    leading ones that end left of the central index 50 or more below the
+    max term, are not summed (their bound leaves log F's bits unchanged)."""
     calls = []
     block_sum = logdomain._sum_exp
     monkeypatch.setattr(logdomain, "_sum_exp",
@@ -247,7 +249,12 @@ def test_sums_run_only_for_points_that_read_them(monkeypatch):
     horizon = truncation_horizon(series, r, 1e-9)
     assert len(calls) == 1
     assert log_positive_value(series, r) == pytest.approx(log_F, rel=1e-15)
-    assert calls[1:] == [1024] * (horizon // 1024) + [horizon % 1024 + 1]
+    t = series._terms(math.log(r), horizon + 1)
+    nu = int(t.size - 1 - np.argmax(t[::-1]))
+    quiet = sum(1 for e in range(1023, nu, 1024) if t[e] <= t.max() - 50)
+    assert quiet > 0
+    assert calls[1:] == [1024] * (horizon // 1024 - quiet) + [
+        horizon % 1024 + 1]
 
 
 def test_memory_stays_flat_past_the_block_size():
@@ -481,3 +488,70 @@ def test_monomial_at_the_cap_keeps_the_scans_outcome(monkeypatch):
     assert walk(mono, [x], 1e-9) == walk(scanned, [x], 1e-9)
     with pytest.raises(TruncationError):
         walk(family("monomial", coeff=3, degree=949), [x], 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Pass 2 of a jumped window: quiet blocks skipped, the first buffer reused.
+
+def test_pass2_skips_the_quiet_blocks_at_gap_2e4(monkeypatch):
+    """The boundary workload's last radius: log F reads the 9 blocks right
+    of the 7 quiet ones, 4.5M of the window's 8.1M terms, with the slide's
+    bits."""
+    series, x = family("suleimanov", epsilon=0.5), math.log(1 - 2e-4)
+    want = walk(undeclared(series), [x], 1e-9)
+    sizes = pass1_terms(monkeypatch)
+
+    def point(w):
+        sizes.clear()
+        log_F = w.log_F
+        return log_F, sum(sizes), w.size, w.quiet()[0]
+
+    ((log_F, work, size, end),) = series_mod._walk(series, [x], 1e-9, point)
+    assert bits(log_F) == bits(want[0][1])
+    assert size > 8_000_000 and end == 7 * 2 ** 19
+    assert work <= 4_500_000
+
+
+def test_pass2_reuses_the_first_buffer_after_a_jump(monkeypatch):
+    """A jumped window of two blocks: the scan's first buffer is still in
+    the term buffer, so log F computes only the second block; a second
+    read computes both, as the first was overwritten.  Both sums have the
+    slide's bits."""
+    series, x = family("suleimanov", epsilon=0.5), math.log(1 - 7e-4)
+    ((_, want),) = walk(undeclared(series), [x], 1e-9)
+    sizes = pass1_terms(monkeypatch)
+
+    def point(w):
+        sizes.clear()
+        log_F = w.log_F
+        first = sum(sizes)
+        again = w.log_sum_exp(m=w.log_mu)
+        return w.size, w.quiet()[0], log_F, first, again, sum(sizes) - first
+
+    ((size, end, log_F, first, again, second),) = series_mod._walk(
+        series, [x], 1e-9, point)
+    assert 2 ** 19 < size <= 2 ** 20 and end == 0  # block 0 is not quiet
+    assert first == size - 2 ** 19
+    assert second == size
+    assert bits(log_F) == bits(again) == bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.sampled_from([LOG_ZERO, -7.0, -1.5, 0.0, 2.0]),
+                  max_size=40),
+       lo=st.integers(0, 10**6),
+       prior=st.sampled_from([(LOG_ZERO, -1), (-1.5, 3), (0.0, 9),
+                              (2.0, 0), (LOG_ZERO, 4)]))
+def test_last_max_matches_the_two_pass_form(w, lo, prior):
+    """The first index of the max and a search for ties after it give the
+    max and then the last index equal to it, with ties and ``-inf``."""
+    def two_pass(w, lo, prior):
+        if w.size == 0:
+            return prior
+        m = float(w.max())
+        if m < prior[0]:
+            return prior
+        return m, lo + w.size - 1 - int(np.argmax(w[::-1] == m))
+
+    w = np.array(w, dtype=float)
+    assert series_mod._last_max(w, lo, prior) == two_pass(w, lo, prior)
