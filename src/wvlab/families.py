@@ -43,10 +43,17 @@ and logs are taken at the end.  ``kovari`` at an integer ``rho`` from 1 to
 ``_KOVARI_MAX_ORDER`` (8) runs an O(N) subtraction-free recurrence over
 the repeated partial sums of its coefficients, in lockstep blocks stitched
 by powers of two (``_KovariIntSource``), to about one ulp of exact.  Every
-other ``rho`` uses the O(N^2) exp-of-series convolution, one contiguous
-dot product per coefficient (``_exp_step``, shared with
-``exp_of_series``), on the binomial table of (1-z)^-rho that
-``binomial_series`` builds as an exact ratio product.
+other ``rho`` runs the exp-of-series recurrence on the binomial table of
+(1-z)^-rho that ``binomial_series`` builds as an exact ratio product, as a
+semi-relaxed convolution (``_ScaledExpSource``): blocks of 32 values, the
+history of each block added by direct and FFT products of doubling
+length, and each block solved by a positive Neumann product.  A block is
+kept only under a certificate that its rounding error, the FFT's bound
+included, is at most ``series._DELTA`` of each value; otherwise it is
+computed again by the plain recurrence step (``_exp_step``, one
+contiguous product per value, shared with ``exp_of_series``).  The work
+is about N log^2 N plus N^2 / 2048 for the pairs of FFT pieces, where the
+plain recurrence takes N^2 / 2.
 
 Only the ``exp`` family uses ``scipy.special`` (``gammaln``), and it imports
 it when it is built: the import costs more than all of wvlab's own.
@@ -63,8 +70,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .logdomain import LOG_ZERO
-from .series import HARD_CAP, PowerSeries, VectorizedSource, \
-    _PrefixSource, _reserve
+from .series import _DELTA, HARD_CAP, PowerSeries, VectorizedSource, \
+    _PrefixSource
 
 _RESCALE_THRESHOLD = 1e200
 _RESCALE_SHIFT = 230.0  # exp(-230) ~ 1e-100 per rescale
@@ -249,19 +256,81 @@ def _exp_step(kbr: np.ndarray, v: np.ndarray, n: int) -> float:
     """The n-th value of the exp-of-series recurrence from ``v[:n]``.
 
     ``n*v_n = sum_{k=1..n} k*b_k*v_{n-k}``.  ``kbr`` holds ``k*b_k``
-    reversed (``kbr[-1 - k] = k*b_k``), so the sum is one dot product of two
-    contiguous slices, which numpy hands to BLAS.
+    reversed (``kbr[-1 - k] = k*b_k``), so the sum is one product of two
+    contiguous slices.  ``np.einsum`` runs it on one thread, so its bits do
+    not depend on the BLAS thread count, as a long ``np.dot`` would.
     """
     top = kbr.size - 1
-    return float(np.dot(kbr[top - n: top], v[:n])) / n
+    return float(np.einsum("i,i->", kbr[top - n: top], v[:n])) / n
+
+
+def _gamma(m: float) -> float:
+    """Higham's ``gamma_m = m u / (1 - m u)``, ``u = 2^-53``: a bound on the
+    relative error of m chained roundings of nonnegative values."""
+    mu = m * 2.0 ** -53
+    return mu / (1.0 - mu) if mu < 1.0 else math.inf
+
+
+# The semi-relaxed convolution of _ScaledExpSource: its block of values, the
+# longest history product it convolves directly (longer ones use the FFT),
+# and the piece length of an FFT product's factors.
+_EXP_BLOCK = 32
+_EXP_DIRECT = 256
+_EXP_PIECE = 2048
+# The Neumann matrices of this many blocks are built together.
+_EXP_CHUNK = 8
+# Roundings behind a block's values given its history sums: a direct
+# product of at most _EXP_DIRECT terms, the additions into a sum (at most
+# five per level: two products in two groups each, and the first block's
+# direct part; fewer than 32 levels), r / n, and the Neumann product.  Its matrix M = (I + N)(I + N^2)
+# ... is built as M <- M + M N^(2^k), where N^(2^k) carries 2^k + (2^k - 1)
+# B roundings and each step adds those and B + 1 more; M (r / n) adds B.
+_EXP_ROUNDINGS = _EXP_DIRECT + 5 * 32 + 1 + _EXP_BLOCK + sum(
+    2 ** k + (2 ** k - 1) * _EXP_BLOCK + _EXP_BLOCK + 1
+    for k in range(_EXP_BLOCK.bit_length() - 1))
+# Percival's bound (below) covers a radix-2 complex FFT with twiddles
+# within u; pocketfft's real mixed-radix transforms and the rounding of the
+# norms are covered by this factor.  tests/test_kernels.py holds products
+# to the bound against exact ones; their errors stay under 1% of it.
+_FFT_SLACK = 2.0
+# A kept block's n v_n lie within this ratio of each other and of 1: a
+# rounding that underflows errs by at most 2^-1074 times a value up to the
+# largest, so a few thousand of them add less than 2^-60 of the smallest.
+_EXP_RANGE = 2.0 ** 950
+
+
+def _fft_gamma(size: int, terms: int) -> float:
+    """A bound on ``|computed - exact|`` of the FFT product of length-``size``
+    transforms, in units of ``sum ||x_a||_2 ||y_c||_2`` over the ``terms``
+    pairs of pieces whose spectra are added before one inverse transform.
+
+    Percival (2003, "Rapid multiplication modulo the sum and difference of
+    highly composite numbers", Math. Comp. 72) bounds one product by
+    ``||x|| ||y|| ((1+u)^3n (1+u sqrt 5)^(3n+1) (1+beta)^3n - 1)``, n =
+    log2 size; with ``beta <= u`` and ``1 + u sqrt 5 <= (1+u)^3`` that is at
+    most ``gamma_(15n+3)``.  Adding the spectra costs ``terms - 1`` more
+    roundings of values whose inverse transform is bounded by the same
+    norms.
+    """
+    return _FFT_SLACK * _gamma(15 * math.log2(size) + 3 + terms)
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The 2-norms of nonnegative rows, scaled by their largest entries so
+    that the squares cannot overflow."""
+    top = rows.max(axis=1)
+    scale = np.where(top > 0.0, top, 1.0)[:, None]
+    unit = rows / scale
+    return top * np.sqrt(np.einsum("ij,ij->i", unit, unit))
 
 
 def _reversed_kb(b: np.ndarray) -> np.ndarray:
     """``k*b_k`` for k = 0..len(b)-1, reversed and contiguous; inf where it
     passes the float range."""
+    kbr = np.arange(b.size - 1, -1, -1, dtype=float)
     with np.errstate(over="ignore"):
-        kb = b * np.arange(b.size, dtype=float)
-    return np.ascontiguousarray(kb[::-1])
+        kbr *= b[::-1]
+    return kbr
 
 
 def exp_of_series(b) -> np.ndarray:
@@ -287,51 +356,230 @@ def exp_of_series(b) -> np.ndarray:
 class _ScaledExpSource(_PrefixSource):
     """log coefficients of exp(g) where g has nonnegative coefficients.
 
-    Runs the subtraction-free convolution recurrence (``_exp_step``, one
-    contiguous dot product per coefficient) on scaled linear values,
-    rescaling whenever they approach float overflow.  ``table`` names the
-    b_k in the error raised when k*b_k passes the float range.
+    ``n v_n = sum_{k=1..n} k b_k v_{n-k}`` runs on scaled linear values as a
+    semi-relaxed convolution (van der Hoeven 2002, "Relax, but don't be too
+    lazy"): ``k b_k`` is known in advance and only v arrives online.  The
+    values come in blocks of ``B = _EXP_BLOCK`` at fixed places.
+
+    * History.  After the block that ends at e, every level L = 2B, 4B,
+      ... that divides e adds the product ``v[e-L:e] * kb[L:2L]`` into the
+      sums ``s_n`` of the indices n >= e it reaches, and ``v[e-B:e] *
+      kb[1:2B]`` does the rest: every pair (j, k) whose ``j + k`` lies in a
+      later block is added once, before that block starts, and the pairs
+      within a block make up its own system (below).  The sums of indices
+      past the values live in the same buffer as the values.  Levels up to
+      ``_EXP_DIRECT`` are ``np.convolve``, positive and exact to a priori
+      roundings.  Longer ones cut both factors into two or more pieces of
+      at most ``_EXP_PIECE`` and multiply those by FFT (``numpy.fft``,
+      imported at the first such product), adding the spectra of the
+      pairs that land on the same indices.  Each group adds its bound,
+      ``_fft_gamma`` times the sum of ``||x_a|| ||y_c||``, to the error
+      bound kept per block of the sums it reaches.  With two pieces or
+      more the first indices a product reaches read only its lowest piece
+      of v, so a fast-growing v does not swamp them; and the first block
+      of v is convolved directly, since ``v_0 = 1`` (``a_0 = exp(b_0)``)
+      can dwarf every later value, as it does for a small g.
+    * Block.  ``(D - K) v = s`` with ``D = diag(n)`` and K the strictly
+      lower Toeplitz matrix of ``k b_k``, solved as the positive Neumann
+      product ``(I + N)(I + N^2)...(I + N^(B/2)) D^-1 s``, ``N = D^-1 K``:
+      no subtraction, so its relative error is a priori
+      (``_EXP_ROUNDINGS``).
+    * Certificate.  A block is kept only if its ``n v_n`` are finite,
+      positive and within ``_EXP_RANGE`` of each other and of 1, and its
+      FFT error bound, plus the a priori part, is at most
+      ``series._DELTA`` of each ``n v_n``.  Any other block, and the first,
+      is computed again by ``_exp_step``, one contiguous product per value,
+      so exact zeros and underflow come out as they did.
+
+    A block's products do not depend on how far a fill goes, and a fill
+    computes whole blocks (keeping the last one's logs), so the bits of a
+    prefix are the same however it was asked for.  Values are rescaled by
+    ``exp(-_RESCALE_SHIFT)`` when ``v_{n-1}`` passes ``_RESCALE_THRESHOLD``
+    before ``v_n``, at the same indices as a plain loop; the sums and their
+    bounds are rescaled with them.  The table of ``k b_k`` is built to
+    twice a level when that level's first product comes, and cut back to
+    the level after the fill (a fallback past it builds it again).
+    ``table`` names the b_k in the error raised when a ``k b_k`` below a
+    fill's stop, which a fallback reads, passes the float range; past the
+    stop an inf only fails the certificate of the blocks it reaches.
     """
 
     def __init__(self, b_fn, table="the exponent's coefficient table"):
         self._b_fn = b_fn          # count -> array of b_0..b_{count-1}
         self._table = table
         self._kbr = np.empty(0)    # k*b_k, reversed
-        self._v = np.empty(0)      # scaled a_n values
+        self._level = 0            # the longest level begun
+        self._inf = 0              # the first k with k*b_k inf (or 2 level)
+        self._toeplitz = np.empty(0)  # [i, m] = k*b_k at k = i - m > 0
+        self._v = np.zeros(0)      # scaled a_n below _done, then the s_n
+        self._err = np.zeros(0)    # per block of s_n: its FFT error bound
+        self._done = 0             # a multiple of B
+        self._last = np.empty(0)   # log a_n of the block that ends at _done
+        self._chunk, self._chunk_at = None, -1  # Neumann matrices, at
         self._shift = 0.0
 
-    def _ensure_kb(self, count):
-        if self._kbr.size < count:
-            # the table is cheap next to the convolution, so it doubles
-            b = np.asarray(self._b_fn(max(count, 2 * self._kbr.size)),
-                           dtype=float)
-            if np.any(b < 0):
-                raise ValidationError("exp-of-series input must be b_k >= 0")
-            kbr = _reversed_kb(b)
-            # k*b_k can overflow where b_k does not
-            inf = np.flatnonzero(~np.isfinite(kbr[::-1]))
-            if inf.size:
-                raise ValidationError(
-                    f"{self._table} overflows the float range: n*b_n is inf "
-                    f"from n = {inf[0]}")
-            self._kbr = kbr
+    def _kb(self, lo, hi):
+        """``k*b_k`` for k = lo..hi-1 (a reversed view of the table)."""
+        size = self._kbr.size
+        return self._kbr[size - hi: size - lo][::-1]
+
+    def _make_room(self, stop, end):
+        """Room for the blocks below ``end``, and the error raised when a
+        ``k*b_k`` below ``stop`` is inf."""
+        size = _EXP_BLOCK
+        while 2 * size <= end:
+            size *= 2
+        if self._level < size:  # its first product is in this fill
+            self._level = size
+            self._build(2 * size)
+        # k*b_k can overflow where b_k does not
+        if self._inf < stop:
+            raise ValidationError(
+                f"{self._table} overflows the float range: n*b_n is inf "
+                f"from n = {self._inf}")
+        # the level of length `size` reaches 3 size - 1, the others less
+        if self._v.size < 3 * size:
+            v = np.zeros(3 * size)
+            v[:self._v.size] = self._v
+            err = np.zeros(3 * size // _EXP_BLOCK)
+            err[:self._err.size] = self._err
+            self._v, self._err = v, err
+
+    def _build(self, count):
+        """The table of ``k*b_k`` for k < count."""
+        self._kbr = np.empty(0)
+        b = np.asarray(self._b_fn(count), dtype=float)
+        if np.any(b < 0):
+            raise ValidationError("exp-of-series input must be b_k >= 0")
+        self._kbr = _reversed_kb(b)
+        inf = np.flatnonzero(~np.isfinite(self._kbr[::-1]))
+        self._inf = int(inf[0]) if inf.size else count
+        k = np.subtract.outer(np.arange(_EXP_BLOCK), np.arange(_EXP_BLOCK))
+        self._toeplitz = np.where(
+            k > 0, self._kb(0, _EXP_BLOCK)[np.maximum(k, 0)], 0.0)
+
+    def _rescale(self):
+        scale = math.exp(-_RESCALE_SHIFT)
+        self._v *= scale
+        self._err *= scale
+        self._shift += _RESCALE_SHIFT
+
+    def _direct(self, n0, n1):
+        """v_n for n = n0..n1-1 by ``_exp_step``, rescaling before v_n when
+        v_{n-1} has passed the threshold (for n > n0)."""
+        if self._kbr.size < n1:
+            self._build(2 * self._level)
+        v = self._v
+        for n in range(n0, n1):
+            if n > n0 and v[n - 1] > _RESCALE_THRESHOLD:
+                self._rescale()
+            v[n] = _exp_step(self._kbr, v, n)
+
+    def _block(self, n0):
+        """The values of the block at n0 from its history sums."""
+        size, v = _EXP_BLOCK, self._v
+        if v[n0 - 1] > _RESCALE_THRESHOLD:
+            self._rescale()
+        n = np.arange(n0, n0 + size, dtype=float)
+        x = self._neumann(n0) @ (v[n0:n0 + size] / n)
+        nx = n * x
+        lo, hi = nx.min(), nx.max()
+        room = (_DELTA - _gamma(_EXP_ROUNDINGS)) * lo
+        if not (max(hi, 1.0) <= lo * _EXP_RANGE and hi < math.inf
+                and self._err[n0 // size] <= room):
+            self._direct(n0, n0 + size)
+            return
+        v[n0:n0 + size] = x
+        if x[:-1].max() > _RESCALE_THRESHOLD:  # as before v_{i+1}
+            for i in range(n0, n0 + size - 1):
+                if v[i] > _RESCALE_THRESHOLD:
+                    self._rescale()
+
+    def _neumann(self, n0):
+        """``(I + N)(I + N^2)...(I + N^(B/2))`` for the block at n0, from
+        the matrices of the ``_EXP_CHUNK`` blocks at fixed places that hold
+        it, built together and kept until the fill ends."""
+        size = _EXP_BLOCK * _EXP_CHUNK
+        c0 = n0 - n0 % size
+        if self._chunk_at != c0:
+            n = np.arange(c0, c0 + size, dtype=float)
+            power = self._toeplitz / n.reshape(_EXP_CHUNK, _EXP_BLOCK, 1)
+            neumann = power + np.eye(_EXP_BLOCK)
+            for _ in range(_EXP_BLOCK.bit_length() - 2):
+                power = power @ power
+                neumann += neumann @ power
+            self._chunk, self._chunk_at = neumann, c0
+        return self._chunk[(n0 - c0) // _EXP_BLOCK]
+
+    def _products(self, end):
+        """Add the history products of the levels that end at ``end``."""
+        size, v = _EXP_BLOCK, self._v
+        v[end:end + 2 * size - 1] += np.convolve(
+            v[end - size:end], self._kb(1, 2 * size))[size - 1:]
+        level = 2 * size
+        while end % level == 0:
+            x, y = v[end - level:end], self._kb(level, 2 * level)
+            if level <= _EXP_DIRECT:
+                v[end:end + 2 * level - 1] += np.convolve(x, y)
+            elif end > level:
+                self._fft_product(end, x, y)
+            else:  # v_0 = 1 can dwarf the rest: the first block goes direct
+                head = x[:size].copy()
+                v[end:end + level + size - 1] += np.convolve(head, y)
+                x[:size] = 0.0  # while the FFT reads x
+                self._fft_product(end, x, y)
+                x[:size] = head
+            level *= 2
+
+    def _fft_product(self, end, x, y):
+        """Add ``x * y`` (two factors of one level's length) at ``end``, by
+        FFT in pieces, and its error bound to the blocks it reaches."""
+        from numpy.fft import irfft, rfft  # only when a product needs it
+
+        piece = min(x.size // 2, _EXP_PIECE)
+        count, span = x.size // piece, 2 * piece - 1
+        xs, ys = x.reshape(count, piece), y.reshape(count, piece)
+        fx, fy = rfft(xs, 2 * piece), rfft(ys, 2 * piece)
+        nx, ny = _norms(xs), _norms(ys)
+        for d in range(2 * count - 1):
+            a0, a1 = max(0, d - count + 1), min(d, count - 1) + 1
+            pairs = slice(d - a1 + 1, d - a0 + 1)
+            spectrum = np.einsum("ij,ij->j", fx[a0:a1], fy[pairs][::-1])
+            lo = end + d * piece
+            self._v[lo:lo + span] += irfft(spectrum, 2 * piece)[:span]
+            bound = _fft_gamma(2 * piece, a1 - a0) * float(
+                np.dot(nx[a0:a1], ny[pairs][::-1]))
+            self._err[lo // _EXP_BLOCK:
+                      (lo + span - 1) // _EXP_BLOCK + 1] += bound
 
     def _fill(self, logc, cur, stop):
-        self._ensure_kb(stop)
-        v = self._v = _reserve(self._v, cur, stop)
-        if cur == 0:
-            b0 = float(np.asarray(self._b_fn(1), dtype=float)[0])
-            v[0] = 1.0
-            self._shift = b0  # a_0 = exp(b_0) stored as exp(-shift)*a_0 = 1
-            logc[0] = b0
-            cur = 1
-        for n in range(cur, stop):
-            if v[n - 1] > _RESCALE_THRESHOLD:
-                v[:n] *= math.exp(-_RESCALE_SHIFT)
-                self._shift += _RESCALE_SHIFT
-            s = _exp_step(self._kbr, v, n)
-            v[n] = s
-            logc[n] = (math.log(s) + self._shift) if s > 0 else LOG_ZERO
+        size, done = _EXP_BLOCK, self._done
+        if cur < done:  # the last block holds them
+            hi = min(stop, done)
+            logc[cur:hi] = self._last[cur - done + size:hi - done + size]
+            cur = hi
+        if cur == stop:
+            return
+        end = -(-stop // size) * size
+        self._make_room(stop, end)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for n0 in range(done, end, size):
+                if n0 == 0:
+                    self._v[0] = 1.0
+                    self._shift = float(
+                        np.asarray(self._b_fn(1), dtype=float)[0])
+                    self._direct(1, size)
+                else:
+                    self._block(n0)
+                self._products(n0 + size)
+                logs = np.log(self._v[n0:n0 + size]) + self._shift
+                hi = min(stop, n0 + size)
+                logc[n0:hi] = logs[:hi - n0]
+        self._done, self._last = end, logs
+        self._chunk, self._chunk_at = None, -1
+        # until the next level, blocks read k*b_k below it, fallbacks aside
+        if self._kbr.size > self._level:
+            self._kbr = self._kbr[-self._level:].copy()
 
 
 class _KovariIntSource(_PrefixSource):

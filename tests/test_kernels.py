@@ -6,12 +6,17 @@
   was pinned at.  Its values are held to 4 ulps of a 40-digit ``mpmath``
   k-sum out to n = 1,493,063, and to the alternating recurrence replayed in
   ``mpmath``, the convolution and the closed form ``log M``.
-* ``families._ScaledExpSource`` reorders each dot product, so it is held to
-  the original negative-stride loop within a relative 1e-13.
+* ``families._ScaledExpSource`` runs a blocked convolution with FFT
+  history products, so it is held to the original negative-stride loop and
+  to the plain ``_exp_step`` loop within a relative 1e-13, to the plain
+  loop's bits when no block is kept, and to the same bits however its
+  prefix is asked for; each FFT product is held to its error bound against
+  exact products.
 * Every recurrence source computes exactly the prefix it is asked for, and
   a formula source exactly the indices asked for, holding none of them.
 """
 
+import fractions
 import functools
 import math
 import subprocess
@@ -495,6 +500,202 @@ def test_scaled_exp_source_matches_the_seed_loop(name):
         assert stop <= got.size <= want.size
         assert np.allclose(got, want[:got.size], rtol=1e-13, atol=0.0), stop
     assert oracle._shift == source._shift
+
+
+def direct_loop(b_fn, stop):
+    """``_exp_step`` for every value, rescaling before v_n when v_{n-1} has
+    passed the threshold: the scaled values, the shift, and each log a_n
+    as it is computed."""
+    kbr = families_mod._reversed_kb(np.asarray(b_fn(stop), dtype=float))
+    v, logs = np.empty(stop), np.empty(stop)
+    v[0] = 1.0
+    logs[0] = shift = float(np.asarray(b_fn(1), dtype=float)[0])
+    for n in range(1, stop):
+        if v[n - 1] > _RESCALE_THRESHOLD:
+            v[:n] *= math.exp(-_RESCALE_SHIFT)
+            shift += _RESCALE_SHIFT
+        v[n] = families_mod._exp_step(kbr, v, n)
+        logs[n] = math.log(v[n]) + shift if v[n] > 0 else LOG_ZERO
+    return v, shift, logs
+
+
+def kovari_b_fn(rho):
+    return lambda count: binomial_series(rho, count)
+
+
+@pytest.mark.parametrize("rho", [0.01, 0.5, 0.25, 2.5, 7.3])
+def test_scaled_exp_source_matches_the_direct_loop(rho):
+    """The blocked convolution against the plain loop out to 30K terms,
+    within a relative 1e-13 on the logs (and 1e-13 absolute, a relative
+    1e-13 on the coefficient, where log a_n passes 0, as it does for
+    kovari(0.25) near n = 6500).  kovari(2.5) and kovari(7.3) grow so fast
+    that an FFT product in one piece would fail every certificate."""
+    count = 30_000
+    want = direct_loop(kovari_b_fn(rho), count)[2]
+    got = _ScaledExpSource(kovari_b_fn(rho)).extend_to(count)[:count]
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("rho", [1e-6, 0.01, 0.1, 0.5, 2.5, 7.3])
+def test_kovari_blocks_keep_their_certificates(rho, monkeypatch):
+    """Out to 30K terms no block after the first falls back to the plain
+    step, from a v dominated by v_0 (small rho) to one that grows by half
+    a nat per term (rho = 7.3)."""
+    fallbacks = []
+    direct = _ScaledExpSource._direct
+
+    def counted(self, n0, n1):
+        fallbacks.append(n0)
+        return direct(self, n0, n1)
+
+    monkeypatch.setattr(_ScaledExpSource, "_direct", counted)
+    _ScaledExpSource(kovari_b_fn(rho)).extend_to(30_000)
+    assert fallbacks == [1]  # the first block
+
+
+def walk_stops(top):
+    """The prefix lengths a walk asks for: 512, then an eighth more (at
+    least 512) per step, as ``series._scan`` grows its window."""
+    stops = [series_mod._FIRST_WINDOW]
+    while stops[-1] < top:
+        stop = stops[-1]
+        stops.append(stop + max(stop // series_mod._GROWTH,
+                                series_mod._FIRST_WINDOW))
+    return stops
+
+
+@pytest.mark.parametrize("stops", [
+    (1, 300, 299, 700, 701, 3000, 2000, 5000, 5001),
+    tuple(walk_stops(30_000)),
+], ids=["prefix_stops", "walk_eighths"])
+def test_scaled_exp_source_bits_do_not_depend_on_the_fill_steps(stops):
+    """Pending history sums must survive every growth of the buffers:
+    losing one changes the logs without failing any certificate, which
+    bounds rounding only."""
+    top = max(stops)
+    want = _ScaledExpSource(kovari_b_fn(0.5)).extend_to(top)[:top]
+    source = _ScaledExpSource(kovari_b_fn(0.5))
+    for stop in stops:
+        got = source.extend_to(stop)
+        assert np.array_equal(bits(got), bits(want[:got.size])), stop
+    assert got.size == top
+
+
+@pytest.mark.parametrize("name", ["kovari(0.5)", "exp(40/(1-z))"])
+def test_a_failed_certificate_falls_back_to_the_direct_step(name,
+                                                           monkeypatch):
+    """With ``_gamma`` raised past every budget no block is kept, and every
+    value (and the rescaling, which exp(40/(1-z)) does at n = 1476) is the
+    plain loop's to the bit."""
+    monkeypatch.setattr(families_mod, "_gamma", lambda m: math.inf)
+    b_fn, stop = B_FNS[name], 3000
+    source = _ScaledExpSource(b_fn)
+    logs = source.extend_to(stop)[:stop]
+    v, shift, _ = direct_loop(b_fn, stop)
+    assert np.array_equal(bits(source._v[:stop]), bits(v))
+    assert source._shift == shift
+    if name == "kovari(0.5)":  # no rescale: the logs follow
+        assert np.array_equal(bits(logs), bits(np.log(v) + shift))
+
+
+def exact_products(x, y):
+    """The exact convolution of two float vectors, as Fractions: every
+    float is an integer over the largest denominator among them, so the
+    integers convolve exactly."""
+    fx = [fractions.Fraction(t) for t in x.tolist()]
+    fy = [fractions.Fraction(t) for t in y.tolist()]
+    den = max(f.denominator for f in fx + fy)
+    out = np.convolve(np.array([int(f * den) for f in fx], dtype=object),
+                      np.array([int(f * den) for f in fy], dtype=object))
+    return [fractions.Fraction(int(t), den * den) for t in out]
+
+
+@pytest.mark.parametrize("size,seed,growth", [
+    (512, 0, 0.0), (512, 1, 0.05), (1024, 2, 0.0), (1024, 3, 0.02)])
+def test_fft_product_error_is_inside_its_bound(size, seed, growth):
+    """The FFT product of one level, in pieces, against the exact product
+    in Fractions: every output is within the bound it adds to its block.
+    The vectors are random and nonnegative, flat or growing like v and
+    with some exact zeros."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(size) * np.exp(growth * np.arange(size))
+    y = rng.random(size) * np.arange(size, 2 * size) ** 0.5
+    x[rng.random(size) < 0.05] = 0.0
+    source = _ScaledExpSource(kovari_b_fn(0.5))
+    source._v = np.zeros(3 * size)
+    source._err = np.zeros(3 * size // families_mod._EXP_BLOCK)
+    source._fft_product(size, x, y)
+    want = exact_products(x, y)
+    got = source._v[size:3 * size - 1]
+    bound = np.repeat(source._err, families_mod._EXP_BLOCK)[size:]
+    for n, (g, w) in enumerate(zip(got.tolist(), want)):
+        assert abs(fractions.Fraction(g) - w) <= bound[n], n
+
+
+def test_overflow_past_the_fill_is_no_error():
+    """kovari(150.5)'s n*b_n is inf from n = 6048.  A fill to 6043 reads
+    k*b_k only below its stop, so it succeeds whether or not an earlier
+    fill to 3034 built a shorter table, with the same bits, and the next
+    fill past 6048 names the overflow."""
+    b_fn = kovari_b_fn(150.5)
+    stepped = _ScaledExpSource(b_fn)
+    stepped.extend_to(3034)
+    got = stepped.extend_to(6043)
+    want = _ScaledExpSource(b_fn).extend_to(6043)
+    assert np.array_equal(bits(got), bits(want))
+    with pytest.raises(ValidationError, match="inf from n = 6048"):
+        stepped.extend_to(6049)
+
+
+def test_eval_near_an_overflowing_table_succeeds(src_env):
+    """At r = 0.04 kovari(150.5) peaks at nu = 2917 and its terms past
+    n = 6040 are far below the max, so eval reaches log M = 0.96^-150.5."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wvlab", "eval", "--family", "kovari",
+         "--rho", "150.5", "--grid-gap", "0.04:0.9999:2"],
+        capture_output=True, text=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[2].split(",")
+    assert int(row[2]) == 2917
+    assert float(row[3]) == pytest.approx(0.96 ** -150.5, rel=1e-12)
+
+
+def test_kovari_half_bytes_do_not_depend_on_the_blas_threads(src_env,
+                                                             tmp_path):
+    """eval on kovari(0.5) out to gap 1e-3 (a horizon of 69K terms) writes
+    the same bytes with one BLAS thread and with two."""
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(src_env, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wvlab", "eval", "--family", "kovari",
+             "--rho", "0.5", "--grid-gap", "0.9:0.1:3", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+FFT_IMPORT_GUARD = """
+import sys
+from wvlab import family
+kov = family("kovari", rho=0.5)
+kov.log_coeffs(480)
+assert "numpy.fft" not in sys.modules
+kov.log_coeffs(481)
+assert "numpy.fft" in sys.modules
+"""
+
+
+def test_numpy_fft_loads_with_the_first_fft_product(src_env):
+    """Products up to 256 terms are direct; the first FFT level (512) runs
+    after the block that ends at 512, which a fill to 481 computes."""
+    proc = subprocess.run([sys.executable, "-c", FFT_IMPORT_GUARD],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("rho", [0.5, 2.0, 3.0])
