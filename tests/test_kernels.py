@@ -647,6 +647,21 @@ def test_overflow_past_the_fill_is_no_error():
         stepped.extend_to(6049)
 
 
+def test_overflow_inside_the_last_block_of_a_fill_is_raised_later():
+    """kovari(300)'s n*b_n is inf from n = 1022, inside the block of 992 to
+    1023.  A fill to 1000 computes that whole block and succeeds; the
+    values it keeps from 1022 on are no coefficients, so a later fill that
+    reaches 1022 names the overflow instead of serving them."""
+    b_fn = kovari_b_fn(300)
+    want = _ScaledExpSource(b_fn).extend_to(1022)
+    source = _ScaledExpSource(b_fn)
+    got = source.extend_to(1000)
+    assert np.array_equal(bits(got), bits(want[:1000]))
+    assert np.array_equal(bits(source.extend_to(1022)), bits(want))
+    with pytest.raises(ValidationError, match="inf from n = 1022"):
+        source.extend_to(1023)
+
+
 def test_eval_near_an_overflowing_table_succeeds(src_env):
     """At r = 0.04 kovari(150.5) peaks at nu = 2917 and its terms past
     n = 6040 are far below the max, so eval reaches log M = 0.96^-150.5."""
