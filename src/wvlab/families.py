@@ -715,7 +715,7 @@ def make_family(spec: FamilySpec) -> PowerSeries:
         from scipy.special import gammaln  # its only user; slow to import
 
         return PowerSeries(
-            VectorizedSource(lambda n: -gammaln(n + 1.0)),
+            VectorizedSource(lambda n: 0.0 - gammaln(n + 1.0)),  # +0, not -0
             math.inf, "exp", family_id="exp", concave_from=0,
         )
     if fid == "geometric":

@@ -4,13 +4,14 @@ Magnitudes throughout the package are carried as ``log(value)`` floats with
 ``-inf`` encoding zero; near the convergence boundary the linear values exceed
 1e6 in the exponent and would overflow ordinary floats.
 
-``log_sum_exp`` sums one array; ``log_sum_exp_blocks`` sums a sequence of
-blocks, as the scan windows in ``series`` are read.  Each block is summed by
-the one kernel (``_sum_exp``): exactly rounded up to ``_FSUM_CUTOFF`` terms
-with an array kernel (``_exact_sum``) that gives the bits ``math.fsum``
-gives, and pairwise (``np.sum``) beyond it.  The block sums are combined
-with ``math.fsum``, so an array given as one block keeps the bits of
-``log_sum_exp``; a split into several blocks can move the last bit.
+``log_sum_exp`` sums one array, and ``series._Window`` the blocks of a
+scan window (its block sums combined with ``math.fsum``, under the
+quiet-block rule that ``series`` describes, which ``absorbs`` decides).
+Both sum by the one kernel (``_sum_exp``): exactly rounded up to
+``_FSUM_CUTOFF`` terms with an array kernel (``_exact_sum``) that gives the
+bits ``math.fsum`` gives, and pairwise (``np.sum``) beyond it.  A window of
+one block keeps the bits of ``log_sum_exp``; a split into several blocks
+can move the last bit.
 """
 
 from __future__ import annotations
@@ -103,34 +104,18 @@ def absorbs(values, bound: float) -> bool:
     return math.fsum([*values, bound]) == math.fsum(values)
 
 
-def log_sum_exp_blocks(blocks, m: float, out: np.ndarray, quiet=(),
-                       bound: float = 0.0) -> float:
-    """log of the sum of exp over every value of ``blocks`` and ``quiet``,
-    given their maximum ``m``.
-
-    Each block is summed by :func:`_sum_exp` in the scratch ``out`` (as long
-    as the largest block), and the block sums are combined by ``math.fsum``.
-    The ``quiet`` blocks, whose sums total at most ``bound``, are read only
-    where that bound could move the result (:func:`absorbs`).  A non-finite
-    ``m`` (all values -inf, or a +inf value) is the result.
-    """
-    if not math.isfinite(m):
-        return m
-    sums = [_sum_exp(t, m, out) for t in blocks]
-    if not absorbs(sums, bound):
-        sums += [_sum_exp(t, m, out) for t in quiet]
-    return m + math.log(math.fsum(sums))
-
-
 def log_sum_exp(values) -> float:
     """log of the sum of exp(values) over a 1-d array.
 
-    The array is one block of :func:`log_sum_exp_blocks`: a pure function of
-    the input array, independent of worker count.  A NaN anywhere gives NaN.
+    Summed by :func:`_sum_exp`: a pure function of the input array,
+    independent of worker count.  A non-finite max (all values -inf, or a
+    +inf value) is the result, and a NaN anywhere gives NaN.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return LOG_ZERO
-    return log_sum_exp_blocks((arr,), float(np.max(arr)),
-                              np.empty(arr.size))
+    m = float(np.max(arr))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(_sum_exp(arr, m, np.empty(arr.size)))
 

@@ -11,12 +11,12 @@ Every function here walks its x values through ``series._walk``: one scan
 per x, each starting from the previous x's final window, and ``x = -inf``
 (``r = 0``) is the single-term window ``[log|a_0|]``, where the masses are
 the point mass at 0 (and undefined when ``a_0 = 0``).  Pass 2 is one sweep
-(:func:`_sweep`): each window block is read once, and ``g``, the mean and
-the variance all come from the masses it forms there.  The block sums are
-combined with ``math.fsum``; the products run on ``np.einsum``, not BLAS,
-so the bits do not depend on the BLAS thread count.  A declared-concave
-window's quiet leading blocks are not read at all where certificates show
-that their sums cannot move a bit of the four ``math.fsum`` results.
+(:func:`_sweep`): ``series._Window.read`` reads each window block once, and
+``g``, the mean and the variance all come from the masses it forms there.
+The block sums are combined with ``math.fsum``; the products run on
+``np.einsum``, not BLAS, so the bits do not depend on the BLAS thread
+count.  The window's quiet blocks follow the rule that ``series``
+describes, with four sums to leave unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .logdomain import LOG_ZERO, _sum_exp, absorbs
+from .logdomain import LOG_ZERO, absorbs
 from .series import DEFAULT_TOL, PowerSeries, _walk
 
 # Moment sums weight the tail by (n - mean)^2, so their scans run far
@@ -101,64 +101,57 @@ def _walk_masses(series: PowerSeries, xs, tol: float, point) -> list:
 
 def _sweep(window) -> RosenbloomStats:
     """``g = log F`` and the mean and variance of the masses, from one read
-    of each window block.
+    of each window block (``window.read``).
 
-    A block's ``e = exp(t - log_mu)`` is formed by the kernel and in the
-    scratch that ``window.log_F`` uses, so ``g`` keeps its bits.  From the
-    same ``e`` come the block's first moment ``s1 = sum n e``, its mean
-    ``mu_b = s1 / s0`` and its second moment about that mean ``m2 = sum (n
-    - mu_b)^2 e``.  The blocks merge by the pairwise update of Chan, Golub
-    and LeVeque (1979): with ``S0 = sum s0``, ``g1 = sum s1 / S0`` and
-    ``g2 = (sum m2 + sum s0 (mu_b - g1)^2) / S0``.  Every term is
+    A block's masses ``e = exp(t - log_mu)`` and their sum ``s0`` are those
+    that ``window.log_F`` sums, so ``g`` keeps its bits.  From the same
+    ``e`` come the block's first moment ``s1 = sum n e``, its mean ``mu_b =
+    s1 / s0`` and its second moment about that mean ``m2 = sum (n - mu_b)^2
+    e`` (:func:`_moments`).  The blocks merge by the pairwise update of
+    Chan, Golub and LeVeque (1979): with ``S0 = sum s0``, ``g1 = sum s1 /
+    S0`` and ``g2 = (sum m2 + sum s0 (mu_b - g1)^2) / S0``.  Every term is
     nonnegative, so nothing cancels, as ``E X^2 - (E X)^2`` would once the
     mean is large (it reaches 1e6 near the boundary).  The products run on
     ``np.einsum``, not BLAS, so the bits do not depend on its threads.
-
-    The quiet blocks of ``[0, end)`` (``window.quiet()``), whose ``s0``
-    total at most ``beta``, are skipped where four certificates hold
-    (:func:`~wvlab.logdomain.absorbs`): their indices and means lie in
-    ``[0, end)``, so their ``s1`` total at most ``beta * end``, their
-    ``m2`` at most ``beta * end^2`` and their Chan terms at most ``beta *
-    max(g1, end)^2``, and adding each bound leaves its ``math.fsum``
-    unchanged; the bits are then those of every block.  Otherwise the
-    quiet blocks are read too.
     """
     m = window.log_mu
     if not math.isfinite(m):  # F = 0: the sources reject +inf term logs
         return RosenbloomStats(m, math.nan, math.nan)
-    end, beta = window.quiet()
-    parts = _moments(window, m, window.blocks(0, window.size, end))
-    while True:
-        s0, s1, mu_b, m2 = zip(*parts)
-        total = math.fsum(s0)
-        g1 = math.fsum(s1) / total
-        chan = [s * (mu - g1) ** 2 for s, mu in zip(s0, mu_b)]
-        if end == 0 or all(absorbs(v, beta * w) for v, w in (
-                (s0, 1.0), (s1, end), (m2, end ** 2),
-                (chan, max(g1, end) ** 2))):
-            break
-        parts += _moments(window, m, window.blocks(0, end))
-        end = 0
+    s0, s1, mu_b, m2 = zip(*window.read(_moments, _absorbed))
+    total, g1, chan = _merge(s0, s1, mu_b)
     g2 = (math.fsum(m2) + math.fsum(chan)) / total
     return RosenbloomStats(m + math.log(total), g1, g2)
 
 
-def _moments(window, m: float, blocks) -> list:
-    """``(s0, s1, mu_b, m2)`` of each of ``blocks`` that has a nonzero
-    mass (:func:`_sweep`)."""
-    parts = []
-    for lo, t in blocks:
-        e = window.scratch(t.size)
-        s0 = _sum_exp(t, m, e)
-        if s0 == 0.0:
-            continue
-        n = np.arange(lo, lo + t.size, dtype=float)
-        s1 = float(np.einsum("i,i->", n, e))
-        mu_b = s1 / s0
-        n -= mu_b
-        n *= n
-        parts.append((s0, s1, mu_b, float(np.einsum("i,i->", n, e))))
-    return parts
+def _moments(lo: int, e: np.ndarray, s0: float) -> tuple:
+    """``(s0, s1, mu_b, m2)`` of the block from ``lo`` whose masses ``e``
+    sum to ``s0`` (:func:`_sweep`)."""
+    n = np.arange(lo, lo + e.size, dtype=float)
+    s1 = float(np.einsum("i,i->", n, e))
+    mu_b = s1 / s0
+    n -= mu_b
+    n *= n
+    return s0, s1, mu_b, float(np.einsum("i,i->", n, e))
+
+
+def _merge(s0, s1, mu_b) -> tuple:
+    """``S0``, ``g1`` and the Chan terms ``s0 (mu_b - g1)^2`` of blocks."""
+    total = math.fsum(s0)
+    g1 = math.fsum(s1) / total
+    return total, g1, [s * (mu - g1) ** 2 for s, mu in zip(s0, mu_b)]
+
+
+def _absorbed(parts, end: int, beta: float) -> bool:
+    """Whether the quiet blocks of ``[0, end)``, whose ``s0`` total at most
+    ``beta``, leave the four sums of the blocks ``parts`` unchanged
+    (:func:`~wvlab.logdomain.absorbs`): their indices and means lie in
+    ``[0, end)``, so their ``s1`` total at most ``beta * end``, their
+    ``m2`` at most ``beta * end^2`` and their Chan terms at most ``beta *
+    max(g1, end)^2``."""
+    s0, s1, mu_b, m2 = zip(*parts)
+    _, g1, chan = _merge(s0, s1, mu_b)
+    return all(absorbs(v, beta * w) for v, w in (
+        (s0, 1.0), (s1, end), (m2, end ** 2), (chan, max(g1, end) ** 2)))
 
 
 def distribution(series: PowerSeries, x: float,

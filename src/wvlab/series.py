@@ -46,14 +46,19 @@ the central index, the horizon and the window cut at that horizon, which is
 read block by block only by the points that read it.  A window that never
 slid is its one in-memory buffer, one that slid or jumped is recomputed
 from the series a block at a time (after a jump, the first block comes
-from the scan's buffer while it still holds it).  Its sums are formed per
-block and combined with ``math.fsum``, so a grid holds a few MB of buffers
-however large its horizons are.  The sums of a declared-concave window
-skip its quiet leading blocks, those that end 50 or more below the max
-term left of the central index: concavity and the rounding bound give
-each a bound on its sum, and where adding the bounds leaves a correctly
-rounded ``math.fsum`` unchanged, adding the true sums does too, so the
-bits are those of every block; otherwise the quiet blocks are read.
+from the scan's buffer while it still holds it), so a grid holds a few MB
+of buffers however large its horizons are.  Every sum of the masses
+``exp(t - m)`` of a window starts in one place, ``_Window._sums``, which
+forms each block's masses and their sum (``logdomain._sum_exp``); the
+block sums are combined with ``math.fsum``.  The sums over a whole window,
+``log_F`` and the moments of ``rosenbloom``, keep the quiet-block rule
+(``_Window.read``): the quiet blocks of a declared-concave window are its
+leading blocks that end 50 or more below the max term left of the central
+index.  Concavity and the rounding bound give each a bound on its sum
+(``_Window.quiet``).  ``math.fsum`` rounds correctly, so where adding the
+bounds leaves every sum's bits unchanged, adding the true block sums does
+too, and the quiet blocks are skipped with the bits of every block;
+otherwise they are read.
 Readers that need every term (the distribution, sampled maxima and window
 sums) read them all.  A source computes only the indices asked for:
 closed forms, monomials and coefficient arrays included, hold none, and a
@@ -76,7 +81,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .logdomain import LOG_ZERO, log_sum_exp_blocks
+from .logdomain import LOG_ZERO, _sum_exp, absorbs
 
 DEFAULT_TOL = 1e-9
 TAIL_RUN = 50
@@ -387,12 +392,8 @@ class _Buffers:
     ``get(i, need, keep)`` returns buffer ``i`` with room for ``need``
     values and its first ``keep`` values kept; a buffer grows to twice what
     is asked, at most :func:`_buffer_size` values, so a walk of small
-    windows keeps small buffers.  ``head`` is the first buffer of term logs
-    that the last scan filled, when it jumped (else ``None``): the term
-    buffer still holds it until the window's reads refill it.
+    windows keeps small buffers.
     """
-
-    head = None
 
     def __init__(self, series: PowerSeries):
         self.coeffs = series._coeffs if isinstance(
@@ -421,6 +422,23 @@ def _fill_terms(coeffs, out: np.ndarray, x: float, lo: int) -> None:
         t += coeffs(a, b)
 
 
+def _read(coeffs, x: float, lo: int, hi: int) -> np.ndarray:
+    """The term logs ``t[n]``, ``lo <= n < hi``, as :func:`_fill_terms`
+    computes them."""
+    out = np.empty(hi - lo)
+    _fill_terms(coeffs, out, x, lo)
+    return out
+
+
+def _delta(ends, n: int, x: float) -> float:
+    """``delta = _DELTA * (T + 2 n |x|)``, a bound on the error of each
+    computed term of ``[n0, n)`` for a series declared concave from ``n0``,
+    where ``T`` is the largest ``|t|`` of ``ends``: ``t[n0]`` and terms that
+    bound the concave ones on ``[n0, n)``, so that ``|log|a_m|| + m|x| <= T
+    + 2 n |x|`` there."""
+    return _DELTA * (max(abs(v) for v in ends) + 2 * n * abs(x))
+
+
 def _no_horizon(series: PowerSeries, x: float) -> TruncationError:
     """The error of a scan that reaches ``HARD_CAP`` without a horizon."""
     return TruncationError(
@@ -438,12 +456,11 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
     where a certificate fails, and then the scan slides.
 
     The exact terms ``t(n) = log|a_n| + n x`` are concave from ``n0``, and
-    the computed ones are within ``delta`` of them on ``[n0, N)``, where
-    ``N`` is the end of the reads: ``delta = _DELTA * (T + 2 N |x|)``, with
-    ``T`` the largest ``|t|`` at ``n0``, at the peak and at the end of the
-    reads, which bound a concave sequence (so ``|log|a_n|| + n|x| <= T +
-    2 N |x|``).  A certificate is a margin above ``2 * delta`` between two
-    computed terms, so the exact terms are ordered the same way.
+    the computed ones are within ``delta`` (:func:`_delta`) of them on
+    ``[n0, N)``, where ``N`` is the end of the reads, with ``t[n0]``, the
+    peak and the end of the reads bounding the concave terms.  A
+    certificate is a margin above ``2 * delta`` between two computed terms,
+    so the exact terms are ordered the same way.
 
     1. The peak.  A bisection on ``t[m+1] < t[m]`` out to ``HARD_CAP``
        guesses it, and a slab of ``_SLAB`` terms on each side of the guess
@@ -472,13 +489,8 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
     if not (0 <= n0 < size and size + _SLAB < HARD_CAP):
         return None
 
-    def read(lo, hi):
-        out = np.empty(hi - lo)
-        _fill_terms(coeffs, out, x, lo)
-        return out
-
     def falls(n):
-        a, b = read(n, n + 2)
+        a, b = _read(coeffs, x, n, n + 2)
         return b < a
 
     def first(lo, hi, pred):
@@ -492,12 +504,11 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
     def certified(margins, ends, n):
         """Whether every margin exceeds ``2 * delta`` on ``[n0, n)``, whose
         terms lie within the concave hull of ``ends``."""
-        extent = max(abs(v) for v in (t[n0], *ends)) + 2 * n * abs(x)
-        return min(margins) > 2 * _DELTA * extent
+        return min(margins) > 2 * _delta((t[n0], *ends), n, x)
 
     m = first(size - 1, HARD_CAP - 1, falls)
     lo, hi = max(m - _SLAB, size), min(m + _SLAB + 1, HARD_CAP)
-    slab = read(lo, hi)
+    slab = _read(coeffs, x, lo, hi)
     log_mu, nu = _last_max(slab, lo, _last_max(t, 0, (LOG_ZERO, -1)))
     if nu == HARD_CAP - 1:  # still rising at the cap: no term is small
         if certified((-log_tail_tol, slab[-1] - slab[-2]), (slab[-1],), hi):
@@ -510,17 +521,18 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
 
     theta = log_mu + log_tail_tol
     end = HARD_CAP - TAIL_RUN  # the last index a tail run can start at
-    q = first(nu + 1, end + 1, lambda n: read(n, n + 1)[0] < theta)
+    q = first(nu + 1, end + 1,
+              lambda n: _read(coeffs, x, n, n + 1)[0] < theta)
     if q > end:  # no tail run fits below the cap
         if nu < end:  # the terms up to ``end`` stay big
-            (past,) = read(end, end + 1)
+            (past,) = _read(coeffs, x, end, end + 1)
             margins.append(past - theta)
             ends.append(past)
         if certified(margins, ends, max(hi, end + 1)):
             raise _no_horizon(series, x)
         return None
     lo2, hi2 = max(q - _SLAB, nu + 1), min(q + _SLAB + TAIL_RUN + 1, HARD_CAP)
-    slab2 = read(lo2, hi2)
+    slab2 = _read(coeffs, x, lo2, hi2)
     if not certified(margins + [slab2[0] - theta], ends + [slab2[-1]],
                      max(hi, hi2)):
         return None
@@ -544,16 +556,15 @@ def _scan(series: PowerSeries, x: float, tol: float,
     horizon jumps instead (:func:`_jump`): it reads slabs around its peak
     and its horizon and certifies that every term it skips leaves the
     slide's result unchanged; if a certificate fails, it slides.  Returns
-    ``(scan, t, stop)``: the :class:`_Scan`, the window ``t[:stop]`` if it
-    never slid or jumped (else ``None``) and its size, which is the next
-    radius's start (after a jump, the size the horizon reads; the first
-    buffer is then ``bufs.head``).  :func:`_walk` checks the series and the
-    tolerance.
+    ``(scan, t, stop)``: the :class:`_Scan`, the first buffer of terms
+    ``t[:stop]`` if the window never slid (a jumped one keeps it, else
+    ``None``) and the window's size, which is the next radius's start
+    (after a jump, the size the horizon reads).  :func:`_walk` checks the
+    series and the tolerance.
     """
     log_tail_tol = math.log(tol / TAIL_RUN)
     size = _buffer_size()
     bufs = _Buffers(series) if bufs is None else bufs
-    bufs.head = None
     start = min(max(start, _FIRST_WINDOW), HARD_CAP)
     lo, prior = 0, (LOG_ZERO, -1)
     base, stop, grown = 0, 0, min(start, size)  # buf[i] holds t[base + i]
@@ -570,8 +581,7 @@ def _scan(series: PowerSeries, x: float, tol: float,
         if stop == size and base == 0 and series.concave_from is not None:
             scan = _jump(series, bufs.coeffs, buf[:stop], x, log_tail_tol)
             if scan is not None:
-                bufs.head = buf[:stop]
-                return scan, None, scan.horizon + TAIL_RUN + 1
+                return scan, buf[:stop], scan.horizon + TAIL_RUN + 1
         resume = max(stop - TAIL_RUN - 1, 0)
         prior = _last_max(buf[lo - base:resume - base], lo, prior)
         lo = resume
@@ -596,14 +606,6 @@ class _Window:
     inside it until the first block is recomputed over it.  A block is
     valid until the next one is read and must not be written.  ``log_F``,
     the log-sum-exp of the window, is summed when it is first read.
-
-    The sums of a series declared concave from ``n0`` skip its quiet
-    blocks (:meth:`quiet`): the leading blocks whose last term lies
-    ``_QUIET`` or more below ``log_mu`` left of ``nu``.  Each has a bound
-    on its sum, and ``math.fsum`` rounds correctly, so where adding the
-    bounds leaves a sum's bits unchanged, so does adding the true block
-    sums (:func:`~wvlab.logdomain.absorbs`); where it does not, the quiet
-    blocks are read and summed as any other.
     """
 
     def __init__(self, x, scan: _Scan, size, t, bufs, log_F=None,
@@ -629,74 +631,89 @@ class _Window:
                 _fill_terms(self._bufs.coeffs, out, self.x, a)
                 yield a, out
 
-    def _term(self, n: int) -> float:
-        out = np.empty(1)
-        _fill_terms(self._bufs.coeffs, out, self.x, n)
-        return float(out[0])
+    def _sums(self, lo: int, hi: int, m: float, first: int | None = None):
+        """``(start, e, s0)`` for the blocks of :meth:`blocks`: the masses
+        ``e = exp(t - m)``, in the walk's scratch buffer until the next
+        block, and their sum ``s0`` (:func:`~wvlab.logdomain._sum_exp`)."""
+        for a, t in self.blocks(lo, hi, first):
+            e = self._bufs.get(1, t.size)[:t.size]
+            yield a, e, _sum_exp(t, m, e)
+
+    def read(self, kernel, absorbed) -> list:
+        """The results ``kernel(start, e, s0)`` of the blocks whose masses
+        ``e = exp(t - log_mu)`` (:meth:`_sums`; ``log_mu`` finite) are not
+        all 0, under the quiet-block rule (see the module): the quiet
+        blocks ``[0, end)`` of :meth:`quiet` are read last, and only where
+        ``absorbed(parts, end, beta)`` is false for the results ``parts``
+        of the others."""
+        def results(hi, first=None):
+            return [kernel(a, e, s0) for a, e, s0
+                    in self._sums(0, hi, self.log_mu, first) if s0]
+
+        end, beta = self.quiet()
+        parts = results(self.size, end)
+        if end and not absorbed(parts, end, beta):
+            parts += results(end)
+        return parts
 
     def quiet(self) -> tuple:
         """``(end, beta)``: the quiet blocks cover ``[0, end)``, and
-        ``beta`` bounds the sum of ``exp(t[n] - log_mu)`` over them, as a
-        block's kernel computes it, whatever its rounding.
+        ``beta`` bounds the sum of ``exp(t[n] - log_mu)`` over them, as
+        :func:`~wvlab.logdomain._sum_exp` computes it, whatever its
+        rounding.
 
         A block that ends at ``e < nu`` with ``t[e] <= log_mu - _QUIET`` is
         quiet.  The exact terms are concave from ``n0``, and ``-inf``
         before it, and each computed one is within ``delta`` of its exact
-        value (as in :func:`_jump`: ``delta = _DELTA * (T + 2 * size *
-        |x|)``, ``T`` the largest ``|t|`` at ``n0``, ``nu`` and the window's
-        end).  As ``_QUIET > 2 * delta``, the exact ``t[e]`` lies below
-        ``t[nu]``, so the exact terms rise up to ``e``, and each computed
-        term of the block is at most ``t[e] + 2 * delta``.  The block's sum
-        is then at most ``B * exp(t[e] + 2 * delta - log_mu)`` for ``B``
-        terms; ``beta`` doubles it, and adds the least subnormal per term,
-        for the roundings of ``exp`` and of the sum.  ``(0, 0.0)`` for an
-        undeclared series or a window of one block."""
-        n0, step = self._n0, _BLOCK_TERMS
+        value (:func:`_delta`, with ``t[n0]``, ``log_mu`` and the window's
+        last term).  As ``_QUIET > 2 * delta``, the exact ``t[e]`` lies
+        below ``t[nu]``, so the exact terms rise up to ``e``, and each
+        computed term of the block is at most ``t[e] + 2 * delta``.  The
+        block's sum is then at most ``B * exp(t[e] + 2 * delta - log_mu)``
+        for ``B`` terms; ``beta`` doubles it, and adds the least subnormal
+        per term, for the roundings of ``exp`` and of the sum.  ``(0,
+        0.0)`` for an undeclared series or a window of one block."""
+        n0, step, x, coeffs = self._n0, _BLOCK_TERMS, self.x, self._bufs.coeffs
         if n0 is None or self.size <= _buffer_size() \
                 or not math.isfinite(self.log_mu):
             return 0, 0.0
         ends = []
         for e in range(step - 1, self.nu, step):
-            t_e = self._term(e)
+            (t_e,) = _read(coeffs, x, e, e + 1)
             if not t_e <= self.log_mu - _QUIET:
                 break
             ends.append(t_e)
         if not ends:
             return 0, 0.0
-        extent = max(abs(self._term(n0)), abs(self.log_mu),
-                     abs(self._term(self.size - 1)))
-        delta = _DELTA * (extent + 2 * self.size * abs(self.x))
+        (first,), (last,) = (_read(coeffs, x, n, n + 1)
+                             for n in (n0, self.size - 1))
+        delta = _delta((first, self.log_mu, last), self.size, x)
         if not 2 * delta < _QUIET:
             return 0, 0.0
         return len(ends) * step, math.fsum(
             2 * step * (math.exp(t_e + 2 * delta - self.log_mu) + 2.0 ** -1074)
             for t_e in ends)
 
-    def scratch(self, size: int) -> np.ndarray:
-        """``size`` values of the walk's scratch buffer, to work on a block
-        in; valid until the next call."""
-        return self._bufs.get(1, size)[:size]
-
     def log_sum_exp(self, lo: int = 0, hi: int | None = None,
                     m: float | None = None) -> float:
         """log of the sum of ``exp(t[n])`` over ``lo <= n < hi``, given ``m``,
-        the range's max, or reading it from the blocks first."""
+        the range's max, or reading it from the blocks first; a non-finite
+        ``m`` is the result."""
         hi = self.size if hi is None else hi
         if m is None:
             m = max(float(t.max()) for _, t in self.blocks(lo, hi))
-        return log_sum_exp_blocks((t for _, t in self.blocks(lo, hi)), m,
-                                  self.scratch(min(hi - lo, _buffer_size())))
+        if not math.isfinite(m):
+            return m
+        return m + math.log(math.fsum(s for _, _, s in self._sums(lo, hi, m)))
 
     @property
     def log_F(self) -> float:
-        """The log-sum-exp of the window, its quiet blocks skipped where
-        that leaves the bits unchanged."""
+        """The log-sum-exp of the window, under the quiet-block rule.  A
+        window with no finite term (``r = 0`` with ``a_0 = 0``) is given
+        its ``log_F``, as is a monomial's; a scan finds a finite max."""
         if self._log_F is None:
-            end, beta = self.quiet()
-            self._log_F = log_sum_exp_blocks(
-                (t for _, t in self.blocks(0, self.size, end)), self.log_mu,
-                self.scratch(min(self.size, _buffer_size())),
-                (t for _, t in self.blocks(0, end)), beta)
+            self._log_F = self.log_mu + math.log(math.fsum(self.read(
+                lambda lo, e, s0: s0, lambda s, end, beta: absorbs(s, beta))))
         return self._log_F
 
 
@@ -712,13 +729,13 @@ def _walk(series: PowerSeries, xs, tol: float, point,
     """``point(window)`` at each ``x = log r`` of ``xs``, in order.
 
     The one walk through radii; nothing else calls :func:`_scan`.  It checks
-    the series and the tolerance once (scans run at ``tol * scale``; the
-    moment sums ask for ``scale = 1e-6``; errors name ``tol``), then each x.
-    ``x = -inf`` (``r = 0``) is the single-term window ``[log|a_0|]``, with
-    the horizon a monomial has at every radius (1 for other series).  A
-    monomial ``c z^k`` needs no scan at any x while ``tol * scale <= 50``
-    (the run rule then puts its horizon at ``k + 1``, with ``nu = k``, and
-    ``k + 52 <= HARD_CAP``): its max term and ``log_F`` are its one finite
+    the series and the tolerance once (at most ``TAIL_RUN``; scans run at
+    ``tol * scale``; the moment sums ask for ``scale = 1e-6``; errors name
+    ``tol``), then each x.  ``x = -inf`` (``r = 0``) is the single-term
+    window ``[log|a_0|]``, with the horizon a monomial has at every radius
+    (1 for other series).  A monomial ``c z^k`` needs no scan at any x
+    while ``k + 52 <= HARD_CAP`` (the run rule puts its horizon at ``k +
+    1``, with ``nu = k``): its max term and ``log_F`` are its one finite
     term, ``k*x + log|c|`` rounded as :func:`_fill_terms` rounds it.  Any
     other x is one scan (pass 1), starting from the previous radius's final
     window.  ``window`` is the :class:`_Window` cut at the horizon.  Pass 2
@@ -736,12 +753,16 @@ def _walk(series: PowerSeries, xs, tol: float, point,
         raise ValidationError(
             f"tolerance must not be so small that the scans' "
             f"tol*{scale:g} underflows to 0, got {tol!r}")
+    if tol > TAIL_RUN:
+        raise ValidationError(
+            f"tolerance must be at most {TAIL_RUN}: above it the run rule's "
+            f"threshold max_term * tol / {TAIL_RUN} exceeds every term, and "
+            f"no horizon is ever accepted, got {tol!r}")
     log_R = math.log(series.radius)
     bufs = _Buffers(series)
     start, out = _FIRST_WINDOW, []
     k = series.monomial_degree
-    closed = k is not None and tol * scale <= TAIL_RUN \
-        and k + TAIL_RUN + 2 <= HARD_CAP
+    closed = k is not None and k + TAIL_RUN + 2 <= HARD_CAP
     for x in xs:
         x = float(x)
         if not x < math.inf:
@@ -761,9 +782,8 @@ def _walk(series: PowerSeries, xs, tol: float, point,
         else:
             scan, t, start = _scan(series, x, tol * scale, start, bufs)
             size = scan.horizon + 1
-            window = _Window(x, scan, size,
-                             bufs.head if t is None else t[:size], bufs,
-                             concave_from=series.concave_from)
+            window = _Window(x, scan, size, None if t is None else t[:size],
+                             bufs, concave_from=series.concave_from)
         out.append(point(window))
         del t, window  # no window outlives its point
     return out

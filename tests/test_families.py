@@ -26,6 +26,20 @@ def test_exp_family_coefficients(exp_series):
     assert got == pytest.approx(want, abs=1e-12)
 
 
+
+def test_exp_family_writes_no_negative_zero(exp_series, tmp_path):
+    """``log 0! = log 1! = +0``, not the ``-0`` of ``-lgamma``: the max
+    term of every ``nu = 0`` row is written ``0``, as for ``geometric``."""
+    assert [math.copysign(1, exp_series.log_coeff(n)) for n in range(3)] \
+        == [1, 1, -1]
+    assert math.copysign(1, log_max_term(exp_series, 0.5).log_mu) == 1
+    out = tmp_path / "exp.csv"
+    assert main(["eval", "--family", "exp", "--grid-geo", "0.1:0.5:2",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [(row["log_mu"], row["nu"]) for row in rows] == [("0", "0")] * 2
+
+
 def test_suleimanov_coefficients(suleimanov_half_series):
     assert suleimanov_half_series.log_coeff(0) == -math.inf
     assert suleimanov_half_series.log_coeff(4) == pytest.approx(2.0)

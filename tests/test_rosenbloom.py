@@ -160,6 +160,38 @@ def test_verify_chain_refuses_monomial():
         verify_pointwise_lemma(mono, [0.1], 2.0)
 
 
+
+@pytest.mark.parametrize("family_id,params,radii,block", [
+    ("exp", {}, (2.0, 10.0, 300.0, 3e3), None),
+    ("geometric", {}, (0.5, 0.9, 0.99, 0.999), None),
+    ("suleimanov", {"epsilon": 0.5}, (0.5, 0.9, 0.99), None),
+    ("suleimanov", {"epsilon": 0.5}, (0.99, 0.999), 1024),
+    ("exp", {}, (3e3, 1e4), 1024),
+])
+def test_margin_overall_closes_the_chain(family_id, params, radii, block,
+                                         monkeypatch):
+    """``margin_overall``, the slack of ``F <= C mu sqrt(g2)`` with the
+    pointwise constant ``C``, is the sum of the two links' slacks up to
+    rounding (``log C = log count - log(1 - c^-2) - log(g2) / 2``), and at
+    least -2e-9 wherever the chain holds; with 1024-term blocks the moment
+    windows span several blocks."""
+    from wvlab import series as series_mod
+
+    if block is not None:
+        monkeypatch.setattr(series_mod, "_BLOCK_TERMS", block)
+    series, xs = family(family_id, **params), [math.log(r) for r in radii]
+    if block is not None:
+        sizes = series_mod._walk(series, xs, 1e-9 * 1e-6, lambda w: w.size)
+        assert min(sizes) > block + 51
+    for c in (math.sqrt(3), 2.0):
+        for rep in verify_pointwise_lemma(series, xs, c):
+            scale = max(1.0, abs(rep.g), abs(rep.log_mu), abs(rep.log_window))
+            assert abs(rep.margin_overall - (rep.margin_chebyshev
+                                             + rep.margin_count)) \
+                <= 16 * 2.0 ** -52 * scale
+            assert rep.holds and rep.margin_overall >= -2e-9
+
+
 @pytest.mark.parametrize("family_id,params,x_grid", [
     ("exp", {}, np.linspace(-2, 4, 12)),
     ("geometric", {}, np.log(np.linspace(0.2, 0.85, 12))),
@@ -398,7 +430,6 @@ def test_a_failed_certificate_reads_every_block(monkeypatch):
     """A bound too large for any certificate: log F and the moments sum
     every term of their windows, the quiet blocks too, and keep their
     bits."""
-    from wvlab import logdomain
     from wvlab import rosenbloom
     from wvlab import series as series_mod
 
@@ -408,10 +439,9 @@ def test_a_failed_certificate_reads_every_block(monkeypatch):
     quiet = series_mod._Window.quiet
     monkeypatch.setattr(series_mod._Window, "quiet", lambda w: (
         quiet(w)[0], quiet(w)[1] + 1e30))
-    summed = []
-    for mod in (logdomain, rosenbloom):
-        monkeypatch.setattr(mod, "_sum_exp", lambda t, m, out, k=mod._sum_exp:
-                            summed.append(t.size) or k(t, m, out))
+    summed, block_sum = [], series_mod._sum_exp
+    monkeypatch.setattr(series_mod, "_sum_exp", lambda t, m, out: (
+        summed.append(t.size) or block_sum(t, m, out)))
     (size,) = series_mod._walk(series, xs, 1e-9, lambda w: (
         w.log_F, w.size)[1])
     (moment_size,) = rosenbloom._walk_masses(series, xs, 1e-9,

@@ -230,6 +230,33 @@ def test_bad_tolerance_is_rejected_before_scanning(geometric_series, tol,
             evaluate()
 
 
+
+@pytest.mark.parametrize("tol", [50.5, 100.0, 1e300])
+def test_tolerance_above_the_tail_run_is_rejected_before_scanning(tol):
+    """Above ``TAIL_RUN`` the run rule's threshold ``mu * tol / 50`` lies
+    above every term, so no horizon is ever accepted: every entry point
+    rejects such a tolerance, naming the bound, before any coefficient is
+    computed."""
+    from wvlab import RadialGrid, evaluate_grid, family, stats
+
+    series = family("kovari", rho=1)  # a recurrence: it keeps what it fills
+    grid = RadialGrid.geometric_in_gap(0.5, 0.5, 2)
+    for evaluate in (lambda: log_positive_value(series, 0.5, tol),
+                     lambda: truncation_horizon(series, 0.5, tol),
+                     lambda: stats(series, -0.5, tol),
+                     lambda: evaluate_grid(series, grid, tol)):
+        with pytest.raises(ValidationError, match=f"at most {TAIL_RUN}:"):
+            evaluate()
+    assert series._source._size == 0
+
+
+def test_tolerance_at_the_tail_run_is_accepted(geometric_series):
+    """``tol = TAIL_RUN`` puts the threshold at the running max: at r = 1/2
+    the first term is the max and the next 50 lie below it."""
+    assert truncation_horizon(geometric_series, 0.5, TAIL_RUN) == 1
+    assert log_positive_value(geometric_series, 0.5, TAIL_RUN) == math.log(1.5)
+
+
 def test_concurrent_readers_bitwise_identical(suleimanov_half_series):
     from concurrent.futures import ThreadPoolExecutor
 
