@@ -317,11 +317,6 @@ def test_cli_rejects_partly_given_inputs(argv, needle, tmp_path, capsys):
      "tolerance"),
     (["lemma", "--family", "exp", "--grid-geo", "2:10:3", "--tol", "nan"],
      "tolerance"),
-    # tolerances above the tail run of 50: no horizon would ever be accepted
-    (["eval", "--family", "kovari", "--rho", "1", "--grid-gap", "0.5:0.5:2",
-      "--tol", "100"], "tolerance must be at most 50:"),
-    (["stats", "--family", "geometric", "--grid-gap", "0.5:0.5:2", "--tol",
-      "1e300"], "tolerance must be at most 50:"),
     # a tolerance whose moment scan tolerance tol*1e-6 underflows to 0
     (["stats", "--family", "exp", "--grid-geo", "2:10:3", "--tol",
       "1e-320"], "got 1e-320"),
@@ -347,6 +342,11 @@ def test_cli_rejects_partly_given_inputs(argv, needle, tmp_path, capsys):
     # an h weight for a bound that takes none
     (["check", "--family", "exp", "--grid-geo", "2:10:3", "--bound", "wv",
       "--delta", "0.5", "--h", "disk"], "takes no h weight"),
+    # tolerances above the tail run of 50: no horizon would ever be accepted
+    (["eval", "--family", "kovari", "--rho", "1", "--grid-gap", "0.5:0.5:2",
+      "--tol", "100"], "tolerance must be at most 50:"),
+    (["stats", "--family", "geometric", "--grid-gap", "0.5:0.5:2", "--tol",
+      "1e300"], "tolerance must be at most 50:"),
 ])
 def test_cli_malformed_input_exits_2(argv, needle, tmp_path, capsys,
                                      monkeypatch):
