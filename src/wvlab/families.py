@@ -17,8 +17,9 @@ builds from the values they check.
 The closed-form families (``exp``, ``geometric``, ``monomial``,
 ``suleimanov``, ``formula``) are a ``VectorizedSource``: a scan computes
 each block of coefficients from the formula when it needs it, and nothing
-is cached.  Only the ``kovari`` recurrences below keep the prefix they have
-computed.
+is cached.  Only the ``kovari`` recurrences below keep what they have
+computed: whole blocks or batches, under the fill contract of
+``series._PrefixSource``.
 
 Three families declare that their ``log|a_n|`` is concave from an index
 ``n0`` (``PowerSeries.concave_from``), which lets a scan past its buffer
@@ -397,16 +398,18 @@ class _ScaledExpSource(_PrefixSource):
       so exact zeros and underflow come out as they did.
 
     A block's products do not depend on how far a fill goes, and a fill
-    computes whole blocks (keeping the last one's logs), so the bits of a
-    prefix are the same however it was asked for.  Values are rescaled by
-    ``exp(-_RESCALE_SHIFT)`` when ``v_{n-1}`` passes ``_RESCALE_THRESHOLD``
-    before ``v_n``, at the same indices as a plain loop; the sums and their
-    bounds are rescaled with them.  The table of ``k b_k`` is built to
+    computes whole blocks and returns them (the fill contract of
+    ``series._PrefixSource``), so the bits of a prefix are the same however
+    it was asked for.  Values are rescaled by ``exp(-_RESCALE_SHIFT)`` when
+    ``v_{n-1}`` passes ``_RESCALE_THRESHOLD`` before ``v_n``, at the same
+    indices as a plain loop; the sums and their bounds are rescaled with
+    them.  The table of ``k b_k`` is built to
     twice a level when that level's first product comes, and cut back to
     the level after the fill (a fallback past it builds it again).
     ``table`` names the b_k in the error raised when a ``k b_k`` below a
     fill's stop, which a fallback reads, passes the float range; past the
-    stop an inf only fails the certificate of the blocks it reaches.
+    stop an inf only fails the certificate of the blocks it reaches, and a
+    fill returns no value from the first inf ``k b_k`` on.
     """
 
     def __init__(self, b_fn, table="the exponent's coefficient table"):
@@ -416,10 +419,8 @@ class _ScaledExpSource(_PrefixSource):
         self._level = 0            # the longest level begun
         self._inf = 0              # the first k with k*b_k inf (or 2 level)
         self._toeplitz = np.empty(0)  # [i, m] = k*b_k at k = i - m > 0
-        self._v = np.zeros(0)      # scaled a_n below _done, then the s_n
+        self._v = np.zeros(0)      # scaled a_n of the blocks, then the s_n
         self._err = np.zeros(0)    # per block of s_n: its FFT error bound
-        self._done = 0             # a multiple of B
-        self._last = np.empty(0)   # log a_n of the block that ends at _done
         self._chunk, self._chunk_at = None, -1  # Neumann matrices, at
         self._shift = 0.0
 
@@ -428,24 +429,20 @@ class _ScaledExpSource(_PrefixSource):
         size = self._kbr.size
         return self._kbr[size - hi: size - lo][::-1]
 
-    def _check(self, stop):
-        """Raise if a ``k*b_k`` below ``stop`` is inf (``k*b_k`` can overflow
-        where b_k does not); the table reaches ``stop``."""
-        if self._inf < stop:
-            raise ValidationError(
-                f"{self._table} overflows the float range: n*b_n is inf "
-                f"from n = {self._inf}")
-
     def _make_room(self, stop, end):
         """Room for the blocks below ``end``, and the error raised when a
-        ``k*b_k`` below ``stop`` is inf."""
+        ``k*b_k`` below ``stop`` is inf (``k*b_k`` can overflow where b_k
+        does not)."""
         size = _EXP_BLOCK
         while 2 * size <= end:
             size *= 2
         if self._level < size:  # its first product is in this fill
             self._level = size
             self._build(2 * size)
-        self._check(stop)
+        if self._inf < stop:  # the table reaches stop
+            raise ValidationError(
+                f"{self._table} overflows the float range: n*b_n is inf "
+                f"from n = {self._inf}")
         # the level of length `size` reaches 3 size - 1, the others less
         if self._v.size < 3 * size:
             v = np.zeros(3 * size)
@@ -564,20 +561,13 @@ class _ScaledExpSource(_PrefixSource):
             self._err[lo // _EXP_BLOCK:
                       (lo + span - 1) // _EXP_BLOCK + 1] += bound
 
-    def _fill(self, logc, cur, stop):
-        size, done = _EXP_BLOCK, self._done
-        # the last block's values from an inf k*b_k on are no coefficients
-        self._check(min(stop, done))
-        if cur < done:  # the last block holds them
-            hi = min(stop, done)
-            logc[cur:hi] = self._last[cur - done + size:hi - done + size]
-            cur = hi
-        if cur == stop:
-            return
+    def _fill(self, cur, stop):
+        size = _EXP_BLOCK
         end = -(-stop // size) * size
         self._make_room(stop, end)
+        logs = np.empty(end - cur)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for n0 in range(done, end, size):
+            for n0 in range(cur, end, size):
                 if n0 == 0:
                     self._v[0] = 1.0
                     self._shift = float(
@@ -586,14 +576,14 @@ class _ScaledExpSource(_PrefixSource):
                 else:
                     self._block(n0)
                 self._products(n0 + size)
-                logs = np.log(self._v[n0:n0 + size]) + self._shift
-                hi = min(stop, n0 + size)
-                logc[n0:hi] = logs[:hi - n0]
-        self._done, self._last = end, logs
+                logs[n0 - cur:n0 - cur + size] = np.log(
+                    self._v[n0:n0 + size]) + self._shift
         self._chunk, self._chunk_at = None, -1
         # until the next level, blocks read k*b_k below it, fallbacks aside
         if self._kbr.size > self._level:
             self._kbr = self._kbr[-self._level:].copy()
+        # the values from an inf k*b_k on are no coefficients
+        return logs[:min(end, self._inf) - cur]
 
 
 class _KovariIntSource(_PrefixSource):
@@ -622,10 +612,11 @@ class _KovariIntSource(_PrefixSource):
     + 1, where E log 2 is split in two so that its larger part is exact and
     is added last.  A block's values do not depend on which call computed
     it, so the bits of a prefix are the same however it was asked for.  A
-    fill stitches whole batches of ``_KOVARI_BATCH`` blocks (up to
-    ``HARD_CAP``), since a batch costs its ``L`` numpy steps however few
-    blocks it holds; the state after the last block and the logs of the
-    last batch are kept between calls, and serve the next fill first.
+    fill stitches whole batches of ``_KOVARI_BATCH`` blocks (up to the
+    cap), since a batch costs its ``L`` numpy steps however few blocks it
+    holds, and returns them all (the fill contract of
+    ``series._PrefixSource``); the state after the last block is kept for
+    the next fill.
     Cross-checked against mpmath and the convolution in tests.
     """
 
@@ -633,8 +624,6 @@ class _KovariIntSource(_PrefixSource):
         self._rho = rho
         self._state = [1.0] * (rho + 1)  # S / (e 2^E), S_j(0) = a_0 = e
         self._exp = 0                    # E
-        self._blocks = 0                 # the state is S(blocks * L)
-        self._last = np.empty(0)         # log a_n of the last batch
 
     def _unit_starts(self, b0: int, b1: int):
         """The rho + 1 unit-start solutions of blocks b0..b1-1: ``a[t, i, b]``
@@ -685,24 +674,15 @@ class _KovariIntSource(_PrefixSource):
         logs = (np.log(v) + (exps * _LN2_LO + 1.0)) + exps * _LN2_HI
         return logs.T.ravel()
 
-    def _fill(self, logc, cur, stop):
-        if cur == 0:
-            logc[0] = 1.0
-            cur = 1
+    def _fill(self, cur, stop):
         size = _KOVARI_BLOCK
-        done = self._blocks * size + 1  # a_1..a_{done-1} are stitched
-        if cur < done:  # the last batch holds them
-            hi, lo = min(stop, done), done - self._last.size
-            logc[cur:hi] = self._last[cur - lo:hi - lo]
-            cur = hi
-        while cur < stop:  # cur = blocks * L + 1
-            b0 = self._blocks
-            b1 = min(b0 + _KOVARI_BATCH, (HARD_CAP - 2) // size + 1)
-            logs = self._stitch(b0, b1)
-            hi = min(stop, b1 * size + 1)
-            logc[cur:hi] = logs[:hi - cur]
-            self._blocks, self._last = b1, logs
-            cur = hi
+        b0 = cur // size  # cur = b0 * L + 1, or 0: the state is S(b0 * L)
+        logs = [] if cur else [np.ones(1)]  # log a_0 = log e
+        while b0 * size + 1 < stop:
+            b1 = min(b0 + _KOVARI_BATCH, (self._cap - 2) // size + 1)
+            logs.append(self._stitch(b0, b1))
+            b0 = b1
+        return np.concatenate(logs)
 
 
 # ---------------------------------------------------------------------------

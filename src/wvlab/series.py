@@ -62,9 +62,9 @@ otherwise they are read.
 Readers that need every term (the distribution, sampled maxima and window
 sums) read them all.  A source computes only the indices asked for:
 closed forms, monomials and coefficient arrays included, hold none, and a
-walk keeps their first block for all its radii; only a recurrence keeps the
-prefix it computed.  A grid may start at ``r = 0``, the single-term window
-``[log|a_0|]``.
+walk keeps their first block for all its radii; only a recurrence keeps
+all it computed (``_PrefixSource``).  A grid may start at ``r = 0``, the
+single-term window ``[log|a_0|]``.
 """
 
 from __future__ import annotations
@@ -115,29 +115,42 @@ def _reserve(buf: np.ndarray, filled: int, need: int,
 
 
 class _PrefixSource:
-    """A source that holds the prefix it has computed, as a recurrence must:
-    it fills exactly the prefix asked for into one buffer with spare
-    capacity.
+    """A source that holds the prefix it has computed, as a recurrence must,
+    in one buffer with spare capacity.
 
-    ``_fill(buf, cur, stop)`` writes the values ``cur..stop-1`` into
-    ``buf``.  Values already handed out are never written again, and a
-    buffer that is outgrown stays alive under the views that readers hold.
+    The fill contract: ``_fill(cur, stop)`` returns the values it computes
+    from index ``cur``, the end of all it returned before, on.  It may
+    compute whole blocks or batches at fixed places, so it returns at least
+    ``stop - cur`` values and may return more; the source keeps them all,
+    and the next fill starts where they end.  ``extend_to(stop)`` hands out
+    exactly ``max(stop, asked so far)`` values, and refuses a ``stop`` past
+    ``_cap`` before any fill.  Values once kept are never written again,
+    and a buffer that is outgrown stays alive under the views that readers
+    hold.
     """
 
-    _cap = HARD_CAP  # the buffer's spare room stops here
+    _cap = HARD_CAP  # no prefix is longer, and the spare room stops here
     _buf = np.empty(0)
-    _size = 0
+    _size = 0  # the values asked for
+    _end = 0   # the values computed
 
-    def _fill(self, buf: np.ndarray, cur: int, stop: int) -> None:
+    def _fill(self, cur: int, stop: int) -> np.ndarray:
         raise NotImplementedError
 
     def extend_to(self, stop: int) -> np.ndarray:
-        """The prefix of ``max(stop, computed so far)`` values."""
-        cur = self._size
+        """The prefix of ``max(stop, asked so far)`` values."""
+        if stop > self._cap:
+            raise ValidationError(
+                f"{stop} coefficients asked for, past the cap of "
+                f"{self._cap}")
+        cur = self._end
         if stop > cur:
-            self._buf = _reserve(self._buf, cur, stop, self._cap)
-            self._fill(self._buf, cur, stop)
-            self._size = stop
+            values = self._fill(cur, stop)
+            end = cur + values.size
+            self._buf = _reserve(self._buf, cur, end, self._cap)
+            self._buf[cur:end] = values
+            self._end = end
+        self._size = max(self._size, stop)
         return self._buf[:self._size]
 
     def block(self, lo, hi):
@@ -370,11 +383,11 @@ class _FirstBlock(_PrefixSource):
         self._series = series
         self._cap = _buffer_size()
 
-    def _fill(self, buf, cur, stop):
-        buf[cur:stop] = self._series._coeffs(cur, stop)
+    def _fill(self, cur, stop):
+        return self._series._coeffs(cur, stop)
 
     def block(self, lo, hi):
-        cap = _buffer_size()
+        cap = self._cap
         if hi <= cap:
             return self.extend_to(hi)[lo:hi]
         if lo >= cap:

@@ -179,3 +179,26 @@ def test_bound_vocabulary_reproduces_golden_bytes(name, argv, code,
     out, err = capsysbinary.readouterr()
     assert out == _data(os.path.join("bounds", f"{name}.csv"))
     assert err == _data(os.path.join("bounds", f"{name}.stderr"))
+
+
+ROOT = os.path.dirname(os.path.dirname(__file__))
+
+
+@pytest.mark.parametrize("script,args,files", [
+    ("bound_showdown.py", ["--out", "{dir}/showdown.csv"],
+     ["showdown.csv"]),
+    ("motivating_example.py", ["--out-dir", "{dir}"],
+     ["motivating_example.csv", "motivating_example.summary.txt"]),
+], ids=["bound_showdown", "motivating_example"])
+def test_sample_outputs_are_what_the_scripts_write(script, args, files,
+                                                    src_env, tmp_path):
+    """The committed files under ``out/`` are the bytes the scripts write
+    now, so a change that moves them must rewrite them."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script),
+         *[a.format(dir=tmp_path) for a in args]],
+        capture_output=True, text=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in files:
+        with open(os.path.join(ROOT, "out", name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name

@@ -778,3 +778,100 @@ def test_kovari1_holds_one_growth_step_past_the_optimality_horizon():
     assert reach == 1_335_739
     step = max(reach // series_mod._GROWTH, series_mod._FIRST_WINDOW)
     assert reach <= size <= reach + step
+
+
+def spy_fills(monkeypatch, cls):
+    """Record the stop of every fill of ``cls``."""
+    stops, fill = [], cls._fill
+    monkeypatch.setattr(cls, "_fill", lambda self, cur, stop:
+                        stops.append(stop) or fill(self, cur, stop))
+    return stops
+
+
+@pytest.mark.parametrize("cls,arg", [
+    (_KovariIntSource, 1),
+    (_ScaledExpSource, kovari_b_fn(0.5)),
+], ids=["kovari_int1", "scaled_exp"])
+def test_recurrence_sources_refuse_a_prefix_past_the_cap(cls, arg,
+                                                          monkeypatch):
+    """A prefix longer than the cap is refused before any fill, with a
+    message that names the cap; a prefix up to the cap has the bits of an
+    uncapped source's."""
+    want = cls(arg).extend_to(1000).copy()
+    monkeypatch.setattr(series_mod._PrefixSource, "_cap", 1000)
+    stops = spy_fills(monkeypatch, cls)
+    source = cls(arg)
+    with pytest.raises(ValidationError, match="past the cap of 1000"):
+        source.extend_to(2000)
+    assert stops == [] and source._end == 0
+    assert np.array_equal(bits(source.extend_to(1000)), bits(want))
+    with pytest.raises(ValidationError, match="past the cap of 1000"):
+        source.extend_to(1001)
+    assert stops == [1000]
+
+
+def test_kovari_past_the_hard_cap_computes_no_coefficient(monkeypatch):
+    """At the real cap the refusal comes before the first fill, where the
+    fill used to compute about 1e8 coefficients and then fail."""
+    stops = spy_fills(monkeypatch, _KovariIntSource)
+    with pytest.raises(ValidationError,
+                       match=f"past the cap of {series_mod.HARD_CAP}"):
+        family("kovari", rho=1).log_coeffs(series_mod.HARD_CAP + 2)
+    assert stops == []
+
+
+def test_each_convolution_block_is_computed_once(monkeypatch):
+    """Stepped fills start each block once, in order, as one fill to the
+    last stop does: the whole blocks a fill computes past its stop are
+    kept, not computed again."""
+    starts = []
+    block, direct = _ScaledExpSource._block, _ScaledExpSource._direct
+    monkeypatch.setattr(_ScaledExpSource, "_block", lambda self, n0:
+                        starts.append(n0) or block(self, n0))
+    monkeypatch.setattr(_ScaledExpSource, "_direct", lambda self, n0, n1:
+                        starts.append(n0) or direct(self, n0, n1))
+    stepped = _ScaledExpSource(kovari_b_fn(0.5))
+    for stop in (1, 31, 33, 1000, 1022, 3034, 6043):
+        stepped.extend_to(stop)
+    got = list(starts)
+    starts.clear()
+    _ScaledExpSource(kovari_b_fn(0.5)).extend_to(6043)
+    assert got == starts
+    assert got[0] == 1 and got[1:] == list(range(32, 6048, 32))
+
+
+class RecordingFormula(CountingFormula):
+    """A ``CountingFormula`` that also keeps every index it evaluated."""
+
+    def __init__(self):
+        super().__init__()
+        self.indices = []
+
+    def __call__(self, n):
+        self.indices.append(n.astype(int))
+        return super().__call__(n)
+
+
+def test_first_block_keeps_the_walks_first_coefficients():
+    """A walk's ``_FirstBlock`` gives the series's bits below, across and
+    past ``_buffer_size()``; it computes each index below that once over
+    many reads, and asks the series again for every read past it."""
+    cap = series_mod._buffer_size()
+    fn = RecordingFormula()
+    series = series_mod.PowerSeries(VectorizedSource(fn), 1.0)
+    plain = series_mod.PowerSeries(
+        VectorizedSource(lambda n: -gammaln(n + 1.0)), 1.0)
+    first = series_mod._FirstBlock(series)
+    reads = [(0, 1), (0, 300), (100, 200), (200, 5000), (4999, 5000),
+             (cap - 10, cap), (cap - 20, cap + 10), (cap, cap + 5),
+             (cap + 3, cap + 7), (0, cap + 2), (7, 7)]
+    past = np.zeros(cap + 10, dtype=int)
+    for lo, hi in reads:
+        got = first.block(lo, hi)
+        assert np.array_equal(bits(got), bits(plain._coeffs(lo, hi))), \
+            (lo, hi)
+        past[max(lo, cap):hi] += 1
+    assert fn.top == cap + 9
+    counts = np.bincount(np.concatenate(fn.indices), minlength=cap + 10)
+    assert (counts[:cap] == 1).all()
+    assert np.array_equal(counts[cap:], past[cap:])
