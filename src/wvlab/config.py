@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass
 
 from .bounds import PSI_TABLE, BoundSpec, HSpec, PsiSpec, bound_spec, \
@@ -226,6 +227,13 @@ def config_from_sections(sections, x=None) -> ExperimentConfig:
     elif "grid" in sections:
         raise ValidationError(
             "give either x = log r values or a grid, not both")
+    else:
+        log_max = math.log(sys.float_info.max)  # r = exp(x) is a float
+        for v in x:
+            if v > log_max:
+                raise ValidationError(
+                    f"x = {v!r} is past log of the largest float, "
+                    f"{log_max:.6f}: r = exp(x) overflows")
     if "bound" in sections:
         fields["bound"] = _parse_bound(sections["bound"])
     if "measure" in sections:

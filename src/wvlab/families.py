@@ -71,8 +71,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .logdomain import LOG_ZERO
-from .series import _DELTA, HARD_CAP, PowerSeries, VectorizedSource, \
-    _PrefixSource
+from .series import _DELTA, HARD_CAP, TAIL_RUN, PowerSeries, \
+    VectorizedSource, _PrefixSource
 
 _RESCALE_THRESHOLD = 1e200
 _RESCALE_SHIFT = 230.0  # exp(-230) ~ 1e-100 per rescale
@@ -180,10 +180,11 @@ FAMILY_PARAMS = {
     "monomial": {
         "coeff": (_number(lambda c: c != 0 and math.isfinite(c)),
                   "a nonzero finite coefficient c"),
-        # A monomial's scans read k + 52 terms (its horizon is k + 1), so k
-        # is capped like every other term count.
-        "degree": (_number(lambda k: 0 <= k < HARD_CAP and k.is_integer()),
-                   f"an integer degree 0 <= k < {HARD_CAP}"),
+        # A monomial's closed form stands for a scan of k + 52 terms (its
+        # horizon is k + 1), so those must fit under the cap.
+        "degree": (_number(lambda k: 0 <= k <= HARD_CAP - TAIL_RUN - 2
+                           and k.is_integer()),
+                   f"an integer degree 0 <= k <= {HARD_CAP - TAIL_RUN - 2}"),
     },
     "kovari": {
         "rho": (_number(lambda v: v > 0 and math.isfinite(v)),
@@ -403,9 +404,9 @@ class _ScaledExpSource(_PrefixSource):
     it was asked for.  Values are rescaled by ``exp(-_RESCALE_SHIFT)`` when
     ``v_{n-1}`` passes ``_RESCALE_THRESHOLD`` before ``v_n``, at the same
     indices as a plain loop; the sums and their bounds are rescaled with
-    them.  The table of ``k b_k`` is built to
-    twice a level when that level's first product comes, and cut back to
-    the level after the fill (a fallback past it builds it again).
+    them.  The table of ``k b_k`` is built to twice a level when that
+    level's first product comes and kept until the next: the blocks and
+    fallbacks of a fill read below it.
     ``table`` names the b_k in the error raised when a ``k b_k`` below a
     fill's stop, which a fallback reads, passes the float range; past the
     stop an inf only fails the certificate of the blocks it reaches, and a
@@ -416,8 +417,7 @@ class _ScaledExpSource(_PrefixSource):
         self._b_fn = b_fn          # count -> array of b_0..b_{count-1}
         self._table = table
         self._kbr = np.empty(0)    # k*b_k, reversed
-        self._level = 0            # the longest level begun
-        self._inf = 0              # the first k with k*b_k inf (or 2 level)
+        self._inf = 0              # first k with k*b_k inf, or the table size
         self._toeplitz = np.empty(0)  # [i, m] = k*b_k at k = i - m > 0
         self._v = np.zeros(0)      # scaled a_n of the blocks, then the s_n
         self._err = np.zeros(0)    # per block of s_n: its FFT error bound
@@ -436,8 +436,7 @@ class _ScaledExpSource(_PrefixSource):
         size = _EXP_BLOCK
         while 2 * size <= end:
             size *= 2
-        if self._level < size:  # its first product is in this fill
-            self._level = size
+        if self._kbr.size < 2 * size:  # its first product is in this fill
             self._build(2 * size)
         if self._inf < stop:  # the table reaches stop
             raise ValidationError(
@@ -473,8 +472,6 @@ class _ScaledExpSource(_PrefixSource):
     def _direct(self, n0, n1):
         """v_n for n = n0..n1-1 by ``_exp_step``, rescaling before v_n when
         v_{n-1} has passed the threshold (for n > n0)."""
-        if self._kbr.size < n1:
-            self._build(2 * self._level)
         v = self._v
         for n in range(n0, n1):
             if n > n0 and v[n - 1] > _RESCALE_THRESHOLD:
@@ -507,7 +504,7 @@ class _ScaledExpSource(_PrefixSource):
     def _neumann(self, n0):
         """``(I + N)(I + N^2)...(I + N^(B/2))`` for the block at n0, from
         the matrices of the ``_EXP_CHUNK`` blocks at fixed places that hold
-        it, built together and kept until the fill ends."""
+        it, built together and kept until a block outside them comes."""
         size = _EXP_BLOCK * _EXP_CHUNK
         c0 = n0 - n0 % size
         if self._chunk_at != c0:
@@ -578,10 +575,6 @@ class _ScaledExpSource(_PrefixSource):
                 self._products(n0 + size)
                 logs[n0 - cur:n0 - cur + size] = np.log(
                     self._v[n0:n0 + size]) + self._shift
-        self._chunk, self._chunk_at = None, -1
-        # until the next level, blocks read k*b_k below it, fallbacks aside
-        if self._kbr.size > self._level:
-            self._kbr = self._kbr[-self._level:].copy()
         # the values from an inf k*b_k on are no coefficients
         return logs[:min(end, self._inf) - cur]
 

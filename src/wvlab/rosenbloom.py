@@ -203,6 +203,10 @@ def _window_sum_from(window, st: RosenbloomStats, c: float) -> float:
     so its blocks are read once, for the sum alone."""
     g1, g2 = st.g1, st.g2
     half = c * math.sqrt(g2)
+    if not 2 * half < math.inf:  # also the lemma's count bound
+        raise DomainError(
+            f"window width 2c*sqrt(g2) overflows the float range at "
+            f"x={window.x:g}: c={c:g}, g2={g2:g}")
     lo = max(0, int(math.floor(g1 - half)) + 1)
     hi = min(window.size - 1, int(math.ceil(g1 + half)) - 1)
     if hi < lo:

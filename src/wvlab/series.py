@@ -126,7 +126,8 @@ class _PrefixSource:
     exactly ``max(stop, asked so far)`` values, and refuses a ``stop`` past
     ``_cap`` before any fill.  Values once kept are never written again,
     and a buffer that is outgrown stays alive under the views that readers
-    hold.
+    hold.  Those views are read-only, so no reader can change what later
+    reads return.
     """
 
     _cap = HARD_CAP  # no prefix is longer, and the spare room stops here
@@ -151,7 +152,9 @@ class _PrefixSource:
             self._buf[cur:end] = values
             self._end = end
         self._size = max(self._size, stop)
-        return self._buf[:self._size]
+        prefix = self._buf[:self._size]
+        prefix.flags.writeable = False
+        return prefix
 
     def block(self, lo, hi):
         return self.extend_to(hi)[lo:hi]
@@ -266,7 +269,8 @@ class PowerSeries:
         return float(self._coeffs(n, n + 1)[0])
 
     def log_coeffs(self, stop: int) -> np.ndarray:
-        """log|a_n| for ``n < stop``, read-only (it may view a cache)."""
+        """log|a_n| for ``n < stop``.  A recurrence's prefix is a read-only
+        view of its cache; copy it to write."""
         return self._coeffs(0, stop)
 
     def _coeffs(self, lo: int, hi: int) -> np.ndarray:
@@ -426,13 +430,16 @@ def _fill_terms(coeffs, out: np.ndarray, x: float, lo: int) -> None:
     Built elementwise, so a window filled piece by piece repeats the values
     of one filled at once bit for bit.  The pieces are at most
     ``_FILL_TERMS`` long: the allocator reuses temporaries that small,
-    while each fresh page of a large one costs a page fault.
+    while each fresh page of a large one costs a page fault.  An ``n*x``
+    past the float range is ``-inf`` at an ``x`` far below 0, the term
+    that vanishes.
     """
-    for a in range(lo, lo + out.size, _FILL_TERMS):
-        b = min(a + _FILL_TERMS, lo + out.size)
-        t = out[a - lo:b - lo]
-        np.multiply(np.arange(a, b, dtype=float), x, out=t)
-        t += coeffs(a, b)
+    with np.errstate(over="ignore"):  # once, not per piece: about 1 us
+        for a in range(lo, lo + out.size, _FILL_TERMS):
+            b = min(a + _FILL_TERMS, lo + out.size)
+            t = out[a - lo:b - lo]
+            np.multiply(np.arange(a, b, dtype=float), x, out=t)
+            t += coeffs(a, b)
 
 
 def _read(coeffs, x: float, lo: int, hi: int) -> np.ndarray:

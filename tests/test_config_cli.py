@@ -362,6 +362,54 @@ def test_cli_malformed_input_exits_2(argv, needle, tmp_path, capsys,
     assert not out.exists()
 
 
+X_PAST_FLOAT = ("validation error: x = {} is past log of the largest float, "
+                "709.782713: r = exp(x) overflows\n")
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    # the window width 2c*sqrt(g2) past the float range: at the count
+    # bound, and (at a larger g2) at the window's own edges
+    (["lemma", "--family", "exp", "--grid-geo", "2:5:3", "--c", "1e308"], 4,
+     "numeric failure: window width 2c*sqrt(g2) overflows the float range "
+     "at x=0.693147: c=1e+308, g2=2\n"),
+    (["lemma", "--family", "geometric", "--grid-geo", "0.9999:0.99995:2",
+      "--c", "1e306"], 4,
+     "numeric failure: window width 2c*sqrt(g2) overflows the float range "
+     "at x=-0.000100005: c=1e+306, g2=9.999e+07\n"),
+    # r = exp(x) past the float range, on any family, before any scan
+    (["stats", "--family", "geometric", "--x=710"], 2,
+     X_PAST_FLOAT.format(710.0)),
+    (["stats", "--family", "exp", "--x=710"], 2, X_PAST_FLOAT.format(710.0)),
+    (["stats", "--family", "monomial", "--coeff", "1", "--degree", "3",
+      "--x=-1,800"], 2, X_PAST_FLOAT.format(800.0)),
+    # n*x past the float range is -inf, the term that vanishes
+    (["stats", "--family", "geometric", "--x=-1e308,-1"], 0, ""),
+    # a degree whose scan of k + 52 terms would pass the cap
+    (["eval", "--family", "monomial", "--coeff", "1", "--degree", "99999990",
+      "--grid-geo", "0.5:0.9:2"], 2,
+     "validation error: family parameter 'degree' must be an integer degree "
+     "0 <= k <= 99999948; got '99999990'\n"),
+], ids=["c_1e308", "c_1e306_wide", "x710_geometric", "x710_exp",
+        "x800_monomial", "x_minus_1e308", "degree_past_cap"])
+def test_cli_extreme_finite_inputs_exit_with_their_codes(argv, code, err,
+                                                         capsys):
+    """Finite inputs at the float range's edge exit with a documented code
+    and one line, no traceback and no warning."""
+    assert main(argv) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    if code == 0:
+        assert len(out.splitlines()) == 4
+
+
+def test_monomial_degree_bound_is_the_closed_forms():
+    """The largest degree accepted is the largest the closed form covers."""
+    top = HARD_CAP - TAIL_RUN - 2
+    assert family("monomial", coeff=1, degree=top).monomial_degree == top
+    with pytest.raises(ValidationError, match=f"0 <= k <= {top}"):
+        family("monomial", coeff=1, degree=top + 1)
+
+
 def test_lemma_exphalf_threshold_beyond_float_range(capsys):
     # g = log M reaches 3000 on exp: psi(g) = exp(g/2) overflows a float
     # from g > 1419.6, while log(h(r) psi(g)) = g/2 does not.

@@ -840,6 +840,63 @@ def test_each_convolution_block_is_computed_once(monkeypatch):
     assert got[0] == 1 and got[1:] == list(range(32, 6048, 32))
 
 
+@pytest.mark.parametrize("fallback", [False, True],
+                         ids=["blocks", "fallbacks"])
+def test_the_k_b_k_table_is_built_once_per_level(fallback, monkeypatch):
+    """Stepped fills build the table of ``k*b_k`` once per level begun, to
+    twice the level, and keep it: a fill that falls back past its level
+    (1100 after 1000) builds nothing."""
+    if fallback:
+        monkeypatch.setattr(families_mod, "_gamma", lambda m: math.inf)
+    counts, build = [], _ScaledExpSource._build
+    monkeypatch.setattr(_ScaledExpSource, "_build", lambda self, count:
+                        counts.append(count) or build(self, count))
+    source = _ScaledExpSource(kovari_b_fn(0.5))
+    for stop in (1, 31, 33, 1000, 1100, 3034, 6043):
+        source.extend_to(stop)
+    assert counts == [64, 128, 2048, 4096, 8192]
+    assert source._kbr.size == 8192
+
+
+def test_the_neumann_chunk_outlives_a_fill(monkeypatch):
+    """A fill that starts inside the last fill's Neumann chunk reuses its
+    matrices: stepped fills find the chunk each block's solve finds in one
+    fill."""
+    held, neumann = [], _ScaledExpSource._neumann
+    monkeypatch.setattr(_ScaledExpSource, "_neumann", lambda self, n0:
+                        held.append(self._chunk_at) or neumann(self, n0))
+    stepped = _ScaledExpSource(kovari_b_fn(0.5))
+    for stop in (1000, 1100, 3034, 6043):
+        stepped.extend_to(stop)
+    got = list(held)
+    held.clear()
+    _ScaledExpSource(kovari_b_fn(0.5)).extend_to(6043)
+    assert got == held
+    assert got.count(-1) == 1  # only the first solve finds no chunk
+
+
+@pytest.mark.parametrize("reader", ["kovari_int1", "scaled_exp",
+                                    "first_block"])
+def test_handed_out_prefixes_are_read_only(reader):
+    """A write into a prefix the sources hand out raises, and later reads,
+    past a growth of the buffer too, keep their bits."""
+    if reader == "first_block":  # a walk's reader of a formula series
+        coeffs = series_mod._Buffers(family("suleimanov", epsilon=0.5)).coeffs
+
+        def read(stop):
+            return coeffs(0, stop)
+    else:
+        series = family("kovari", rho=1 if reader == "kovari_int1" else 0.5)
+        read = series.log_coeffs
+    want = read(10).copy()
+    with pytest.raises(ValueError, match="read-only"):
+        read(10)[3] = 0.0
+    assert np.array_equal(bits(read(10)), bits(want))
+    assert np.array_equal(bits(read(5000)[:10]), bits(want))
+    if reader != "first_block":
+        assert bits(series.log_coeff(3)) == bits(want[3])
+
+
 class RecordingFormula(CountingFormula):
     """A ``CountingFormula`` that also keeps every index it evaluated."""
 
