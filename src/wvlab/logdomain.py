@@ -8,10 +8,13 @@ Magnitudes throughout the package are carried as ``log(value)`` floats with
 scan window (its block sums combined with ``math.fsum``, under the
 quiet-block rule that ``series`` describes, which ``absorbs`` decides).
 Both sum by the one kernel (``_sum_exp``): exactly rounded up to
-``_FSUM_CUTOFF`` terms with an array kernel (``_exact_sum``) that gives the
-bits ``math.fsum`` gives, and pairwise (``np.sum``) beyond it.  A window of
-one block keeps the bits of ``log_sum_exp``; a split into several blocks
-can move the last bit.
+``_FSUM_CUTOFF`` terms, and pairwise (``np.sum``) beyond it.  The exact
+sums come from an array kernel (``_exact_sum``) that gives the bits
+``math.fsum`` gives: error-free extraction splits the values into levels
+whose sums ``np.sum`` forms exactly, and a certificate decides when the
+levels formed so far fix the rounding.  It holds two arrays of ``_PIECE``
+values, whatever the input's size.  A window of one block keeps the bits
+of ``log_sum_exp``; a split into several blocks can move the last bit.
 """
 
 from __future__ import annotations
@@ -24,66 +27,70 @@ LOG_ZERO = float("-inf")
 
 
 _FSUM_CUTOFF = 1 << 17
-# mant + _SPLIT, less _SPLIT, rounds a mantissa in [0.5, 1) to a multiple
-# of 2**-27: the ulp of 2**25 is 2**-27.
-_SPLIT = 2.0 ** 25
-# exponents combined per big-int step, and their weights, scaled by 2**53
-_FOLD = 4
-_FOLD_WEIGHTS = 2.0 ** (53 + np.arange(_FOLD))
-# frexp exponents of values in [0, 1] lie in [-1073, 1]; bin e + _BIAS
-_BIAS = 1074
-# values split per step: the allocator reuses temporaries this small, while
-# each fresh page of a large one costs a page fault
+# Level j of _exact_sum rounds to multiples of 2**(-_LEVEL_BITS * j) by
+# adding and subtracting 1.5 * 2**(52 - _LEVEL_BITS * j), whose ulp that is;
+# from the level whose ulp reaches the least subnormal, 2**-1074, on, the
+# rounding is exact and every residual is 0.
+_LEVEL_BITS = 35
+_LAST_LEVEL = -(-1074 // _LEVEL_BITS)
+# values rounded per step: the allocator reuses temporaries this small,
+# while each fresh page of a large one costs a page fault
 _PIECE = 1 << 13
 
 
 def _exact_sum(x: np.ndarray) -> float:
     """The exactly rounded sum of at most ``_FSUM_CUTOFF`` values in [0, 1].
 
-    Bit for bit what ``math.fsum`` returns.  ``np.frexp`` writes each value
-    as a mantissa of 53 bits times a power of two.  Each mantissa is split
-    into a 27-bit high part and a signed 26-bit low part, and each part is
-    summed per exponent by ``np.bincount``, ``_PIECE`` values at a time.
-    With at most 2**17 terms every such sum, and every partial sum on the
-    way, needs at most 44 bits, so it is exact.  Each run of ``_FOLD``
-    exponents, from the smallest present, is folded into one sum weighted
-    by 1, 2, 4, 8, which needs at most 48 bits and so stays exact too.  The
-    folded sums are combined as Python ints, one step per run, and rounded
-    once by int true division, which rounds correctly, half to even.
+    Bit for bit what ``math.fsum`` returns, by the error-free extraction of
+    Rump, Ogita and Oishi (2008).  Level ``j`` rounds each residual ``r``
+    (at first the value itself) to ``c``, a multiple of ``2**-35j``, as
+    ``(r + s) - s`` with ``s = 1.5 * 2**(52 - 35j)``; ``c`` and the new
+    residual ``r - c`` are exact, and ``|r - c| <= 2**-(35j+1)``.  Level 1
+    gives multiples of ``2**-35`` up to 1, later levels multiples of
+    ``2**-35j`` up to ``2**-(35j-34)`` in size.  So with at most 2**17
+    terms, each level's sum ``P_j``, and every partial sum on the way, is
+    a multiple of ``2**-35j`` at most ``2**52`` times it: ``np.sum`` forms
+    it exactly in any order, ``_PIECE`` values at a time.
+
+    After ``L`` levels the sum is ``P_1 + ... + P_L + R`` with ``|R| <= b
+    = n * 2**-(35L+1)``.  ``math.fsum`` rounds correctly, and correct
+    rounding is monotone, so where ``fsum(P + [-b])`` and ``fsum(P + [b])``
+    agree, that is the sum's rounding.  Two levels decide all but sums
+    within ``b`` of a rounding boundary; those take one more level at a
+    time, each pass recomputing the residuals piece by piece, until the
+    bounds agree or the last level leaves every residual 0.
     """
-    his = np.zeros(_BIAS + 2)
-    los = np.zeros(_BIAS + 2)
-    for a in range(0, x.size, _PIECE):
-        mant, exp = np.frexp(x[a:a + _PIECE])
-        hi = mant + _SPLIT
-        hi -= _SPLIT
-        mant -= hi  # the low part, a multiple of 2**-53 in [-2**-28, 2**-28]
-        exp += _BIAS
-        his += np.bincount(exp, weights=hi, minlength=his.size)
-        los += np.bincount(exp, weights=mant, minlength=los.size)
-    present = np.flatnonzero(his)  # a nonzero value has a high part >= 0.5
-    if present.size == 0:
-        return 0.0
-    low = int(present[0])
-    total = 0
-    for h, lo in zip(_folded(his[low:])[::-1].tolist(),
-                     _folded(los[low:])[::-1].tolist()):
-        total = (total << _FOLD) + int(h) + int(lo)
-    return total / (1 << (53 + _BIAS - low))
-
-
-def _folded(sums: np.ndarray) -> np.ndarray:
-    """Entry ``k`` is ``sum_j 2**(53+j) * sums[_FOLD*k + j]``, an integer."""
-    sums = np.concatenate((sums, np.zeros(-sums.size % _FOLD)))
-    return sums.reshape(-1, _FOLD) @ _FOLD_WEIGHTS
+    scratch = np.empty((2, min(x.size, _PIECE)))
+    levels = 2
+    while True:
+        sums = [0.0] * levels
+        for a in range(0, x.size, _PIECE):
+            r = x[a:a + _PIECE]
+            c, rest = scratch[:, :r.size]
+            for j in range(levels):
+                s = math.ldexp(1.5, 52 - _LEVEL_BITS * (j + 1))
+                np.add(r, s, out=c)
+                c -= s
+                sums[j] += float(np.sum(c))
+                if j + 1 < levels:
+                    r = np.subtract(r, c, out=rest)
+        if levels == _LAST_LEVEL:
+            return math.fsum(sums)
+        b = math.ldexp(x.size, -_LEVEL_BITS * levels - 1)
+        low = math.fsum([*sums, -b])
+        if low == math.fsum([*sums, b]):
+            return low
+        levels += 1
 
 
 def _sum_exp(t: np.ndarray, m: float, out: np.ndarray) -> float:
     """The sum of ``exp(t - m)``, formed in ``out[:t.size]``, which holds
     the values ``exp(t - m)`` on return: a caller may weight them further.
 
-    Exactly rounded (``_exact_sum``, the bits of ``math.fsum``) up to
-    ``_FSUM_CUTOFF`` terms and deterministic pairwise summation beyond it.
+    ``m`` is at least every ``t``, so the values lie in [0, 1], as
+    :func:`_exact_sum` needs: exactly rounded (the bits of ``math.fsum``)
+    up to ``_FSUM_CUTOFF`` terms, in ``out`` and the kernel's scratch of
+    ``_PIECE`` values, and deterministic pairwise summation beyond it.
     """
     shifted = np.subtract(t, m, out=out[:t.size])
     np.exp(shifted, out=shifted)

@@ -27,19 +27,24 @@ the start, nor on the steps, nor on the slides.
 
 A family whose ``log|a_n|`` is provably concave from some ``n0`` declares
 it (``PowerSeries.concave_from``; see ``families``): its terms are then
-unimodal at every radius.  When such a window outgrows the buffer it jumps
-instead of sliding (``_jump``): bisections guess the peak and the first
-term below the tail threshold, one slab of 4096 terms each side of each
-guess is read, and certificates with a stated bound ``delta`` on each
-term's rounding (margins above ``2 * delta`` between computed terms) show
-that every skipped term is below the peak and, before the horizon's slab,
-big under the run rule.  The horizon search on that slab then gives the
-slide's ``(log_mu, nu, horizon)`` bit for bit, from about 17,000 terms past
-the buffer instead of every term up to the horizon.  A failed certificate
-falls back to the slide; certificates that the terms still rise at
-``HARD_CAP``, or that no tail run fits below it, raise the slide's
-``TruncationError`` at once.  A monomial needs no scan at all: its max
-term and horizon are known in closed form at every radius.
+unimodal at every radius, and with a stated bound ``delta`` on each term's
+rounding, no term before the peak is small under the run rule where ``2 *
+delta`` is below the rule's margin.  Such a window's horizon is read from
+its peak (``_past_peak``): one argmax for the peak, one compare over the
+terms past it for the first small one, and the 50 or 51 terms that must
+follow it; where one of those is big, the search decides.  When such a
+window outgrows the buffer it jumps instead of sliding (``_jump``):
+bisections guess the peak and the first term below the tail threshold,
+one slab of 4096 terms each side of each guess is read, and certificates
+(margins above ``2 * delta`` between computed terms) show that every
+skipped term is below the peak and, before the horizon's slab, big under
+the run rule.  The slab then gives the slide's ``(log_mu, nu, horizon)``
+bit for bit, from about 17,000 terms past the buffer instead of every term
+up to the horizon.  A failed certificate falls back to the slide;
+certificates that the terms still rise at ``HARD_CAP``, or that no tail
+run fits below it, raise the slide's ``TruncationError`` at once.  A
+monomial needs no scan at all: its max term and horizon are known in
+closed form at every radius.
 
 Pass 2 (``_Window``) hands each radius's point one object: the max term,
 the central index, the horizon and the window cut at that horizon, which is
@@ -373,6 +378,52 @@ def _find_horizon(seg: np.ndarray, log_tail_tol: float, lo: int = 0,
     return _first_horizon(seg, big, lo, prior)
 
 
+def _past_peak(tail: np.ndarray, start: int, log_mu: float, nu: int,
+               log_tail_tol: float) -> _Scan | None | bool:
+    """The horizon :func:`_find_horizon` accepts in a prefix ``t[:stop]``
+    of terms that fall past their peak, from the terms ``tail[n - start] =
+    t[n]``, ``start <= n < stop``, where ``(log_mu, nu)`` is the max of the
+    prefix and the last index holding it, ``start > nu``, and every term
+    before ``start`` is big under the run rule.  ``None`` while the prefix
+    holds no horizon, and ``False`` where a term of the tail run is big:
+    then this rule cannot tell, and the search must.
+
+    Past ``nu`` the running max is ``log_mu``, so a term there is small
+    exactly when it lies below ``theta = log_mu + log_tail_tol``.  Let
+    ``q`` be the first small one.  Every term before ``q`` is big, so ``p =
+    q - 1`` is the first index followed by a small term: where the
+    ``TAIL_RUN`` terms from ``q`` are small, the horizon is ``p`` if ``p >
+    nu``, and if ``p = nu``, ``q``, with one more small term.  No index can
+    have a tail run that the prefix cuts off.
+
+    Concavity shows terms big.  Where the exact terms are concave from
+    ``n0`` and the computed ones are within ``delta`` of them on ``[n0,
+    N)`` (:func:`_delta`), each computed ``t[i]`` there is at least
+    ``min(t[j], t[k]) - 2 * delta`` for any ``j <= i <= k`` in ``[n0,
+    N)``.  So with ``2 * delta < -log_tail_tol``, a term is big when its
+    running max ``t[j]`` is at most a later term ``t[k]``: every term
+    before the last max ``nu`` is (``k = nu``).  Past ``nu``, where the
+    running max is ``log_mu``, so is every term before a ``t[k] > theta + 2
+    * delta``.  The terms below ``n0`` are ``-inf``, big under a running
+    max of ``-inf``.
+    """
+    theta = log_mu + log_tail_tol
+    below = tail < theta
+    if not below.size:
+        return None  # the prefix ends at its peak
+    i = int(np.argmax(below))
+    if not below[i]:
+        return None  # no small term yet
+    q = start + i
+    need = TAIL_RUN + (q - 1 == nu)
+    run = tail[i:i + need]
+    if not (run < theta).all():
+        return False
+    if run.size < need:
+        return None  # cut off by the end of the prefix
+    return _Scan(log_mu, nu, q - 1 if q - 1 > nu else q)
+
+
 def _buffer_size() -> int:
     """Terms a scan buffer holds: a block and the undecided tail."""
     return _BLOCK_TERMS + TAIL_RUN + 1
@@ -490,14 +541,13 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
        buffer and the slab, lie below ``log_mu``; by concavity every unread
        term lies further below.
     2. The horizon.  A bisection guesses ``q``, the first term past ``nu``
-       below ``log_mu + log_tail_tol``, and the slab ``[q - _SLAB, q +
-       _SLAB + TAIL_RUN]`` (starting after ``nu``) is read.  Certified: its
-       first term, and ``log_mu`` itself, lie above that threshold.  A
-       concave sequence is at least the smaller of its values at the ends
-       of an interval, and rises up to its peak, so every term before the
-       slab is big under the run rule (:func:`_find_horizon`), and the
-       slab's search from ``prior = (log_mu, nu)`` gives the slide's
-       horizon.
+       below ``theta = log_mu + log_tail_tol``, and the slab ``[q - _SLAB,
+       q + _SLAB + TAIL_RUN]`` (starting after ``nu``) is read.  Certified:
+       its first term, and ``log_mu`` itself, lie more than ``2 * delta``
+       above ``theta``, so by concavity every term before the slab is big
+       under the run rule (:func:`_past_peak`), and the slab's horizon
+       from its peak (or, where that cannot tell, its search from ``prior
+       = (log_mu, nu)``) is the slide's.
 
     A jump computes about 17,000 terms past the buffer.  Each comes from
     :func:`_fill_terms`, with the bits the slide computes, so the result is
@@ -556,7 +606,10 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
     if not certified(margins + [slab2[0] - theta], ends + [slab2[-1]],
                      max(hi, hi2)):
         return None
-    return _find_horizon(slab2, log_tail_tol, lo2, (log_mu, nu))
+    scan = _past_peak(slab2, lo2, log_mu, nu, log_tail_tol)
+    if scan is False:
+        return _find_horizon(slab2, log_tail_tol, lo2, (log_mu, nu))
+    return scan
 
 
 def _scan(series: PowerSeries, x: float, tol: float,
@@ -567,20 +620,26 @@ def _scan(series: PowerSeries, x: float, tol: float,
     ``HARD_CAP``) and grows by a ``1/_GROWTH`` share (at least 512 terms)
     until it holds an accepted horizon.  Each step computes only the new
     terms, and the search resumes where the last one could still change
-    its answer (see :func:`_find_horizon`).  The terms live in the term
-    buffer of ``bufs`` (new ones if not given), which holds at most
-    :func:`_buffer_size` of them: the window grows in place while it fits,
-    and then slides, keeping the ``TAIL_RUN + 1`` terms the search resumes
-    at; while ``start`` is ahead, each step fills the buffer.  A series
-    declared concave (``concave_from``) whose first buffer fills without a
-    horizon jumps instead (:func:`_jump`): it reads slabs around its peak
-    and its horizon and certifies that every term it skips leaves the
-    slide's result unchanged; if a certificate fails, it slides.  Returns
-    ``(scan, t, stop)``: the :class:`_Scan`, the first buffer of terms
-    ``t[:stop]`` if the window never slid (a jumped one keeps it, else
-    ``None``) and the window's size, which is the next radius's start
-    (after a jump, the size the horizon reads).  :func:`_walk` checks the
-    series and the tolerance.
+    its answer (see :func:`_find_horizon`).  In a buffer that has not
+    slid, a window declared concave (``concave_from = n0``) with ``n0 <
+    stop``, a finite max and ``2 * delta < -log_tail_tol`` (:func:`_delta`,
+    with ``t[n0]``, the max and the last term) takes its horizon from its
+    peak instead (:func:`_past_peak`); the search for the first small term
+    resumes at ``max(nu + 1, lo)`` while every step past ``n0`` has been
+    decided so, and once one is not, the search decides every later one.
+    The terms live in the term buffer of ``bufs`` (new ones if not given),
+    which holds at most :func:`_buffer_size` of them: the window grows in
+    place while it fits, and then slides, keeping the ``TAIL_RUN + 1``
+    terms the search resumes at; while ``start`` is ahead, each step fills
+    the buffer.  A series declared concave (``concave_from``) whose first
+    buffer fills without a horizon jumps instead (:func:`_jump`): it reads
+    slabs around its peak and its horizon and certifies that every term it
+    skips leaves the slide's result unchanged; if a certificate fails, it
+    slides.  Returns ``(scan, t, stop)``: the :class:`_Scan`, the first
+    buffer of terms ``t[:stop]`` if the window never slid (a jumped one
+    keeps it, else ``None``) and the window's size, which is the next
+    radius's start (after a jump, the size the horizon reads).
+    :func:`_walk` checks the series and the tolerance.
     """
     log_tail_tol = math.log(tol / TAIL_RUN)
     size = _buffer_size()
@@ -588,17 +647,32 @@ def _scan(series: PowerSeries, x: float, tol: float,
     start = min(max(start, _FIRST_WINDOW), HARD_CAP)
     lo, prior = 0, (LOG_ZERO, -1)
     base, stop, grown = 0, 0, min(start, size)  # buf[i] holds t[base + i]
+    # while the peak rule decides every step past n0, the terms from the
+    # peak up to lo are big, and its search resumes at lo
+    n0 = series.concave_from
+    peaked = n0 is not None
     while True:
         buf = bufs.get(0, grown - base, stop - base)
         _fill_terms(bufs.coeffs, buf[stop - base:grown - base], x, stop)
         stop = grown
-        scan = _find_horizon(buf[lo - base:stop - base], log_tail_tol, lo,
-                             prior)
+        scan = False
+        if peaked and base == 0 and n0 < stop:
+            log_mu, nu = _last_max(buf[lo:stop], lo, prior)
+            peaked = math.isfinite(log_mu) and 2 * _delta(
+                (buf[n0], log_mu, buf[stop - 1]), stop, x) < -log_tail_tol
+            if peaked:
+                past = max(nu + 1, lo)
+                scan = _past_peak(buf[past:stop], past, log_mu, nu,
+                                  log_tail_tol)
+                peaked = scan is not False
+        if scan is False:
+            scan = _find_horizon(buf[lo - base:stop - base], log_tail_tol, lo,
+                                 prior)
         if scan is not None:
             return scan, (buf[:stop] if base == 0 else None), stop
         if stop >= HARD_CAP:
             raise _no_horizon(series, x)
-        if stop == size and base == 0 and series.concave_from is not None:
+        if stop == size and base == 0 and n0 is not None:
             scan = _jump(series, bufs.coeffs, buf[:stop], x, log_tail_tol)
             if scan is not None:
                 return scan, buf[:stop], scan.horizon + TAIL_RUN + 1

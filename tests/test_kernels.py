@@ -21,6 +21,7 @@ import functools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from wvlab.errors import ValidationError
 from wvlab.families import _KOVARI_BATCH, _KOVARI_BLOCK, \
     _KOVARI_MAX_ORDER, _RESCALE_SHIFT, _RESCALE_THRESHOLD, \
     _KovariIntSource, _ScaledExpSource, binomial_series
-from wvlab.logdomain import _FSUM_CUTOFF, _exact_sum, log_sum_exp
+from wvlab.logdomain import _FSUM_CUTOFF, _PIECE, _exact_sum, log_sum_exp
 from wvlab.series import TAIL_RUN, VectorizedSource, truncation_horizon
 
 LOG_ZERO = -math.inf
@@ -124,6 +125,43 @@ def test_exact_sum_rounds_ties_like_fsum(x):
 def test_exact_sum_edge_cases(x):
     x = np.array(x)
     assert bits(_exact_sum(x)) == bits(math.fsum(x))
+
+
+def hidden_tie():
+    """``1 + 2**-53``, a tie, with ``2**17 - 2`` values of ``2**-100``
+    between its parts: two levels round them all to 0."""
+    x = np.full(_FSUM_CUTOFF, 2.0 ** -100)
+    x[0], x[-1] = 1.0, 2.0 ** -53
+    return x
+
+
+# Sums within the two-level bound of a tie: each needs a third level or
+# more, and each is rounded the way math.fsum rounds it.
+@pytest.mark.parametrize("x", [
+    [1.0, 2.0 ** -53, 2.0 ** -120],   # just above the tie, at level 4
+    [1.0, 2.0 ** -53 - 2.0 ** -105],  # just below the tie, at level 3
+    hidden_tie(),                     # above the tie by 2**-83
+], ids=["above", "below", "hidden"])
+def test_exact_sum_of_near_ties_past_two_levels(x):
+    x = np.array(x)
+    assert bits(_exact_sum(x)) == bits(math.fsum(x))
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(0).random(_FSUM_CUTOFF),
+    hidden_tie(),
+], ids=["two_levels", "hidden_tie"])
+def test_exact_sum_holds_a_few_pieces(x):
+    """Scratch of a few ``_PIECE`` values, however many levels a sum
+    needs: no array or list of all the values."""
+    tracemalloc.start()
+    try:
+        got = _exact_sum(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits(got) == bits(math.fsum(x))
+    assert peak < 3 * _PIECE * 8
 
 
 def fsum_log_sum_exp(values):

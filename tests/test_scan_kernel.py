@@ -16,7 +16,8 @@ from wvlab import series as series_mod
 from wvlab.cli import main
 from wvlab.errors import TruncationError
 from wvlab.logdomain import _sum_exp
-from wvlab.series import TAIL_RUN, _find_horizon, _scan, _Scan
+from wvlab.series import TAIL_RUN, VectorizedSource, _find_horizon, \
+    _past_peak, _scan, _Scan
 
 LOG_ZERO = -math.inf
 
@@ -456,6 +457,126 @@ def test_jump_fails_fast_past_the_cap(monkeypatch, capsys):
     assert str(past.value) == (
         f"no certified horizon for 'suleimanov(0.5)' at log r={x:g} "
         f"within {series_mod.HARD_CAP} terms")
+
+
+# ---------------------------------------------------------------------------
+# The peak rule: a declared-concave window's horizon read from its peak.
+
+@st.composite
+def concave_terms(draw):
+    """``(n0, t, fall)``: integer-valued terms ``t``, ``-inf`` below ``n0``
+    and concave from it, which go on falling by ``fall`` per term past the
+    array.  Zero slopes make ties, at the peak too, and a fall steeper
+    than the tail tolerance puts the first small term right after the
+    peak."""
+    n0 = draw(st.integers(0, 80))
+    slopes = st.sampled_from([4, 1, 0, 0, -1, -3, -9, -20, -40])
+    rises = sorted(draw(st.lists(slopes, max_size=300)), reverse=True)
+    fall = draw(st.sampled_from([-1, -3, -9, -20, -40]))
+    rises = [r for r in rises if r >= fall]
+    top = draw(st.integers(-20, 20))
+    t = np.concatenate(([LOG_ZERO] * n0, top + np.cumsum([0] + rises)))
+    return n0, t, float(fall)
+
+
+def concave_series(n0, t, fall):
+    """The declared-concave series whose coefficient logs are ``t``,
+    falling by ``fall`` per term past it."""
+    def log_coeff(n):
+        past = np.maximum(n - (t.size - 1), 0)
+        return t[np.minimum(n, t.size - 1).astype(np.intp)] + past * fall
+    return PowerSeries(VectorizedSource(log_coeff), math.inf, "concave",
+                       concave_from=n0)
+
+
+def count_calls(monkeypatch, name):
+    """A list that collects the result of every call of ``name``."""
+    results, fn = [], getattr(series_mod, name)
+    monkeypatch.setattr(series_mod, name, lambda *a: results.append(fn(*a))
+                        or results[-1])
+    return results
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=concave_terms(),
+       cut=st.one_of(st.integers(-2, 1), st.integers(2, 10 ** 6)),
+       log_tail_tol=st.sampled_from([-30.0, -10.0, -5.0, -1.0, 0.0]))
+def test_peak_rule_matches_the_original_search(terms, cut, log_tail_tol):
+    """On prefixes of concave terms, cut off anywhere past ``n0`` and
+    often within a term of the end of the run that accepts the horizon,
+    the rule gives the original search's horizon, or finds none where it
+    finds none."""
+    n0, t, fall = terms
+    t = concave_series(n0, t, fall)._terms(0.0, t.size + 3 * TAIL_RUN)
+    reach = oracle_find_horizon(t, log_tail_tol).horizon + TAIL_RUN + 1
+    t = t[:reach + cut if cut < 2 else n0 + 1 + cut % (reach - n0)]
+    log_mu = float(t.max())
+    nu = int(np.flatnonzero(t == log_mu)[-1])
+    assert _past_peak(t[nu + 1:], nu + 1, log_mu, nu, log_tail_tol) == \
+        oracle_find_horizon(t, log_tail_tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=concave_terms(), tol=_tol, start=st.integers(1, 100),
+       first=st.sampled_from([1, 2, 7, 64]),
+       growth=st.sampled_from([1, 2, 4, 10 ** 9]))
+def test_scan_of_a_declared_window_answers_by_the_peak_rule(
+        terms, tol, start, first, growth):
+    """A window grown in steps down to one term, resuming the rule at each
+    step: the original scan's result, and the rule decides the last step
+    without the search."""
+    series = concave_series(*terms)
+    with pytest.MonkeyPatch.context() as mp:
+        answers = count_calls(mp, "_past_peak")
+        mp.setattr(series_mod, "_FIRST_WINDOW", first)
+        mp.setattr(series_mod, "_GROWTH", growth)
+        mp.setattr(series_mod, "HARD_CAP", terms[1].size + 1000)
+        scan, _, _ = _scan(series, 0.0, tol, start)
+    assert scan == oracle_scan(series, 0.0, tol)
+    assert False not in answers and answers[-1] == scan
+
+
+def test_peak_rule_gives_up_on_a_big_term_in_the_run():
+    """A term above the threshold inside the run after the first small
+    one: not unimodal, so the rule cannot tell, and the search finds the
+    horizon past that term."""
+    t = np.array([0.0] + [-20.0] * 10 + [-5.0] + [-20.0] * 60)
+    assert _past_peak(t[1:], 1, 0.0, 0, -10.0) is False
+    assert _find_horizon(t, -10.0) == oracle_find_horizon(t, -10.0) == \
+        _Scan(0.0, 0, 11)
+
+
+def test_peak_rule_falls_back_to_the_search(monkeypatch):
+    """With a delta too large for the margin ``2 * delta < -log_tail_tol``
+    the rule does not run: every step searches, with the same results."""
+    series = family("suleimanov", epsilon=0.5)
+    xs = [math.log(r) for r in RadialGrid.geometric_in_gap(0.9, 0.5,
+                                                             6).points]
+    want = walk(series, xs, 1e-9)
+    rule = count_calls(monkeypatch, "_past_peak")
+    searches = count_calls(monkeypatch, "_find_horizon")
+    assert walk(series, xs, 1e-9) == want
+    assert len(rule) >= len(xs) and searches == []
+    rule.clear()
+    monkeypatch.setattr(series_mod, "_DELTA", 1.0)
+    assert walk(series, xs, 1e-9) == want
+    assert rule == [] and len(searches) >= len(xs)
+
+
+def test_peak_rule_decides_every_pipeline_radius(monkeypatch):
+    """The pipeline benchmark's seed-0 grids, ``suleimanov(0.5)`` from gap
+    0.1 down to 1e-3 on 80 points and on the x4 refinement: the rule
+    decides every scan's horizon, with no search."""
+    q = ((1 - 0.999) / (1 - 0.9)) ** (1 / 79)
+    xs = [math.log(r) for grid in (
+        RadialGrid.geometric_in_gap(0.9, q, 80),
+        RadialGrid.geometric_in_gap(0.9, q ** 0.25, 317)) for r in grid.points]
+    series = family("suleimanov", epsilon=0.5)
+    rule = count_calls(monkeypatch, "_past_peak")
+    searches = count_calls(monkeypatch, "_find_horizon")
+    horizons = series_mod._walk(series, xs, 1e-9, lambda w: w.horizon)
+    assert searches == [] and False not in rule
+    assert [s.horizon for s in rule if s] == horizons
 
 
 # ---------------------------------------------------------------------------
