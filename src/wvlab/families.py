@@ -18,8 +18,11 @@ The closed-form families (``exp``, ``geometric``, ``monomial``,
 ``suleimanov``, ``formula``) are a ``VectorizedSource``: a scan computes
 each block of coefficients from the formula when it needs it, and nothing
 is cached.  Only the ``kovari`` recurrences below keep what they have
-computed: whole blocks or batches, under the fill contract of
-``series._PrefixSource``.
+computed, in chunks at fixed places, under the fill contract of
+``series._PrefixSource``: the convolution all of it, as its history
+products read it all, and the integer recurrence its first
+``_CACHE_TERMS`` coefficients, with a checkpoint at each batch from which
+it computes any later chunk again.
 
 Three families declare that their ``log|a_n|`` is concave from an index
 ``n0`` (``PowerSeries.concave_from``), which lets a scan past its buffer
@@ -84,6 +87,10 @@ _KOVARI_MAX_ORDER = 8
 _KOVARI_BLOCK = 256
 # It stages at most this many blocks at once.
 _KOVARI_BATCH = 128
+# It keeps the chunks of its first this many coefficients (32 MB), every
+# benchmark workload's prefix, and computes later ones again from the batch
+# checkpoints.
+_CACHE_TERMS = 2 ** 22
 # log 2 in two parts: the first has 32 significant bits, so E * _LN2_HI is
 # exact for |E| < 2^21, and the second is the rest (fdlibm's constants).
 _LN2_HI = float.fromhex("0x1.62e42feep-1")
@@ -399,14 +406,15 @@ class _ScaledExpSource(_PrefixSource):
       so exact zeros and underflow come out as they did.
 
     A block's products do not depend on how far a fill goes, and a fill
-    computes whole blocks and returns them (the fill contract of
+    computes whole blocks and yields each as it comes (the fill contract of
     ``series._PrefixSource``), so the bits of a prefix are the same however
-    it was asked for.  Values are rescaled by ``exp(-_RESCALE_SHIFT)`` when
-    ``v_{n-1}`` passes ``_RESCALE_THRESHOLD`` before ``v_n``, at the same
-    indices as a plain loop; the sums and their bounds are rescaled with
-    them.  The table of ``k b_k`` is built to twice a level when that
-    level's first product comes and kept until the next: the blocks and
-    fallbacks of a fill read below it.
+    it was asked for.  The source keeps every value, since its history
+    products read them all.  Values are rescaled by
+    ``exp(-_RESCALE_SHIFT)`` when ``v_{n-1}`` passes ``_RESCALE_THRESHOLD``
+    before ``v_n``, at the same indices as a plain loop; the sums and their
+    bounds are rescaled with them.  The table of ``k b_k`` is built to
+    twice a level when that level's first product comes and kept until the
+    next: the blocks and fallbacks of a fill read below it.
     ``table`` names the b_k in the error raised when a ``k b_k`` below a
     fill's stop, which a fallback reads, passes the float range; past the
     stop an inf only fails the certificate of the blocks it reaches, and a
@@ -414,6 +422,7 @@ class _ScaledExpSource(_PrefixSource):
     """
 
     def __init__(self, b_fn, table="the exponent's coefficient table"):
+        super().__init__()
         self._b_fn = b_fn          # count -> array of b_0..b_{count-1}
         self._table = table
         self._kbr = np.empty(0)    # k*b_k, reversed
@@ -562,7 +571,6 @@ class _ScaledExpSource(_PrefixSource):
         size = _EXP_BLOCK
         end = -(-stop // size) * size
         self._make_room(stop, end)
-        logs = np.empty(end - cur)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for n0 in range(cur, end, size):
                 if n0 == 0:
@@ -573,10 +581,9 @@ class _ScaledExpSource(_PrefixSource):
                 else:
                     self._block(n0)
                 self._products(n0 + size)
-                logs[n0 - cur:n0 - cur + size] = np.log(
-                    self._v[n0:n0 + size]) + self._shift
-        # the values from an inf k*b_k on are no coefficients
-        return logs[:min(end, self._inf) - cur]
+                logs = np.log(self._v[n0:n0 + size]) + self._shift
+                # the values from an inf k*b_k on are no coefficients
+                yield logs[:self._inf - n0]
 
 
 class _KovariIntSource(_PrefixSource):
@@ -607,16 +614,29 @@ class _KovariIntSource(_PrefixSource):
     it, so the bits of a prefix are the same however it was asked for.  A
     fill stitches whole batches of ``_KOVARI_BATCH`` blocks (up to the
     cap), since a batch costs its ``L`` numpy steps however few blocks it
-    holds, and returns them all (the fill contract of
-    ``series._PrefixSource``); the state after the last block is kept for
-    the next fill.
+    holds, and yields each as it comes (the fill contract of
+    ``series._PrefixSource``).
+
+    The state ``(S / (e 2^E), E)`` at each batch start, ``rho + 1`` floats
+    and an int, is kept as a checkpoint (checkpointed recomputation,
+    Griewank 1992, "Achieving logarithmic growth of temporal and spatial
+    complexity in reverse automatic differentiation").  The chunks of the
+    first ``_CACHE_TERMS`` coefficients are kept; past them the source
+    keeps two chunks and the last batch it stitched, and a read of any
+    other chunk stitches its batches again from the checkpoint before it,
+    with the same bits, as a batch depends only on the state carried into
+    it.  So an in-order pass past the cache stitches each batch about
+    once, and a scan out to ``HARD_CAP`` holds tens of MB.
     Cross-checked against mpmath and the convolution in tests.
     """
 
     def __init__(self, rho: int):
+        super().__init__()
         self._rho = rho
-        self._state = [1.0] * (rho + 1)  # S / (e 2^E), S_j(0) = a_0 = e
-        self._exp = 0                    # E
+        self._cache = _CACHE_TERMS
+        # (S / (e 2^E), E) at each batch start; S_j(0) = a_0 = e
+        self._starts = [([1.0] * (rho + 1), 0)]
+        self._last = -1, None  # the last batch stitched: (b0, its logs)
 
     def _unit_starts(self, b0: int, b1: int):
         """The rho + 1 unit-start solutions of blocks b0..b1-1: ``a[t, i, b]``
@@ -644,11 +664,11 @@ class _KovariIntSource(_PrefixSource):
                                 "overflows; the block length is too long")
         return a, s
 
-    def _stitch(self, b0: int, b1: int) -> np.ndarray:
+    def _stitch(self, b0: int, b1: int, state: list, exp: int) -> tuple:
         """log a_n for n = b0*L+1 .. b1*L, stitching blocks b0..b1-1 onto
-        the carried state."""
+        the state ``(state, exp)`` carried into block b0, and the state
+        after them."""
         a, s = self._unit_starts(b0, b1)
-        state, exp = self._state, self._exp
         starts, exps = [], []
         for matrix in s.transpose(2, 0, 1).tolist():  # [j][i] per block
             starts.append(state)
@@ -658,24 +678,41 @@ class _KovariIntSource(_PrefixSource):
             shift = math.frexp(max(state))[1]
             state = [math.ldexp(x, -shift) for x in state]
             exp += shift
-        self._state, self._exp = state, exp
         starts = np.array(starts).T  # [i, b]
         v = a[:, 0] * starts[0]
         for i in range(1, self._rho + 1):
             v += a[:, i] * starts[i]
         exps = np.array(exps, dtype=float)
         logs = (np.log(v) + (exps * _LN2_LO + 1.0)) + exps * _LN2_HI
-        return logs.T.ravel()
+        return logs.T.ravel(), state, exp
+
+    def _batch(self, b0: int, b1: int) -> np.ndarray:
+        """log a_n of blocks b0..b1-1, a batch, from the checkpoint at its
+        start.  The last batch stitched past the cache is kept, so that
+        the next chunk read again does not stitch it again."""
+        if self._last[0] == b0:
+            return self._last[1]
+        j = b0 // _KOVARI_BATCH
+        logs, state, exp = self._stitch(b0, b1, *self._starts[j])
+        if j + 1 == len(self._starts):
+            self._starts.append((state, exp))
+        if b1 * _KOVARI_BLOCK >= self._cache:
+            self._last = b0, logs
+        return logs
+
+    def _restart(self, n):
+        span = _KOVARI_BLOCK * _KOVARI_BATCH  # batch j starts at j span + 1
+        return (n - 1) // span * span + 1 if n else 0
 
     def _fill(self, cur, stop):
         size = _KOVARI_BLOCK
-        b0 = cur // size  # cur = b0 * L + 1, or 0: the state is S(b0 * L)
-        logs = [] if cur else [np.ones(1)]  # log a_0 = log e
+        if not cur:
+            yield np.ones(1)  # log a_0 = log e
+        b0 = cur // size  # cur = b0 * L + 1, or 0: a batch start
         while b0 * size + 1 < stop:
             b1 = min(b0 + _KOVARI_BATCH, (self._cap - 2) // size + 1)
-            logs.append(self._stitch(b0, b1))
+            yield self._batch(b0, b1)
             b0 = b1
-        return np.concatenate(logs)
 
 
 # ---------------------------------------------------------------------------

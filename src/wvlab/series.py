@@ -67,9 +67,11 @@ otherwise they are read.
 Readers that need every term (the distribution, sampled maxima and window
 sums) read them all.  A source computes only the indices asked for:
 closed forms, monomials and coefficient arrays included, hold none, and a
-walk keeps their first block for all its radii; only a recurrence keeps
-all it computed (``_PrefixSource``).  A grid may start at ``r = 0``, the
-single-term window ``[log|a_0|]``.
+walk keeps their first block for all its radii.  Only a recurrence keeps
+what it computed, in chunks at fixed places (``_PrefixSource``); one with
+checkpoints keeps its first chunks, up to a cache, and computes the later
+ones again from the checkpoint before them.  A grid may start at ``r =
+0``, the single-term window ``[log|a_0|]``.
 """
 
 from __future__ import annotations
@@ -103,66 +105,124 @@ _QUIET = 50.0  # pass 2 may skip a block that ends this far below log_mu
 _DELTA = 2.0 ** -40
 
 
-def _reserve(buf: np.ndarray, filled: int, need: int,
-             cap: int = HARD_CAP) -> np.ndarray:
-    """``buf`` if it holds ``need`` values, else a buffer of ``2 * need``
-    values (at most ``cap``, at least ``need``) that starts with the first
-    ``filled`` values of ``buf``.
-
-    Pages of ``np.empty`` that are never written cost no resident memory,
-    so the spare room is free until it is filled.
-    """
-    if need <= buf.size:
-        return buf
-    grown = np.empty(max(need, min(2 * need, cap)))
-    grown[:filled] = buf[:filled]
-    return grown
+def _put(chunk: np.ndarray, lo: int, n: int, values: np.ndarray) -> None:
+    """Write the ``values`` of indices ``n, n + 1, ...`` that fall in
+    ``chunk``, which holds the indices from ``lo`` on."""
+    a, b = max(n, lo), min(n + values.size, lo + chunk.size)
+    if a < b:
+        chunk[a - lo:b - lo] = values[a - n:b - n]
 
 
 class _PrefixSource:
     """A source that holds the prefix it has computed, as a recurrence must,
-    in one buffer with spare capacity.
+    in chunks of ``_FILL_TERMS`` values at fixed places: value ``n`` lives
+    in chunk ``n // _FILL_TERMS``.
 
-    The fill contract: ``_fill(cur, stop)`` returns the values it computes
-    from index ``cur``, the end of all it returned before, on.  It may
-    compute whole blocks or batches at fixed places, so it returns at least
-    ``stop - cur`` values and may return more; the source keeps them all,
-    and the next fill starts where they end.  ``extend_to(stop)`` hands out
-    exactly ``max(stop, asked so far)`` values, and refuses a ``stop`` past
-    ``_cap`` before any fill.  Values once kept are never written again,
-    and a buffer that is outgrown stays alive under the views that readers
-    hold.  Those views are read-only, so no reader can change what later
+    The fill contract: ``_fill(cur, stop)`` yields, in order, arrays of the
+    values from index ``cur`` on, at least ``stop - cur`` of them.  It may
+    compute whole blocks or batches at fixed places, and so yield more;
+    each array is written into the chunks as it comes, and the next fill
+    starts where the values end.  ``extend_to(stop)`` hands out exactly
+    ``max(stop, asked so far)`` values, and refuses a ``stop`` past
+    ``_cap`` before any fill.  A value once written is never moved or
+    written again, so a read inside one chunk (as every piece of
+    :func:`_fill_terms` is) is a view of it, and a read that spans chunks
+    is a copy.  Both are read-only, so no reader can change what later
     reads return.
+
+    The chunks that end at or below ``_cache`` values are kept.  Past it,
+    a source keeps the chunk it is filling and the one it made or read
+    last, and drops the others.  Reading a dropped chunk computes it
+    again, into a new chunk, by a fill from ``_restart(n)``, the last
+    index at or before the chunk's start ``n`` that a fill may start from;
+    that fill must give the bits it gave the first time.  A dropped chunk
+    is never reused, so the views that readers hold stay valid.
     """
 
-    _cap = HARD_CAP  # no prefix is longer, and the spare room stops here
-    _buf = np.empty(0)
+    _cap = HARD_CAP  # no prefix is longer
+    _cache = HARD_CAP  # the chunks below this are kept
     _size = 0  # the values asked for
     _end = 0   # the values computed
 
-    def _fill(self, cur: int, stop: int) -> np.ndarray:
+    def __init__(self):
+        self._chunks = []  # chunk k, or None once dropped
+        self._other = -1   # the chunk past the cache kept beside the last
+
+    def _fill(self, cur: int, stop: int):
         raise NotImplementedError
 
-    def extend_to(self, stop: int) -> np.ndarray:
-        """The prefix of ``max(stop, asked so far)`` values."""
+    def _restart(self, n: int) -> int:
+        raise NotImplementedError  # a source that drops chunks defines it
+
+    def _keep(self, k: int) -> None:
+        """Chunk ``k`` was made or read: past the cache and before the last
+        chunk, keep it beside the last, and drop the one kept before."""
+        if k in (self._other, len(self._chunks) - 1) \
+                or (k + 1) * _FILL_TERMS <= self._cache:
+            return
+        if self._other >= 0:
+            self._chunks[self._other] = None
+        self._other = k
+
+    def _new(self, k: int) -> np.ndarray:
+        """Chunk ``k``, made if it is the next one (the last may be
+        short)."""
+        if k == len(self._chunks):
+            self._chunks.append(np.empty(
+                min(_FILL_TERMS, self._cap - k * _FILL_TERMS)))
+            self._keep(k - 1)
+        return self._chunks[k]
+
+    def _extend(self, stop: int) -> None:
+        """Compute the prefix of ``stop`` values, writing each array of the
+        fill into the chunks as it comes."""
         if stop > self._cap:
             raise ValidationError(
                 f"{stop} coefficients asked for, past the cap of "
                 f"{self._cap}")
-        cur = self._end
-        if stop > cur:
-            values = self._fill(cur, stop)
-            end = cur + values.size
-            self._buf = _reserve(self._buf, cur, end, self._cap)
-            self._buf[cur:end] = values
-            self._end = end
+        n = self._end
+        if stop > n:
+            # made before the fill's temporaries, which then fragment the
+            # heap less (0.5 MB of peak RSS on the boundary workload)
+            self._new(n // _FILL_TERMS)
+            for values in self._fill(n, stop):
+                for k in range(n // _FILL_TERMS,
+                               -(-(n + values.size) // _FILL_TERMS)):
+                    _put(self._new(k), k * _FILL_TERMS, n, values)
+                n += values.size
+                self._end = n
         self._size = max(self._size, stop)
-        prefix = self._buf[:self._size]
-        prefix.flags.writeable = False
-        return prefix
+
+    def _stored(self, k: int) -> np.ndarray:
+        """Chunk ``k``, computed again into a new chunk if it was dropped."""
+        chunk = self._chunks[k]
+        if chunk is None:
+            chunk, lo = np.empty(_FILL_TERMS), k * _FILL_TERMS
+            n = self._restart(lo)
+            for values in self._fill(n, lo + _FILL_TERMS):
+                _put(chunk, lo, n, values)
+                n += values.size
+                if n >= lo + _FILL_TERMS:
+                    break
+            self._chunks[k] = chunk
+        self._keep(k)
+        return chunk
 
     def block(self, lo, hi):
-        return self.extend_to(hi)[lo:hi]
+        """``log|a_n|`` for ``lo <= n < hi``, read-only."""
+        self._extend(hi)
+        parts = [self._stored(k)[max(lo - k * _FILL_TERMS, 0):
+                                hi - k * _FILL_TERMS]
+                 for k in range(lo // _FILL_TERMS, -(-hi // _FILL_TERMS))]
+        out = parts[0] if len(parts) == 1 else np.concatenate(
+            parts or [np.empty(0)])
+        out.flags.writeable = False
+        return out
+
+    def extend_to(self, stop: int) -> np.ndarray:
+        """The prefix of ``max(stop, asked so far)`` values."""
+        self._extend(stop)
+        return self.block(0, self._size)
 
 
 class VectorizedSource:
@@ -274,8 +334,8 @@ class PowerSeries:
         return float(self._coeffs(n, n + 1)[0])
 
     def log_coeffs(self, stop: int) -> np.ndarray:
-        """log|a_n| for ``n < stop``.  A recurrence's prefix is a read-only
-        view of its cache; copy it to write."""
+        """log|a_n| for ``n < stop``.  A recurrence's prefix is read-only,
+        a view of its first chunk or a copy of several; copy it to write."""
         return self._coeffs(0, stop)
 
     def _coeffs(self, lo: int, hi: int) -> np.ndarray:
@@ -435,19 +495,20 @@ class _FirstBlock(_PrefixSource):
     the series each time."""
 
     def __init__(self, series: PowerSeries):
+        super().__init__()
         self._series = series
         self._cap = _buffer_size()
 
     def _fill(self, cur, stop):
-        return self._series._coeffs(cur, stop)
+        yield self._series._coeffs(cur, stop)
 
     def block(self, lo, hi):
         cap = self._cap
         if hi <= cap:
-            return self.extend_to(hi)[lo:hi]
+            return super().block(lo, hi)
         if lo >= cap:
             return self._series._coeffs(lo, hi)
-        return np.concatenate((self.extend_to(cap)[lo:],
+        return np.concatenate((super().block(lo, cap),
                                self._series._coeffs(cap, hi)))
 
 
@@ -460,7 +521,8 @@ class _Buffers:
     ``get(i, need, keep)`` returns buffer ``i`` with room for ``need``
     values and its first ``keep`` values kept; a buffer grows to twice what
     is asked, at most :func:`_buffer_size` values, so a walk of small
-    windows keeps small buffers.
+    windows keeps small buffers, and the pages of the spare room cost no
+    resident memory until they are written.
     """
 
     def __init__(self, series: PowerSeries):
@@ -469,8 +531,11 @@ class _Buffers:
         self._arrays = [np.empty(0)] * 2
 
     def get(self, i: int, need: int, keep: int = 0) -> np.ndarray:
-        self._arrays[i] = _reserve(self._arrays[i], keep, need,
-                                   _buffer_size())
+        buf = self._arrays[i]
+        if need > buf.size:
+            self._arrays[i] = np.empty(max(need, min(2 * need,
+                                                     _buffer_size())))
+            self._arrays[i][:keep] = buf[:keep]
         return self._arrays[i]
 
 
@@ -479,18 +544,21 @@ def _fill_terms(coeffs, out: np.ndarray, x: float, lo: int) -> None:
     out.size`` into ``out``, with ``log|a_n|`` from ``coeffs(lo, hi)``.
 
     Built elementwise, so a window filled piece by piece repeats the values
-    of one filled at once bit for bit.  The pieces are at most
-    ``_FILL_TERMS`` long: the allocator reuses temporaries that small,
+    of one filled at once bit for bit.  The pieces end at the multiples of
+    ``_FILL_TERMS``, so a recurrence's piece is a view of one of its chunks
+    (``_PrefixSource``), and the allocator reuses temporaries that small,
     while each fresh page of a large one costs a page fault.  An ``n*x``
     past the float range is ``-inf`` at an ``x`` far below 0, the term
     that vanishes.
     """
     with np.errstate(over="ignore"):  # once, not per piece: about 1 us
-        for a in range(lo, lo + out.size, _FILL_TERMS):
-            b = min(a + _FILL_TERMS, lo + out.size)
+        a, end = lo, lo + out.size
+        while a < end:
+            b = min(a - a % _FILL_TERMS + _FILL_TERMS, end)
             t = out[a - lo:b - lo]
             np.multiply(np.arange(a, b, dtype=float), x, out=t)
             t += coeffs(a, b)
+            a = b
 
 
 def _read(coeffs, x: float, lo: int, hi: int) -> np.ndarray:
@@ -627,6 +695,8 @@ def _scan(series: PowerSeries, x: float, tol: float,
     peak instead (:func:`_past_peak`); the search for the first small term
     resumes at ``max(nu + 1, lo)`` while every step past ``n0`` has been
     decided so, and once one is not, the search decides every later one.
+    Where the max ``(log_mu, nu)`` that the rule read lies before the
+    resume point, it is the next step's ``prior``, not read again.
     The terms live in the term buffer of ``bufs`` (new ones if not given),
     which holds at most :func:`_buffer_size` of them: the window grows in
     place while it fits, and then slides, keeping the ``TAIL_RUN + 1``
@@ -655,9 +725,9 @@ def _scan(series: PowerSeries, x: float, tol: float,
         buf = bufs.get(0, grown - base, stop - base)
         _fill_terms(bufs.coeffs, buf[stop - base:grown - base], x, stop)
         stop = grown
-        scan = False
+        scan, seen = False, None
         if peaked and base == 0 and n0 < stop:
-            log_mu, nu = _last_max(buf[lo:stop], lo, prior)
+            seen = log_mu, nu = _last_max(buf[lo:stop], lo, prior)
             peaked = math.isfinite(log_mu) and 2 * _delta(
                 (buf[n0], log_mu, buf[stop - 1]), stop, x) < -log_tail_tol
             if peaked:
@@ -677,7 +747,9 @@ def _scan(series: PowerSeries, x: float, tol: float,
             if scan is not None:
                 return scan, buf[:stop], scan.horizon + TAIL_RUN + 1
         resume = max(stop - TAIL_RUN - 1, 0)
-        prior = _last_max(buf[lo - base:resume - base], lo, prior)
+        # the max up to stop is the max up to resume if it lies before it
+        prior = seen if seen and seen[1] < resume else _last_max(
+            buf[lo - base:resume - base], lo, prior)
         lo = resume
         if stop - base == size:  # full: keep the terms from lo on
             buf[:stop - lo] = buf[lo - base:stop - base]

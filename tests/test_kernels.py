@@ -29,11 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from wvlab import RadialGrid, evaluate_grid, family, log_positive_value, \
-    optimality_check
+from wvlab import RadialGrid, evaluate_grid, family, log_max_term, \
+    log_positive_value, optimality_check
 from wvlab import families as families_mod
 from wvlab import series as series_mod
-from wvlab.errors import ValidationError
+from wvlab.errors import TruncationError, ValidationError
 from wvlab.families import _KOVARI_BATCH, _KOVARI_BLOCK, \
     _KOVARI_MAX_ORDER, _RESCALE_SHIFT, _RESCALE_THRESHOLD, \
     _KovariIntSource, _ScaledExpSource, binomial_series
@@ -266,21 +266,123 @@ def test_kovari_unit_start_solutions_stay_finite_at_the_top_order(
 
 def test_kovari_int_fills_whole_batches_over_the_optimality_grid(
         monkeypatch):
-    """``optimality`` on kovari(1) out to gap 1e-3 grows the prefix in 71
-    fills; each batch stitches all its blocks and serves the next fills,
-    so the 1.49M-term prefix costs one ``_unit_starts`` call per
-    ``_KOVARI_BATCH`` blocks, not one or more per fill."""
+    """``optimality`` on kovari(1) out to gap 1e-3 (the benchmark's seed-0
+    grid) grows the prefix in 71 fills; each batch stitches all its blocks
+    and serves the next fills, so the 1.49M-term prefix, inside the cache,
+    costs one ``_unit_starts`` call per ``_KOVARI_BATCH`` blocks, not one
+    or more per fill: each batch is computed once, in order."""
     calls = []
     unit_starts = _KovariIntSource._unit_starts
     monkeypatch.setattr(_KovariIntSource, "_unit_starts", lambda self, b0, b1:
-                        calls.append(b1 - b0) or unit_starts(self, b0, b1))
+                        calls.append((b0, b1)) or unit_starts(self, b0, b1))
     series = family("kovari", rho=1)
     q = (1e-3 / 0.1) ** (1 / 59)
     optimality_check(series, RadialGrid.geometric_in_gap(0.9, q, 60))
     size = series._source._size
-    assert size > 1_400_000
-    assert calls == [_KOVARI_BATCH] * math.ceil(
-        (size - 1) / (_KOVARI_BLOCK * _KOVARI_BATCH))
+    assert 1_400_000 < size < families_mod._CACHE_TERMS
+    count = math.ceil((size - 1) / (_KOVARI_BLOCK * _KOVARI_BATCH))
+    assert calls == [(b0, b0 + _KOVARI_BATCH)
+                     for b0 in range(0, count * _KOVARI_BATCH, _KOVARI_BATCH)]
+
+
+# ---------------------------------------------------------------------------
+# kovari at an integer rho past its cache: chunks dropped and computed again
+# from the batch checkpoints.
+
+SMALL_CACHE = 2 ** 18  # four chunks
+PAST_CACHE = 800_001
+
+
+@functools.cache
+def kovari_int_kept_prefix(rho):
+    """The first ``PAST_CACHE`` values of ``kovari(rho)`` from one call,
+    every chunk kept."""
+    return _KovariIntSource(rho).extend_to(PAST_CACHE).copy()
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3, _KOVARI_MAX_ORDER])
+def test_kovari_int_reads_past_the_cache_match_one_call(rho, monkeypatch):
+    """Under a cache of four chunks, reads that cross its edge, go back
+    before it, jump ahead and come back to the chunks dropped on the way
+    give the bits of one fill that keeps every chunk; the source keeps
+    the cache and two chunks past it."""
+    want = kovari_int_kept_prefix(rho)
+    monkeypatch.setattr(families_mod, "_CACHE_TERMS", SMALL_CACHE)
+    source, chunk = _KovariIntSource(rho), series_mod._FILL_TERMS
+    for lo, hi in [(0, 10), (SMALL_CACHE - 5, SMALL_CACHE + 5), (100, 200),
+                   (PAST_CACHE - 10, PAST_CACHE),
+                   (SMALL_CACHE, SMALL_CACHE + 9),
+                   (SMALL_CACHE + 3 * chunk - 1, SMALL_CACHE + 3 * chunk + 1),
+                   (SMALL_CACHE - chunk, SMALL_CACHE + 2 * chunk),
+                   (5, 2 * chunk), (PAST_CACHE - 3 * chunk, PAST_CACHE - 1)]:
+        got = source.block(lo, hi)
+        assert np.array_equal(bits(got), bits(want[lo:hi])), (lo, hi)
+        assert sum(c is not None for c in source._chunks) <= \
+            SMALL_CACHE // chunk + 2
+    assert np.array_equal(bits(source.extend_to(0)), bits(want))
+
+
+def traced_peak(fn):
+    """The ``tracemalloc`` peak of ``fn()`` above what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cache", [SMALL_CACHE, None],
+                         ids=["small_cache", "cache"])
+def test_a_streamed_fill_holds_its_chunks_and_one_batch(cache, monkeypatch):
+    """A fill of 2M kovari(1) values writes each batch into the chunks as
+    it comes, so its traced peak is the chunks it keeps, one more chunk,
+    and one batch with the work of stitching it (which the last batch
+    stitched past the cache stays as).  Handing the whole fill over at
+    once held it two or three times."""
+    if cache is not None:
+        monkeypatch.setattr(families_mod, "_CACHE_TERMS", cache)
+    chunk = series_mod._FILL_TERMS * 8
+    batch = _KovariIntSource(1)
+    batch.block(0, 1)
+    stitch = traced_peak(lambda: batch._stitch(0, _KOVARI_BATCH,
+                                               *batch._starts[0]))
+    source, stop = _KovariIntSource(1), 2_000_000
+    peak = traced_peak(lambda: source.block(stop - 1, stop))
+    kept = sum(c is not None for c in source._chunks)
+    every = -(-source._end // series_mod._FILL_TERMS)
+    assert kept == (every if cache is None
+                    else SMALL_CACHE // series_mod._FILL_TERMS + 2)
+    assert peak < kept * chunk + chunk + stitch + _KOVARI_BLOCK * \
+        _KOVARI_BATCH * 8
+
+
+def test_kovari_scan_to_the_cap_holds_the_cache_and_a_few_batches(
+        monkeypatch):
+    """kovari(1) at gap 1e-4 has no horizon below a cap of 3M terms: the
+    scan slides to the cap and raises the error of a source that keeps
+    every chunk, while holding the small cache, the scan buffers and a few
+    batches, where keeping every chunk holds 24 MB."""
+    cap = 3_000_000
+    monkeypatch.setattr(series_mod, "HARD_CAP", cap)
+    monkeypatch.setattr(series_mod._PrefixSource, "_cap", cap)
+
+    def scan():
+        with pytest.raises(TruncationError) as err:
+            log_max_term(family("kovari", rho=1), 1 - 1e-4)
+        return err.value
+
+    kept = scan()
+    assert kept.horizon == cap and str(kept) == (
+        "no certified horizon for 'kovari(1)' at log r=-0.000100005 "
+        "within 3000000 terms")
+    monkeypatch.setattr(families_mod, "_CACHE_TERMS", SMALL_CACHE)
+    errors = []
+    peak = traced_peak(lambda: errors.append(scan()))
+    assert str(errors[0]) == str(kept) and errors[0].horizon == cap
+    assert peak < 8 * (SMALL_CACHE + 2 * series_mod._buffer_size()
+                       + 8 * _KOVARI_BLOCK * _KOVARI_BATCH)
 
 
 def mpmath_kovari_ksum_log(rho, n, dps=40):

@@ -563,6 +563,30 @@ def test_peak_rule_falls_back_to_the_search(monkeypatch):
     assert rule == [] and len(searches) >= len(xs)
 
 
+def test_a_step_past_the_peak_reads_its_terms_once(monkeypatch):
+    """suleimanov(0.5) at r = 0.99 peaks at n = 2475 and grows its window
+    past it for many steps before the rule finds its horizon.  On each of
+    those steps the max the rule read lies before the resume point and is
+    the next step's prior: no ``_last_max`` call reads the step's terms
+    again, and the scan keeps the original's result."""
+    series, x = family("suleimanov", epsilon=0.5), math.log(0.99)
+    reads, last_max = [], series_mod._last_max
+
+    def spy(w, lo, prior):
+        reads.append((lo, lo + w.size, last_max(w, lo, prior)))
+        return reads[-1][2]
+
+    monkeypatch.setattr(series_mod, "_last_max", spy)
+    scan, _, _ = _scan(series, x, 1e-9)
+    assert scan == oracle_scan(series, x, 1e-9)
+    past = 0
+    for (lo, hi, (_, nu)), (lo2, _, _) in zip(reads, reads[1:]):
+        if nu < hi - TAIL_RUN - 1:
+            assert lo2 == hi - TAIL_RUN - 1
+            past += 1
+    assert past > 10
+
+
 def test_peak_rule_decides_every_pipeline_radius(monkeypatch):
     """The pipeline benchmark's seed-0 grids, ``suleimanov(0.5)`` from gap
     0.1 down to 1e-3 on 80 points and on the x4 refinement: the rule

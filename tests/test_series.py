@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from wvlab import (
     max_modulus_sampled,
     truncation_horizon,
 )
+from wvlab import families as families_mod
 from wvlab.series import TAIL_RUN
 
 
@@ -269,3 +271,28 @@ def test_concurrent_readers_bitwise_identical(suleimanov_half_series):
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(run, radii))
     assert serial == parallel
+
+
+def test_concurrent_readers_past_the_cache_bitwise_identical(monkeypatch):
+    """kovari(1) under a cache of four chunks: its readers drop chunks and
+    compute them again while others hold views of them, switching threads
+    often, and every result keeps the serial bits."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(families_mod, "_CACHE_TERMS", 2 ** 18)
+    series = family("kovari", rho=1)
+    radii = [0.5, 0.9, 0.99, 0.995, 0.998, 0.999] * 3
+
+    def run(r):
+        return log_positive_value(series, r)
+
+    serial = [run(r) for r in radii]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(run, radii, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial == parallel
+    assert series._source._end > 5 * 2 ** 18
