@@ -118,8 +118,9 @@ class RadialGrid:
         base radius exactly.  The points in between follow the scheme with
         ratio ``q ** (1 / factor)``.
         """
-        if factor < 2:
-            raise ValidationError("refinement factor must be >= 2")
+        if not isinstance(factor, int) or factor < 2:  # bools are < 2
+            raise ValidationError(
+                f"refinement factor must be an integer >= 2, got {factor!r}")
         q_new = self.q ** (1.0 / factor)
         count_new = factor * (self.count - 1) + 1
         gap = self.R - self.r0

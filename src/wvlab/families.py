@@ -25,8 +25,9 @@ products read it all, and the integer recurrence its first
 it computes any later chunk again.
 
 Three families declare that their ``log|a_n|`` is concave from an index
-``n0`` (``PowerSeries.concave_from``), which lets a scan past its buffer
-jump to the peak and the horizon (``series._jump``):
+``n0`` (``PowerSeries.concave_from``), so that margins above twice the
+rounding bound between computed terms certify the peak, the horizon and
+the quiet blocks (``series._slack``):
 
 * ``exp`` from 0: ``-lgamma(n + 1)`` is concave, as ``lgamma`` is convex
   on (0, inf);

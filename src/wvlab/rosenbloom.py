@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, InvariantViolation, ValidationError
 from .logdomain import LOG_ZERO, absorbs
 from .series import DEFAULT_TOL, PowerSeries, _walk
 
@@ -200,17 +200,24 @@ def window_sum(series: PowerSeries, x: float, c: float,
 def _window_sum_from(window, st: RosenbloomStats, c: float) -> float:
     """log of the term sum over ``|n - g1| < c*sqrt(g2)``.  A range that
     holds the central index ``nu`` has the max term ``log_mu`` as its max,
-    so its blocks are read once, for the sum alone."""
+    so its blocks are read once, for the sum alone.  Each edge is decided
+    by the exact sign of ``n - g1 -+ half``, as ``g1 -+ half`` may round
+    onto an integer; Chebyshev puts mass in the window, so it is never
+    empty."""
     g1, g2 = st.g1, st.g2
     half = c * math.sqrt(g2)
     if not 2 * half < math.inf:  # also the lemma's count bound
         raise DomainError(
             f"window width 2c*sqrt(g2) overflows the float range at "
             f"x={window.x:g}: c={c:g}, g2={g2:g}")
-    lo = max(0, int(math.floor(g1 - half)) + 1)
-    hi = min(window.size - 1, int(math.ceil(g1 + half)) - 1)
+    lo = max(0, math.floor(g1 - half))
+    while math.fsum((lo, -g1, half)) <= 0:
+        lo += 1
+    hi = min(window.size - 1, math.ceil(g1 + half))
+    while hi >= lo and math.fsum((hi, -g1, -half)) >= 0:
+        hi -= 1
     if hi < lo:
-        raise RuntimeError(
+        raise InvariantViolation(
             f"empty concentration window at g1={g1:g}, g2={g2:g}, c={c:g}"
         )
     return window.log_sum_exp(

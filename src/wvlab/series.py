@@ -26,23 +26,20 @@ rule that reads only the prefix ``t[:N+51]``, so results depend neither on
 the start, nor on the steps, nor on the slides.
 
 A family whose ``log|a_n|`` is provably concave from some ``n0`` declares
-it (``PowerSeries.concave_from``; see ``families``): its terms are then
-unimodal at every radius, and with a stated bound ``delta`` on each term's
-rounding, no term before the peak is small under the run rule where ``2 *
-delta`` is below the rule's margin.  Such a window's horizon is read from
-its peak (``_past_peak``): one argmax for the peak, one compare over the
-terms past it for the first small one, and the 50 or 51 terms that must
-follow it; where one of those is big, the search decides.  When such a
-window outgrows the buffer it jumps instead of sliding (``_jump``):
-bisections guess the peak and the first term below the tail threshold,
-one slab of 4096 terms each side of each guess is read, and certificates
-(margins above ``2 * delta`` between computed terms) show that every
-skipped term is below the peak and, before the horizon's slab, big under
-the run rule.  The slab then gives the slide's ``(log_mu, nu, horizon)``
-bit for bit, from about 17,000 terms past the buffer instead of every term
-up to the horizon.  A failed certificate falls back to the slide;
-certificates that the terms still rise at ``HARD_CAP``, or that no tail
-run fits below it, raise the slide's ``TruncationError`` at once.  A
+it (``PowerSeries.concave_from``; see ``families``).  Its terms are then
+unimodal, so a few computed terms, compared with a margin that beats
+their rounding (``_slack``, which states the argument), certify three
+fast paths.  Such a window's horizon is read from its peak
+(``_past_peak``): one argmax for the peak, one compare over the terms past
+it for the first small one, and the 50 or 51 terms that must follow it;
+where one of those is big, the search decides.  When such a window
+outgrows the buffer it jumps instead of sliding (``_jump``): bisections
+guess the peak and the first term below the tail threshold, and one slab
+of 4096 terms each side of each guess gives the slide's ``(log_mu, nu,
+horizon)`` bit for bit, from about 17,000 terms past the buffer instead of
+every term up to the horizon.  A failed certificate falls back to the
+slide; certificates that the terms still rise at ``HARD_CAP``, or that no
+tail run fits below it, raise the slide's ``TruncationError`` at once.  A
 monomial needs no scan at all: its max term and horizon are known in
 closed form at every radius.
 
@@ -59,11 +56,10 @@ block sums are combined with ``math.fsum``.  The sums over a whole window,
 ``log_F`` and the moments of ``rosenbloom``, keep the quiet-block rule
 (``_Window.read``): the quiet blocks of a declared-concave window are its
 leading blocks that end 50 or more below the max term left of the central
-index.  Concavity and the rounding bound give each a bound on its sum
-(``_Window.quiet``).  ``math.fsum`` rounds correctly, so where adding the
-bounds leaves every sum's bits unchanged, adding the true block sums does
-too, and the quiet blocks are skipped with the bits of every block;
-otherwise they are read.
+index, each with a bound on its sum (``_Window.quiet``).  ``math.fsum``
+rounds correctly, so where adding the bounds leaves every sum's bits
+unchanged, adding the true block sums does too, and the quiet blocks are
+skipped with the bits of every block; otherwise they are read.
 Readers that need every term (the distribution, sampled maxima and window
 sums) read them all.  A source computes only the indices asked for:
 closed forms, monomials and coefficient arrays included, hold none, and a
@@ -100,9 +96,7 @@ _BLOCK_TERMS = 2 ** 19  # a window slides past this many term logs
 _FILL_TERMS = 2 ** 16  # terms computed per piece
 _SLAB = 4096  # a jump reads this many terms on each side of a probe
 _QUIET = 50.0  # pass 2 may skip a block that ends this far below log_mu
-# Relative bound on a term log's error: a source's own error (a few ulps)
-# and two roundings, so margins of 2 * delta need no further rounding care.
-_DELTA = 2.0 ** -40
+_DELTA = 2.0 ** -40  # relative bound on a term log's error (_slack)
 
 
 def _put(chunk: np.ndarray, lo: int, n: int, values: np.ndarray) -> None:
@@ -277,11 +271,12 @@ class PowerSeries:
     window size as the next scan's start, and results are bitwise
     independent of the start.
 
-    ``concave_from = n0`` declares that ``log|a_n|`` is ``-inf`` below
-    ``n0`` and finite and concave in ``n`` from ``n0`` on, and that a
-    source value is within ``_DELTA`` of ``log|a_n|`` relative to its
-    magnitude.  Every radius's terms are then unimodal, and a scan may jump
-    to its peak and horizon (:func:`_jump`).
+    ``monomial_degree = k`` declares that ``a_k`` is the one nonzero
+    coefficient.  ``concave_from = n0`` declares that ``log|a_n|`` is
+    ``-inf`` below ``n0`` and finite and concave in ``n`` from ``n0`` on,
+    and that a source value is within ``_DELTA`` of ``log|a_n|`` relative
+    to its magnitude: the certificates of :func:`_slack` rest on it.  Each
+    declaration is ``None`` or an ``int >= 0``.
     """
 
     def __init__(
@@ -295,6 +290,10 @@ class PowerSeries:
     ):
         if not (radius > 0):
             raise ValidationError(f"radius must be positive, got {radius}")
+        for name, v in (("monomial_degree", monomial_degree),
+                        ("concave_from", concave_from)):
+            if v is not None and not (type(v) is int and v >= 0):
+                raise ValidationError(f"{name} must be an int >= 0, not {v!r}")
         self._source = source
         self.radius = float(radius)
         self.label = label
@@ -456,15 +455,10 @@ def _past_peak(tail: np.ndarray, start: int, log_mu: float, nu: int,
     nu``, and if ``p = nu``, ``q``, with one more small term.  No index can
     have a tail run that the prefix cuts off.
 
-    Concavity shows terms big.  Where the exact terms are concave from
-    ``n0`` and the computed ones are within ``delta`` of them on ``[n0,
-    N)`` (:func:`_delta`), each computed ``t[i]`` there is at least
-    ``min(t[j], t[k]) - 2 * delta`` for any ``j <= i <= k`` in ``[n0,
-    N)``.  So with ``2 * delta < -log_tail_tol``, a term is big when its
-    running max ``t[j]`` is at most a later term ``t[k]``: every term
-    before the last max ``nu`` is (``k = nu``).  Past ``nu``, where the
-    running max is ``log_mu``, so is every term before a ``t[k] > theta + 2
-    * delta``.  The terms below ``n0`` are ``-inf``, big under a running
+    For a declared series whose :func:`_slack` is below ``-log_tail_tol``,
+    a term is big where its running max is at most a later term: every
+    term before ``nu`` is, and past it every term before a ``t[k] > theta
+    + slack``.  The terms below ``n0`` are ``-inf``, big under a running
     max of ``-inf``.
     """
     theta = log_mu + log_tail_tol
@@ -569,13 +563,29 @@ def _read(coeffs, x: float, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _delta(ends, n: int, x: float) -> float:
-    """``delta = _DELTA * (T + 2 n |x|)``, a bound on the error of each
-    computed term of ``[n0, n)`` for a series declared concave from ``n0``,
-    where ``T`` is the largest ``|t|`` of ``ends``: ``t[n0]`` and terms that
-    bound the concave ones on ``[n0, n)``, so that ``|log|a_m|| + m|x| <= T
-    + 2 n |x|`` there."""
-    return _DELTA * (max(abs(v) for v in ends) + 2 * n * abs(x))
+def _slack(x: float, n: int, *ends) -> float:
+    """``2 * delta``, the margin that every certificate on the computed
+    terms ``t[m]``, ``n0 <= m < n``, of a series declared concave from
+    ``n0`` must beat, where ``ends`` are ``t[n0]`` and terms that bound
+    the others there.
+
+    The exact terms ``t(m) = log|a_m| + m x`` are ``-inf`` below ``n0`` and
+    concave from it, so unimodal at every ``x``, and on ``[n0, n)`` they
+    lie in the concave hull of ``ends``: ``|log|a_m|| + m |x| <= T + 2 n
+    |x|``, with ``T`` the largest ``|t|`` of ``ends``.  A source value is
+    within ``_DELTA`` of ``log|a_m|`` relative to its magnitude, a few ulps
+    with room for two more roundings, so each computed term is within
+    ``delta = _DELTA * (T + 2 n |x|)`` of the exact one, and margins of ``2
+    * delta`` need no further rounding care.  For computed terms of ``[n0,
+    n)``, then:
+
+    - a margin ``t[j] - t[i]`` above ``2 * delta`` orders the exact terms
+      the same way, and by concavity the exact terms past them;
+    - ``t[i] >= min(t[j], t[k]) - 2 * delta`` for ``j <= i <= k``;
+    - ``t[i] <= t[k] + 2 * delta`` for ``i <= k`` where the exact terms
+      rise up to ``k``.
+    """
+    return 2 * (_DELTA * (max(abs(v) for v in ends) + 2 * n * abs(x)))
 
 
 def _no_horizon(series: PowerSeries, x: float) -> TruncationError:
@@ -592,30 +602,25 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
     """The :class:`_Scan` a slide would find for a series declared concave
     from ``n0`` (``series.concave_from``), given its first buffer of term
     logs ``t`` (``t[n]``, ``n < t.size``) that holds no horizon; ``None``
-    where a certificate fails, and then the scan slides.
-
-    The exact terms ``t(n) = log|a_n| + n x`` are concave from ``n0``, and
-    the computed ones are within ``delta`` (:func:`_delta`) of them on
-    ``[n0, N)``, where ``N`` is the end of the reads, with ``t[n0]``, the
-    peak and the end of the reads bounding the concave terms.  A
-    certificate is a margin above ``2 * delta`` between two computed terms,
-    so the exact terms are ordered the same way.
+    where a certificate fails, and then the scan slides.  A certificate is
+    a set of margins between computed terms that each beat :func:`_slack`
+    up to the end of the reads, with ``t[n0]``, the peak and the last
+    terms read as its ends.
 
     1. The peak.  A bisection on ``t[m+1] < t[m]`` out to ``HARD_CAP``
        guesses it, and a slab of ``_SLAB`` terms on each side of the guess
        (clamped to start after the buffer) is read.  ``(log_mu, nu)`` is the
        max of the buffer and the slab and its last index.  Certified: the
        slab's last term, and the end nearer the peak of any gap between the
-       buffer and the slab, lie below ``log_mu``; by concavity every unread
-       term lies further below.
+       buffer and the slab, lie below ``log_mu``, so every unread term lies
+       further below.
     2. The horizon.  A bisection guesses ``q``, the first term past ``nu``
        below ``theta = log_mu + log_tail_tol``, and the slab ``[q - _SLAB,
        q + _SLAB + TAIL_RUN]`` (starting after ``nu``) is read.  Certified:
-       its first term, and ``log_mu`` itself, lie more than ``2 * delta``
-       above ``theta``, so by concavity every term before the slab is big
-       under the run rule (:func:`_past_peak`), and the slab's horizon
-       from its peak (or, where that cannot tell, its search from ``prior
-       = (log_mu, nu)``) is the slide's.
+       its first term, and ``log_mu`` itself, lie above ``theta``, so every
+       term before the slab is big under the run rule (:func:`_past_peak`),
+       and the slab's horizon from its peak (or, where that cannot tell,
+       its search from ``prior = (log_mu, nu)``) is the slide's.
 
     A jump computes about 17,000 terms past the buffer.  Each comes from
     :func:`_fill_terms`, with the bits the slide computes, so the result is
@@ -627,10 +632,6 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
     if not (0 <= n0 < size and size + _SLAB < HARD_CAP):
         return None
 
-    def falls(n):
-        a, b = _read(coeffs, x, n, n + 2)
-        return b < a
-
     def first(lo, hi, pred):
         """The smallest ``n`` in ``[lo, hi)`` with ``pred(n)``, else ``hi``,
         for a ``pred`` false and then true."""
@@ -639,40 +640,37 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
             lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
         return lo
 
-    def certified(margins, ends, n):
-        """Whether every margin exceeds ``2 * delta`` on ``[n0, n)``, whose
-        terms lie within the concave hull of ``ends``."""
-        return min(margins) > 2 * _delta((t[n0], *ends), n, x)
-
-    m = first(size - 1, HARD_CAP - 1, falls)
+    m = first(size - 1, HARD_CAP - 1,  # the first n with t[n + 1] < t[n]
+              lambda n: np.greater(*_read(coeffs, x, n, n + 2)))
     lo, hi = max(m - _SLAB, size), min(m + _SLAB + 1, HARD_CAP)
     slab = _read(coeffs, x, lo, hi)
     log_mu, nu = _last_max(slab, lo, _last_max(t, 0, (LOG_ZERO, -1)))
     if nu == HARD_CAP - 1:  # still rising at the cap: no term is small
-        if certified((-log_tail_tol, slab[-1] - slab[-2]), (slab[-1],), hi):
+        if min(-log_tail_tol, slab[-1] - slab[-2]) > _slack(
+                x, hi, t[n0], slab[-1]):
             raise _no_horizon(series, x)
         return None
     margins = [-log_tail_tol, log_mu - slab[-1]]
     if lo > size:  # the gap's terms lie below its end nearer the peak
         margins.append(log_mu - (slab[0] if nu >= lo else t[-1]))
-    ends = [log_mu, slab[-1]]
 
     theta = log_mu + log_tail_tol
     end = HARD_CAP - TAIL_RUN  # the last index a tail run can start at
     q = first(nu + 1, end + 1,
               lambda n: _read(coeffs, x, n, n + 1)[0] < theta)
     if q > end:  # no tail run fits below the cap
+        past = log_mu  # a new end only where a term is read
         if nu < end:  # the terms up to ``end`` stay big
             (past,) = _read(coeffs, x, end, end + 1)
             margins.append(past - theta)
-            ends.append(past)
-        if certified(margins, ends, max(hi, end + 1)):
+        if min(margins) > _slack(x, max(hi, end + 1), t[n0], log_mu,
+                                 slab[-1], past):
             raise _no_horizon(series, x)
         return None
     lo2, hi2 = max(q - _SLAB, nu + 1), min(q + _SLAB + TAIL_RUN + 1, HARD_CAP)
     slab2 = _read(coeffs, x, lo2, hi2)
-    if not certified(margins + [slab2[0] - theta], ends + [slab2[-1]],
-                     max(hi, hi2)):
+    if not min(*margins, slab2[0] - theta) > _slack(
+            x, max(hi, hi2), t[n0], log_mu, slab[-1], slab2[-1]):
         return None
     scan = _past_peak(slab2, lo2, log_mu, nu, log_tail_tol)
     if scan is False:
@@ -690,11 +688,12 @@ def _scan(series: PowerSeries, x: float, tol: float,
     terms, and the search resumes where the last one could still change
     its answer (see :func:`_find_horizon`).  In a buffer that has not
     slid, a window declared concave (``concave_from = n0``) with ``n0 <
-    stop``, a finite max and ``2 * delta < -log_tail_tol`` (:func:`_delta`,
-    with ``t[n0]``, the max and the last term) takes its horizon from its
-    peak instead (:func:`_past_peak`); the search for the first small term
-    resumes at ``max(nu + 1, lo)`` while every step past ``n0`` has been
-    decided so, and once one is not, the search decides every later one.
+    stop``, a finite max and a :func:`_slack` below ``-log_tail_tol``
+    (with ``t[n0]``, the max and the last term as ends) takes its horizon
+    from its peak instead (:func:`_past_peak`); the search for the first
+    small term resumes at ``max(nu + 1, lo)`` while every step past ``n0``
+    has been decided so, and once one is not, the search decides every
+    later one.
     Where the max ``(log_mu, nu)`` that the rule read lies before the
     resume point, it is the next step's ``prior``, not read again.
     The terms live in the term buffer of ``bufs`` (new ones if not given),
@@ -728,8 +727,8 @@ def _scan(series: PowerSeries, x: float, tol: float,
         scan, seen = False, None
         if peaked and base == 0 and n0 < stop:
             seen = log_mu, nu = _last_max(buf[lo:stop], lo, prior)
-            peaked = math.isfinite(log_mu) and 2 * _delta(
-                (buf[n0], log_mu, buf[stop - 1]), stop, x) < -log_tail_tol
+            peaked = math.isfinite(log_mu) and _slack(
+                x, stop, buf[n0], log_mu, buf[stop - 1]) < -log_tail_tol
             if peaked:
                 past = max(nu + 1, lo)
                 scan = _past_peak(buf[past:stop], past, log_mu, nu,
@@ -776,10 +775,9 @@ class _Window:
 
     def __init__(self, x, scan: _Scan, size, t, bufs, log_F=None,
                  concave_from=None):
-        self.x, self.size = x, size
+        self.x, self.size, self._n0 = x, size, concave_from
         self.log_mu, self.nu, self.horizon = scan.log_mu, scan.nu, scan.horizon
         self._t, self._bufs, self._log_F = t, bufs, log_F
-        self._n0 = concave_from
 
     def blocks(self, lo: int = 0, hi: int | None = None,
                first: int | None = None):
@@ -829,16 +827,14 @@ class _Window:
         rounding.
 
         A block that ends at ``e < nu`` with ``t[e] <= log_mu - _QUIET`` is
-        quiet.  The exact terms are concave from ``n0``, and ``-inf``
-        before it, and each computed one is within ``delta`` of its exact
-        value (:func:`_delta`, with ``t[n0]``, ``log_mu`` and the window's
-        last term).  As ``_QUIET > 2 * delta``, the exact ``t[e]`` lies
-        below ``t[nu]``, so the exact terms rise up to ``e``, and each
-        computed term of the block is at most ``t[e] + 2 * delta``.  The
-        block's sum is then at most ``B * exp(t[e] + 2 * delta - log_mu)``
-        for ``B`` terms; ``beta`` doubles it, and adds the least subnormal
-        per term, for the roundings of ``exp`` and of the sum.  ``(0,
-        0.0)`` for an undeclared series or a window of one block."""
+        quiet.  Where ``_QUIET`` beats :func:`_slack` (with ``t[n0]``,
+        ``log_mu`` and the window's last term as ends), the exact terms
+        rise up to ``e``, and each computed term of the block is at most
+        ``t[e] + slack``: the block's sum is at most ``B * exp(t[e] + slack
+        - log_mu)`` for ``B`` terms.  ``beta`` doubles it, and adds the
+        least subnormal per term, for the roundings of ``exp`` and of the
+        sum.  ``(0, 0.0)`` for an undeclared series or a window of one
+        block."""
         n0, step, x, coeffs = self._n0, _BLOCK_TERMS, self.x, self._bufs.coeffs
         if n0 is None or self.size <= _buffer_size() \
                 or not math.isfinite(self.log_mu):
@@ -851,13 +847,12 @@ class _Window:
             ends.append(t_e)
         if not ends:
             return 0, 0.0
-        (first,), (last,) = (_read(coeffs, x, n, n + 1)
-                             for n in (n0, self.size - 1))
-        delta = _delta((first, self.log_mu, last), self.size, x)
-        if not 2 * delta < _QUIET:
+        slack = _slack(x, self.size, self.log_mu, *(
+            _read(coeffs, x, n, n + 1)[0] for n in (n0, self.size - 1)))
+        if not slack < _QUIET:
             return 0, 0.0
         return len(ends) * step, math.fsum(
-            2 * step * (math.exp(t_e + 2 * delta - self.log_mu) + 2.0 ** -1074)
+            2 * step * (math.exp(t_e + slack - self.log_mu) + 2.0 ** -1074)
             for t_e in ends)
 
     def log_sum_exp(self, lo: int = 0, hi: int | None = None,

@@ -402,6 +402,48 @@ def test_cli_extreme_finite_inputs_exit_with_their_codes(argv, code, err,
         assert len(out.splitlines()) == 4
 
 
+def test_cli_lemma_window_edge_rounded_onto_an_integer(capsys):
+    """At a variance of 4.5e-35 about the mean 3, ``g1 - c*sqrt(g2)``
+    rounds onto 3.0; the edge is decided exactly, so the window holds n =
+    3 and its one term, and the chain holds at every point."""
+    assert main(["lemma", "--family", "formula", "--formula=-80*(n-3)**2",
+                 "--grid-geo", "0.5:0.9:3"]) == 0
+    out, err = capsys.readouterr()
+    head, *rows = list(csv.reader(out.splitlines()[1:]))
+    rows = [dict(zip(head, row)) for row in rows]
+    assert len(rows) == 3 and err == ""
+    for row in rows:
+        assert float(row["g1"]) == 3.0 and float(row["g2"]) < 1e-34
+        assert row["log_window"] == row["log_mu"]
+        assert row["count_bound"] == "1" and row["holds"] == "1"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["lemma", "--family", "formula", "--formula=-80*(n-3)**2",
+      "--grid-geo", "0.5:0.9:3"], 0),
+    # log|a_n| = n^2: no horizon within the cap, found in about a second
+    (["eval", "--family", "formula", "--formula=n*n",
+      "--grid-geo", "0.5:0.9:2"], 4),
+    (["stats", "--family", "geometric", "--x=800"], 2),
+    (["eval", "--family", "exp", "--grid-geo", "2:5:3", "--tol", "1e300"], 2),
+    (["eval", "--family", "kovari", "--rho", "1e6",
+      "--grid-gap", "0.9:0.5:3"], 2),
+    (["measure", "--set", "{set}", "--final-density-at",
+      "0.99999999999999999"], 4),
+], ids=["lemma_edge_on_integer", "formula_n_squared", "stats_x800",
+        "tol_1e300", "kovari_rho_1e6", "final_density_at_1"])
+def test_cli_extreme_valid_argv_exit_with_a_documented_code(argv, code,
+                                                            tmp_path,
+                                                            capsys):
+    """Extreme but valid argv exit 0, 2, 3 or 4 as documented, never 1:
+    no exception leaves ``main``, and a failure prints one line."""
+    setfile = tmp_path / "set.txt"
+    setfile.write_text("0.1 0.2\n")
+    assert main([a.format(set=setfile) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == (code != 0)
+
+
 def test_monomial_degree_bound_is_the_closed_forms():
     """The largest degree accepted is the largest the closed form covers."""
     top = HARD_CAP - TAIL_RUN - 2

@@ -68,6 +68,13 @@ def test_grid_refinement_nests():
             assert fine.points[::factor] == g.points
 
 
+@pytest.mark.parametrize("factor", [1, 0, -2, 2.5, 2.0, "2", True])
+def test_grid_refinement_wants_an_integer_factor_from_2(factor):
+    grid = RadialGrid.geometric_in_gap(0.5, 0.9, 20)
+    with pytest.raises(ValidationError, match="an integer >= 2"):
+        grid.refined(factor)
+
+
 def test_violation_set_geometric_kov_empty_past_knee(geometric_series):
     # with C=1, delta=0.5: M = mu/(1-r) and the bound adds a positive log
     # power once log(1/(1-r)) > 1, so no violations for r > 1 - 1/e

@@ -450,6 +450,20 @@ def test_a_failed_certificate_reads_every_block(monkeypatch):
     assert _pass2(series, xs)[0] == want
 
 
+def test_an_empty_concentration_window_is_an_invariant_violation():
+    """No integer within ``c*sqrt(g2)`` of ``g1``: Chebyshev puts mass
+    there, so the moments are wrong, and the error exits 3."""
+    from types import SimpleNamespace
+
+    from wvlab.errors import InvariantViolation
+    from wvlab.rosenbloom import RosenbloomStats, _window_sum_from
+
+    window = SimpleNamespace(x=0.0, size=10)
+    st = RosenbloomStats(g=0.0, g1=3.5, g2=1e-30)
+    with pytest.raises(InvariantViolation, match="empty concentration"):
+        _window_sum_from(window, st, 2.0)
+
+
 @pytest.mark.parametrize("gap", [1e-2, 1e-3, 2e-4])
 def test_hayman_log_M_minus_log_mu(gap):
     """Hayman (1956): for an admissible function, ``log M(r) - log mu(r) -

@@ -603,6 +603,35 @@ def test_peak_rule_decides_every_pipeline_radius(monkeypatch):
     assert [s.horizon for s in rule if s] == horizons
 
 
+def test_slack_is_the_one_owner_of_the_certificate(monkeypatch):
+    """With 1024-term blocks, suleimanov(0.5) at r = 0.999 takes all three
+    fast paths: the peak rule, a jump and quiet blocks.  With ``_slack``
+    at inf no certificate holds: the rule never runs, the jump gives up,
+    no block is quiet, and every result keeps the bits of the same source
+    undeclared."""
+    monkeypatch.setattr(series_mod, "_BLOCK_TERMS", 1024)
+    series, xs = family("suleimanov", epsilon=0.5), [math.log(0.999)]
+
+    def results(s):
+        return repr((walk(s, xs, 1e-9), stats_grid(s, xs)))
+
+    want = results(undeclared(series))
+    rule = count_calls(monkeypatch, "_past_peak")
+    jumps = count_calls(monkeypatch, "_jump")
+    quiet, real = [], series_mod._Window.quiet
+    monkeypatch.setattr(series_mod._Window, "quiet", lambda w: (
+        quiet.append(real(w)) or quiet[-1]))
+    assert results(series) == want
+    assert rule and jumps and None not in jumps
+    assert quiet and all(end > 0 for end, _ in quiet)
+    for calls in (rule, jumps, quiet):
+        calls.clear()
+    monkeypatch.setattr(series_mod, "_slack", lambda x, n, *ends: math.inf)
+    assert results(series) == want
+    assert rule == [] and jumps and jumps == [None] * len(jumps)
+    assert quiet and quiet == [(0, 0.0)] * len(quiet)
+
+
 # ---------------------------------------------------------------------------
 # Monomials: the max term and the horizon in closed form.
 

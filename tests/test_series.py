@@ -94,6 +94,16 @@ def test_max_term_domain_errors(geometric_series):
         log_max_term(geometric_series, -0.5)
 
 
+@pytest.mark.parametrize("name", ["monomial_degree", "concave_from"])
+@pytest.mark.parametrize("value", [-1, 1.5, 2.0, "1", True])
+def test_declarations_must_be_ints_from_0(name, value):
+    """A declaration is None or an int >= 0; anything else is refused when
+    the series is made, before a scan reads it."""
+    source = family("geometric")._source
+    with pytest.raises(ValidationError, match=f"{name} must be an int >= 0"):
+        PowerSeries(source, 1.0, **{name: value})
+
+
 def test_all_zero_series_degenerate():
     dead = PowerSeries.from_log_coeffs([-math.inf, -math.inf], radius=2.0)
     with pytest.raises(DegenerateSeriesError):
