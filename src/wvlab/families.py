@@ -17,8 +17,11 @@ builds from the values they check.
 The closed-form families (``exp``, ``geometric``, ``monomial``,
 ``suleimanov``, ``formula``) are a ``VectorizedSource``: a scan computes
 each block of coefficients from the formula when it needs it, and nothing
-is cached.  Only the ``kovari`` recurrences below keep what they have
-computed, in chunks at fixed places, under the fill contract of
+is cached.  The formulas of ``exp``, ``geometric`` and ``suleimanov`` write
+their values over the index array they are given, as the source's formula
+contract allows, so a piece of term logs needs no array but that one.  Only
+the ``kovari`` recurrences below keep what they have computed, in chunks
+at fixed places, under the fill contract of
 ``series._PrefixSource``: the convolution all of it, as its history
 products read it all, and the integer recurrence its first
 ``_CACHE_TERMS`` coefficients, with a checkpoint at each batch from which
@@ -69,6 +72,8 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 from typing import Mapping
 
 import numpy as np
@@ -674,8 +679,9 @@ class _KovariIntSource(_PrefixSource):
         for matrix in s.transpose(2, 0, 1).tolist():  # [j][i] per block
             starts.append(state)
             exps.append(exp)
-            state = [sum(x * y for x, y in zip(row, state))
-                     for row in matrix]
+            # added left to right, as the builtin sum compensates from
+            # Python 3.12 on, and the bits must not depend on the version
+            state = [reduce(add, map(mul, row, state)) for row in matrix]
             shift = math.frexp(max(state))[1]
             state = [math.ldexp(x, -shift) for x in state]
             exp += shift
@@ -725,13 +731,18 @@ def make_family(spec: FamilySpec) -> PowerSeries:
     if fid == "exp":
         from scipy.special import gammaln  # its only user; slow to import
 
+        def log_factorial(n):
+            n += 1.0
+            gammaln(n, out=n)
+            return np.subtract(0.0, n, out=n)  # +0, not -0
+
         return PowerSeries(
-            VectorizedSource(lambda n: 0.0 - gammaln(n + 1.0)),  # +0, not -0
+            VectorizedSource(log_factorial),
             math.inf, "exp", family_id="exp", concave_from=0,
         )
     if fid == "geometric":
         return PowerSeries(
-            VectorizedSource(lambda n: np.zeros(np.shape(n))),
+            VectorizedSource(lambda n: np.multiply(n, 0.0, out=n)),  # +0
             1.0, "geometric", family_id="geometric", concave_from=0,
         )
     if fid == "monomial":
@@ -755,10 +766,10 @@ def make_family(spec: FamilySpec) -> PowerSeries:
         eps = p["epsilon"]
 
         def log_coeff(n, _e=eps):
-            n = np.asarray(n, dtype=float)
-            out = n ** _e
-            out[n == 0] = LOG_ZERO  # summation starts at n = 1
-            return out
+            n **= _e  # numpy's sqrt at eps = 1/2, as n ** eps is
+            if n.size and n[0] == 0.0:  # n = 0 can only lead the indices
+                n[0] = LOG_ZERO  # summation starts at n = 1
+            return n
 
         return PowerSeries(
             VectorizedSource(log_coeff), 1.0,

@@ -37,23 +37,28 @@ outgrows the buffer it jumps instead of sliding (``_jump``): bisections
 guess the peak and the first term below the tail threshold, and one slab
 of 4096 terms each side of each guess gives the slide's ``(log_mu, nu,
 horizon)`` bit for bit, from about 17,000 terms past the buffer instead of
-every term up to the horizon.  A failed certificate falls back to the
-slide; certificates that the terms still rise at ``HARD_CAP``, or that no
-tail run fits below it, raise the slide's ``TruncationError`` at once.  A
-monomial needs no scan at all: its max term and horizon are known in
-closed form at every radius.
+every term up to the horizon.  A scan that starts at or past the buffer's
+size, as every one after a jumped radius does, need not fill the buffer
+first: where ``t[n0]`` and its last two terms certify that the terms rise
+to its end, its max is its last term and it holds no horizon, and that is
+all the jump reads of it.  A failed certificate falls back to the fill and
+then the slide; certificates that the terms still rise at ``HARD_CAP``, or
+that no tail run fits below it, raise the slide's ``TruncationError`` at
+once.  A monomial needs no scan at all: its max term and horizon are known
+in closed form at every radius.
 
 Pass 2 (``_Window``) hands each radius's point one object: the max term,
 the central index, the horizon and the window cut at that horizon, which is
 read block by block only by the points that read it.  A window that never
 slid is its one in-memory buffer, one that slid or jumped is recomputed
-from the series a block at a time (after a jump, the first block comes
-from the scan's buffer while it still holds it), so a grid holds a few MB
-of buffers however large its horizons are.  Every sum of the masses
-``exp(t - m)`` of a window starts in one place, ``_Window._sums``, which
-forms each block's masses and their sum (``logdomain._sum_exp``); the
-block sums are combined with ``math.fsum``.  The sums over a whole window,
-``log_F`` and the moments of ``rosenbloom``, keep the quiet-block rule
+from the series a block at a time (after a jump from a filled buffer, the
+first block comes from it while the term buffer still holds it), so a
+grid holds a few MB of buffers however large its horizons are.  Every sum
+of the masses ``exp(t - m)`` of a window starts in one place,
+``_Window._sums``, which forms each block's masses and their sum
+(``logdomain._sum_exp``); the block sums are combined with ``math.fsum``.
+The sums over a whole window, ``log_F`` and the moments of
+``rosenbloom``, keep the quiet-block rule
 (``_Window.read``): the quiet blocks of a declared-concave window are its
 leading blocks that end 50 or more below the max term left of the central
 index, each with a bound on its sum (``_Window.quiet``).  ``math.fsum``
@@ -213,6 +218,12 @@ class _PrefixSource:
         out.flags.writeable = False
         return out
 
+    def terms(self, t: np.ndarray, x: float, lo: int) -> None:
+        """Write ``log|a_n| + n*x``, ``lo <= n < lo + t.size``, into ``t``,
+        adding a read of the prefix: a view where it lies in one chunk."""
+        np.multiply(np.arange(lo, lo + t.size, dtype=float), x, out=t)
+        t += self.block(lo, lo + t.size)
+
     def extend_to(self, stop: int) -> np.ndarray:
         """The prefix of ``max(stop, asked so far)`` values."""
         self._extend(stop)
@@ -220,26 +231,41 @@ class _PrefixSource:
 
 
 class VectorizedSource:
-    """Source backed by a vectorized formula ``fn(n_array) -> log|a_n|``.
+    """Source backed by a vectorized formula ``fn(n) -> log|a_n|``.
 
-    Each block is computed from the formula when it is asked for; the
-    source holds nothing.  A value of NaN or +inf is no coefficient's log.
+    The formula contract: ``fn`` gets the indices ``lo, lo + 1, ...`` of
+    one read as a fresh float array ``n``, which it may overwrite, and
+    returns ``log|a_n|`` as an array of their size, which may be ``n``
+    itself.  So a read of term logs (:meth:`terms`) makes one index array
+    per piece and no other temporary.  Each read computes its values from
+    the formula; the source holds nothing.  A value of NaN or +inf is no
+    coefficient's log.
     """
 
     def __init__(self, fn):
         self._fn = fn
 
-    def block(self, lo, hi):
-        block = np.asarray(self._fn(np.arange(lo, hi, dtype=float)),
-                           dtype=float)
-        ok = block < math.inf  # false exactly on NaN and +inf
-        if not ok.all():
-            i = int(np.argmin(ok))
+    def _values(self, n: np.ndarray, lo: int) -> np.ndarray:
+        """``fn(n)`` for the indices ``n`` from ``lo``, checked in one
+        pass; the bad index is searched for only where there is one."""
+        values = np.asarray(self._fn(n), dtype=float)
+        if values.size and not values.max() < math.inf:  # NaN or +inf
+            i = int(np.argmin(values < math.inf))
             raise DomainError(
-                f"coefficient formula produced {block[i]} at n={lo + i}",
+                f"coefficient formula produced {values[i]} at n={lo + i}",
                 subexpression="log_coeff(n)",
             )
-        return block
+        return values
+
+    def block(self, lo, hi):
+        return self._values(np.arange(lo, hi, dtype=float), lo)
+
+    def terms(self, t: np.ndarray, x: float, lo: int) -> None:
+        """Write ``log|a_n| + n*x``, ``lo <= n < lo + t.size``, into ``t``:
+        ``n*x`` first, as the formula may then overwrite ``n``."""
+        n = np.arange(lo, lo + t.size, dtype=float)
+        np.multiply(n, x, out=t)
+        t += self._values(n, lo)
 
 
 @dataclass(frozen=True)
@@ -261,8 +287,11 @@ class PowerSeries:
     """Analytic function given by coefficient magnitude logs.
 
     ``source.block(lo, hi)`` gives ``log|a_n|`` for ``lo <= n < hi``, the
-    same values on every call; it must be safe to query under the series's
-    lock while readers hold arrays it returned earlier.
+    same values on every call, and ``source.terms(t, x, lo)`` writes the
+    term logs ``log|a_n| + n*x``, ``lo <= n < lo + t.size``, into ``t``,
+    with the bits of ``n*x`` plus ``block``'s values; it must be safe to
+    query under the series's lock while readers hold arrays it returned
+    earlier.
 
     Instances are immutable apart from a recurrence source's internal,
     lock-protected coefficient cache, so they are safe to share between
@@ -340,6 +369,10 @@ class PowerSeries:
     def _coeffs(self, lo: int, hi: int) -> np.ndarray:
         with self._lock:
             return self._source.block(lo, hi)
+
+    def _write_terms(self, t: np.ndarray, x: float, lo: int) -> None:
+        with self._lock:
+            self._source.terms(t, x, lo)
 
     def _terms(self, x: float, stop: int) -> np.ndarray:
         """Term logs ``log|a_n| + n*x`` for ``n < stop``, built at once: the
@@ -485,8 +518,9 @@ def _buffer_size() -> int:
 
 class _FirstBlock(_PrefixSource):
     """The first :func:`_buffer_size` coefficients of a series whose source
-    holds none, kept for the radii of one walk; the later ones are asked of
-    the series each time."""
+    holds none, kept for the radii of one walk: the term logs below them
+    add those (the prefix reader), the later ones are asked of the series
+    each time."""
 
     def __init__(self, series: PowerSeries):
         super().__init__()
@@ -496,19 +530,18 @@ class _FirstBlock(_PrefixSource):
     def _fill(self, cur, stop):
         yield self._series._coeffs(cur, stop)
 
-    def block(self, lo, hi):
-        cap = self._cap
-        if hi <= cap:
-            return super().block(lo, hi)
-        if lo >= cap:
-            return self._series._coeffs(lo, hi)
-        return np.concatenate((super().block(lo, cap),
-                               self._series._coeffs(cap, hi)))
+    def terms(self, t, x, lo):
+        k = min(max(self._cap - lo, 0), t.size)  # the terms below the cap
+        if k:
+            super().terms(t[:k], x, lo)
+        if k < t.size:
+            self._series._write_terms(t[k:], x, lo + k)
 
 
 class _Buffers:
-    """What a walk keeps from one radius to the next: the reader of the
-    coefficients, ``coeffs(lo, hi)``, which holds the first block of a
+    """What a walk keeps from one radius to the next: the writer of the
+    term logs, ``terms(t, x, lo)`` (``source.terms``, see
+    :class:`PowerSeries`), which holds the first block of coefficients of a
     series whose source holds no prefix, and two buffers, the term logs and
     a scratch for the readers' work on a block.
 
@@ -520,8 +553,8 @@ class _Buffers:
     """
 
     def __init__(self, series: PowerSeries):
-        self.coeffs = series._coeffs if isinstance(
-            series._source, _PrefixSource) else _FirstBlock(series).block
+        self.terms = series._write_terms if isinstance(
+            series._source, _PrefixSource) else _FirstBlock(series).terms
         self._arrays = [np.empty(0)] * 2
 
     def get(self, i: int, need: int, keep: int = 0) -> np.ndarray:
@@ -533,33 +566,34 @@ class _Buffers:
         return self._arrays[i]
 
 
-def _fill_terms(coeffs, out: np.ndarray, x: float, lo: int) -> None:
+def _fill_terms(terms, out: np.ndarray, x: float, lo: int) -> None:
     """Write the term logs ``log|a_n| + n*x`` for ``lo <= n < lo +
-    out.size`` into ``out``, with ``log|a_n|`` from ``coeffs(lo, hi)``.
+    out.size`` into ``out``, piece by piece, by ``terms(t, x, a)`` (the
+    walk's writer, :class:`_Buffers`).
 
-    Built elementwise, so a window filled piece by piece repeats the values
-    of one filled at once bit for bit.  The pieces end at the multiples of
-    ``_FILL_TERMS``, so a recurrence's piece is a view of one of its chunks
-    (``_PrefixSource``), and the allocator reuses temporaries that small,
-    while each fresh page of a large one costs a page fault.  An ``n*x``
-    past the float range is ``-inf`` at an ``x`` far below 0, the term
-    that vanishes.
+    Built elementwise, ``n*x`` and then ``log|a_n|`` added, so a window
+    filled piece by piece repeats the values of one filled at once bit for
+    bit.  The pieces end at the multiples of ``_FILL_TERMS``, so a
+    recurrence's piece adds a view of one of its chunks
+    (``_PrefixSource``), a formula's piece is written in place with one
+    index array as its only temporary (``VectorizedSource``), and the
+    allocator reuses temporaries that small, while each fresh page of a
+    large one costs a page fault.  An ``n*x`` past the float range is
+    ``-inf`` at an ``x`` far below 0, the term that vanishes.
     """
     with np.errstate(over="ignore"):  # once, not per piece: about 1 us
         a, end = lo, lo + out.size
         while a < end:
             b = min(a - a % _FILL_TERMS + _FILL_TERMS, end)
-            t = out[a - lo:b - lo]
-            np.multiply(np.arange(a, b, dtype=float), x, out=t)
-            t += coeffs(a, b)
+            terms(out[a - lo:b - lo], x, a)
             a = b
 
 
-def _read(coeffs, x: float, lo: int, hi: int) -> np.ndarray:
+def _read(terms, x: float, lo: int, hi: int) -> np.ndarray:
     """The term logs ``t[n]``, ``lo <= n < hi``, as :func:`_fill_terms`
     computes them."""
     out = np.empty(hi - lo)
-    _fill_terms(coeffs, out, x, lo)
+    _fill_terms(terms, out, x, lo)
     return out
 
 
@@ -597,15 +631,17 @@ def _no_horizon(series: PowerSeries, x: float) -> TruncationError:
     )
 
 
-def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
-          log_tail_tol: float) -> _Scan | None:
+def _jump(series: PowerSeries, terms, x: float, log_tail_tol: float,
+          size: int, t_n0: float, last: float, prior: tuple) -> _Scan | None:
     """The :class:`_Scan` a slide would find for a series declared concave
-    from ``n0`` (``series.concave_from``), given its first buffer of term
-    logs ``t`` (``t[n]``, ``n < t.size``) that holds no horizon; ``None``
-    where a certificate fails, and then the scan slides.  A certificate is
-    a set of margins between computed terms that each beat :func:`_slack`
-    up to the end of the reads, with ``t[n0]``, the peak and the last
-    terms read as its ends.
+    from ``n0`` (``series.concave_from``), given what it needs of the first
+    buffer of term logs ``t[n]``, ``n < size``, which holds no horizon:
+    ``t_n0 = t[n0]`` (``n0 < size``), its ``last`` term ``t[size - 1]`` and
+    ``prior``, its max and the last index holding it (:func:`_last_max`).
+    ``None`` where a certificate fails, and then the scan slides.  A
+    certificate is a set of margins between computed terms that each beat
+    :func:`_slack` up to the end of the reads, with ``t[n0]``, the peak and
+    the last terms read as its ends.
 
     1. The peak.  A bisection on ``t[m+1] < t[m]`` out to ``HARD_CAP``
        guesses it, and a slab of ``_SLAB`` terms on each side of the guess
@@ -628,8 +664,7 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
     still rise at ``HARD_CAP``, or that no tail run fits below it, it raises
     the slide's :class:`TruncationError`.
     """
-    n0, size = series.concave_from, t.size
-    if not (0 <= n0 < size and size + _SLAB < HARD_CAP):
+    if not size + _SLAB < HARD_CAP:
         return None
 
     def first(lo, hi, pred):
@@ -641,36 +676,36 @@ def _jump(series: PowerSeries, coeffs, t: np.ndarray, x: float,
         return lo
 
     m = first(size - 1, HARD_CAP - 1,  # the first n with t[n + 1] < t[n]
-              lambda n: np.greater(*_read(coeffs, x, n, n + 2)))
+              lambda n: np.greater(*_read(terms, x, n, n + 2)))
     lo, hi = max(m - _SLAB, size), min(m + _SLAB + 1, HARD_CAP)
-    slab = _read(coeffs, x, lo, hi)
-    log_mu, nu = _last_max(slab, lo, _last_max(t, 0, (LOG_ZERO, -1)))
+    slab = _read(terms, x, lo, hi)
+    log_mu, nu = _last_max(slab, lo, prior)
     if nu == HARD_CAP - 1:  # still rising at the cap: no term is small
         if min(-log_tail_tol, slab[-1] - slab[-2]) > _slack(
-                x, hi, t[n0], slab[-1]):
+                x, hi, t_n0, slab[-1]):
             raise _no_horizon(series, x)
         return None
     margins = [-log_tail_tol, log_mu - slab[-1]]
     if lo > size:  # the gap's terms lie below its end nearer the peak
-        margins.append(log_mu - (slab[0] if nu >= lo else t[-1]))
+        margins.append(log_mu - (slab[0] if nu >= lo else last))
 
     theta = log_mu + log_tail_tol
     end = HARD_CAP - TAIL_RUN  # the last index a tail run can start at
     q = first(nu + 1, end + 1,
-              lambda n: _read(coeffs, x, n, n + 1)[0] < theta)
+              lambda n: _read(terms, x, n, n + 1)[0] < theta)
     if q > end:  # no tail run fits below the cap
         past = log_mu  # a new end only where a term is read
         if nu < end:  # the terms up to ``end`` stay big
-            (past,) = _read(coeffs, x, end, end + 1)
+            (past,) = _read(terms, x, end, end + 1)
             margins.append(past - theta)
-        if min(margins) > _slack(x, max(hi, end + 1), t[n0], log_mu,
+        if min(margins) > _slack(x, max(hi, end + 1), t_n0, log_mu,
                                  slab[-1], past):
             raise _no_horizon(series, x)
         return None
     lo2, hi2 = max(q - _SLAB, nu + 1), min(q + _SLAB + TAIL_RUN + 1, HARD_CAP)
-    slab2 = _read(coeffs, x, lo2, hi2)
+    slab2 = _read(terms, x, lo2, hi2)
     if not min(*margins, slab2[0] - theta) > _slack(
-            x, max(hi, hi2), t[n0], log_mu, slab[-1], slab2[-1]):
+            x, max(hi, hi2), t_n0, log_mu, slab[-1], slab2[-1]):
         return None
     scan = _past_peak(slab2, lo2, log_mu, nu, log_tail_tol)
     if scan is False:
@@ -704,9 +739,15 @@ def _scan(series: PowerSeries, x: float, tol: float,
     buffer fills without a horizon jumps instead (:func:`_jump`): it reads
     slabs around its peak and its horizon and certifies that every term it
     skips leaves the slide's result unchanged; if a certificate fails, it
-    slides.  Returns ``(scan, t, stop)``: the :class:`_Scan`, the first
-    buffer of terms ``t[:stop]`` if the window never slid (a jumped one
-    keeps it, else ``None``) and the window's size, which is the next
+    slides.  One whose ``start`` is at or past the buffer's size first
+    reads ``t[n0]`` and the buffer's last two terms: where their margins
+    beat :func:`_slack`, the exact terms rise to the buffer's end, so its
+    max is its last term and it holds no horizon, and the scan jumps
+    without filling it; where a margin fails, or the jump does, it fills
+    the buffer and goes on as above.  Returns ``(scan, t, stop)``: the
+    :class:`_Scan`, the first buffer of terms ``t[:stop]`` if the window
+    never slid (a jump from a filled buffer keeps it, one without it and a
+    slid window give ``None``) and the window's size, which is the next
     radius's start (after a jump, the size the horizon reads).
     :func:`_walk` checks the series and the tolerance.
     """
@@ -720,9 +761,23 @@ def _scan(series: PowerSeries, x: float, tol: float,
     # peak up to lo are big, and its search resumes at lo
     n0 = series.concave_from
     peaked = n0 is not None
+    if peaked and start >= size and n0 < size - 1:
+        # Where t[size - 1] beats t[size - 2] by the slack, the exact terms
+        # rise to the buffer's end (_slack), so every computed term before
+        # t[size - 1] lies below it and above its running max less the
+        # slack: the buffer's max is its last term, and no term of it is
+        # small.  A finite slack needs finite ends.
+        (t_n0,) = _read(bufs.terms, x, n0, n0 + 1)
+        before, last = _read(bufs.terms, x, size - 2, size)
+        slack = _slack(x, size, t_n0, last)
+        if slack < min(-log_tail_tol, last - before):
+            scan = _jump(series, bufs.terms, x, log_tail_tol, size, t_n0,
+                         last, (last, size - 1))
+            if scan is not None:
+                return scan, None, scan.horizon + TAIL_RUN + 1
     while True:
         buf = bufs.get(0, grown - base, stop - base)
-        _fill_terms(bufs.coeffs, buf[stop - base:grown - base], x, stop)
+        _fill_terms(bufs.terms, buf[stop - base:grown - base], x, stop)
         stop = grown
         scan, seen = False, None
         if peaked and base == 0 and n0 < stop:
@@ -741,8 +796,10 @@ def _scan(series: PowerSeries, x: float, tol: float,
             return scan, (buf[:stop] if base == 0 else None), stop
         if stop >= HARD_CAP:
             raise _no_horizon(series, x)
-        if stop == size and base == 0 and n0 is not None:
-            scan = _jump(series, bufs.coeffs, buf[:stop], x, log_tail_tol)
+        if stop == size and base == 0 and n0 is not None and n0 < stop:
+            scan = _jump(series, bufs.terms, x, log_tail_tol, size, buf[n0],
+                         buf[stop - 1],
+                         seen or _last_max(buf[lo:stop], lo, prior))
             if scan is not None:
                 return scan, buf[:stop], scan.horizon + TAIL_RUN + 1
         resume = max(stop - TAIL_RUN - 1, 0)
@@ -767,10 +824,11 @@ class _Window:
     one blocks of ``_BLOCK_TERMS``.  A window that never slid is its
     in-memory buffer ``t``; one that slid or jumped is recomputed from the
     series, one block at a time, into the term buffer of ``bufs``, except
-    that after a jump ``t`` is the first buffer, which serves the reads
-    inside it until the first block is recomputed over it.  A block is
-    valid until the next one is read and must not be written.  ``log_F``,
-    the log-sum-exp of the window, is summed when it is first read.
+    that after a jump from a filled first buffer ``t`` is that buffer,
+    which serves the reads inside it until the first block is recomputed
+    over it.  A block is valid until the next one is read and must not be
+    written.  ``log_F``, the log-sum-exp of the window, is summed when it
+    is first read.
     """
 
     def __init__(self, x, scan: _Scan, size, t, bufs, log_F=None,
@@ -792,7 +850,7 @@ class _Window:
             else:
                 self._t = None  # the term buffer holds other terms now
                 out = self._bufs.get(0, b - a)[:b - a]
-                _fill_terms(self._bufs.coeffs, out, self.x, a)
+                _fill_terms(self._bufs.terms, out, self.x, a)
                 yield a, out
 
     def _sums(self, lo: int, hi: int, m: float, first: int | None = None):
@@ -835,20 +893,20 @@ class _Window:
         least subnormal per term, for the roundings of ``exp`` and of the
         sum.  ``(0, 0.0)`` for an undeclared series or a window of one
         block."""
-        n0, step, x, coeffs = self._n0, _BLOCK_TERMS, self.x, self._bufs.coeffs
+        n0, step, x, terms = self._n0, _BLOCK_TERMS, self.x, self._bufs.terms
         if n0 is None or self.size <= _buffer_size() \
                 or not math.isfinite(self.log_mu):
             return 0, 0.0
         ends = []
         for e in range(step - 1, self.nu, step):
-            (t_e,) = _read(coeffs, x, e, e + 1)
+            (t_e,) = _read(terms, x, e, e + 1)
             if not t_e <= self.log_mu - _QUIET:
                 break
             ends.append(t_e)
         if not ends:
             return 0, 0.0
         slack = _slack(x, self.size, self.log_mu, *(
-            _read(coeffs, x, n, n + 1)[0] for n in (n0, self.size - 1)))
+            _read(terms, x, n, n + 1)[0] for n in (n0, self.size - 1)))
         if not slack < _QUIET:
             return 0, 0.0
         return len(ends) * step, math.fsum(

@@ -185,6 +185,20 @@ def test_cli_infinite_coefficient_exits_4(mode, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("formula,bad", [
+    ("log(900000-n)", "nan at n=900001"),  # -inf at 900000 is a zero
+    ("1/(900000-n)", "inf at n=900000"),
+])
+def test_cli_bad_coefficient_past_the_first_block_exits_4(formula, bad,
+                                                         capsys):
+    # the scan slides past the walk's first block (524,339 coefficients),
+    # where each piece of terms is checked as the formula writes it
+    code = main(["eval", "--family", "formula", "--formula", formula,
+                 "--radius", "1", "--grid-gap", "0.999999:0.5:2"])
+    assert code == 4
+    assert f"coefficient formula produced {bad}" in capsys.readouterr().err
+
+
 def test_cli_stats_geometric_x(capsys):
     # one value, and the README's list form: a list that starts with a
     # minus sign needs "=", or argparse takes it for an option

@@ -246,6 +246,17 @@ def test_kovari_int_extending_in_steps_matches_one_long_call(rho, stops):
         assert np.array_equal(bits(got), bits(want[:stop])), stop
 
 
+def test_kovari_stitch_sums_do_not_depend_on_the_builtin_sum(monkeypatch):
+    """The stitch adds each block state's products left to right, as the
+    builtin ``sum`` does up to Python 3.11: one that compensates, as it
+    does from 3.12 on, here ``math.fsum``, leaves every bit of kovari(3)."""
+    stop = 2 * _KOVARI_BLOCK * _KOVARI_BATCH + 2
+    want = kovari_int_prefix(3)[:stop]
+    monkeypatch.setattr(families_mod, "sum", math.fsum, raising=False)
+    got = family("kovari", rho=3).log_coeffs(stop)
+    assert np.array_equal(bits(got), bits(want))
+
+
 def test_kovari1_family_uses_the_recurrence():
     got = family("kovari", rho=1).log_coeffs(100_000)
     assert np.array_equal(bits(got), bits(kovari_int_prefix(1)[:100_000]))
@@ -1020,11 +1031,11 @@ def test_the_neumann_chunk_outlives_a_fill(monkeypatch):
 def test_handed_out_prefixes_are_read_only(reader):
     """A write into a prefix the sources hand out raises, and later reads,
     past a growth of the buffer too, keep their bits."""
-    if reader == "first_block":  # a walk's reader of a formula series
-        coeffs = series_mod._Buffers(family("suleimanov", epsilon=0.5)).coeffs
+    if reader == "first_block":  # a walk's first block of a formula series
+        first = series_mod._FirstBlock(family("suleimanov", epsilon=0.5))
 
         def read(stop):
-            return coeffs(0, stop)
+            return first.block(0, stop)
     else:
         series = family("kovari", rho=1 if reader == "kovari_int1" else 0.5)
         read = series.log_coeffs
@@ -1050,10 +1061,10 @@ class RecordingFormula(CountingFormula):
 
 
 def test_first_block_keeps_the_walks_first_coefficients():
-    """A walk's ``_FirstBlock`` gives the series's bits below, across and
-    past ``_buffer_size()``; it computes each index below that once over
-    many reads, and asks the series again for every read past it."""
-    cap = series_mod._buffer_size()
+    """A walk's ``_FirstBlock`` gives the series's term bits below, across
+    and past ``_buffer_size()``; it computes each index below that once
+    over many reads, and asks the series again for every read past it."""
+    cap, x = series_mod._buffer_size(), math.log(0.999)
     fn = RecordingFormula()
     series = series_mod.PowerSeries(VectorizedSource(fn), 1.0)
     plain = series_mod.PowerSeries(
@@ -1062,13 +1073,55 @@ def test_first_block_keeps_the_walks_first_coefficients():
     reads = [(0, 1), (0, 300), (100, 200), (200, 5000), (4999, 5000),
              (cap - 10, cap), (cap - 20, cap + 10), (cap, cap + 5),
              (cap + 3, cap + 7), (0, cap + 2), (7, 7)]
+    want = plain._terms(x, cap + 10)
     past = np.zeros(cap + 10, dtype=int)
     for lo, hi in reads:
-        got = first.block(lo, hi)
-        assert np.array_equal(bits(got), bits(plain._coeffs(lo, hi))), \
-            (lo, hi)
+        got = series_mod._read(first.terms, x, lo, hi)
+        assert np.array_equal(bits(got), bits(want[lo:hi])), (lo, hi)
         past[max(lo, cap):hi] += 1
     assert fn.top == cap + 9
     counts = np.bincount(np.concatenate(fn.indices), minlength=cap + 10)
     assert (counts[:cap] == 1).all()
     assert np.array_equal(counts[cap:], past[cap:])
+
+
+CAP = series_mod._buffer_size()
+
+
+@pytest.mark.parametrize("make,r", [
+    (lambda: family("suleimanov", epsilon=0.5), 0.9999),
+    (lambda: family("suleimanov", epsilon=0.3), 0.9999),
+    (lambda: family("exp"), 4e5),
+    (lambda: family("geometric"), 0.9999),
+    (lambda: family("monomial", coeff=2.5, degree=CAP + 9), 0.9999),
+    (lambda: family("formula", formula="sqrt(n) - log(n + 1)", radius=1),
+     0.9999),
+    (lambda: series_mod.PowerSeries.from_log_coeffs(
+        np.sin(np.arange(CAP + 70_000.0)), radius=1.0), 0.9999),
+], ids=["suleimanov0.5", "suleimanov0.3", "exp", "geometric", "monomial",
+        "formula", "from_log_coeffs"])
+def test_terms_written_in_place_keep_their_bits(make, r):
+    """A walk's term logs, each piece's ``n*x`` written first and the
+    formula then run over its index array, are those of
+    ``PowerSeries._terms`` bit for bit: from ``lo = 0``, across the first
+    block's cap in one piece, and past it."""
+    series, x = make(), math.log(r)
+    terms = series_mod._Buffers(series).terms
+    want = series._terms(x, CAP + 3 * 2 ** 16)
+    for lo, hi in ((0, 3), (CAP - 7, CAP + 70_000),
+                   (CAP + 2 ** 16, CAP + 3 * 2 ** 16)):
+        got = series_mod._read(terms, x, lo, hi)
+        assert np.array_equal(bits(got), bits(want[lo:hi])), (lo, hi)
+
+
+def test_in_place_formulas_keep_their_first_coefficients():
+    """Read from ``n = 0``: suleimanov's ``a_0 = 0`` is ``-inf``, in its
+    coefficients and its terms, and exp's ``log 0! = log 1!`` is +0."""
+    x = math.log(0.9)
+    for eps in (0.5, 0.3):
+        series = family("suleimanov", epsilon=eps)
+        terms = series_mod._Buffers(series).terms
+        assert series.log_coeffs(3)[0] == LOG_ZERO
+        assert series_mod._read(terms, x, 0, 3)[0] == LOG_ZERO
+        assert series_mod._read(terms, x, 1, 3)[0] == x + 1.0
+    assert np.array_equal(bits(family("exp").log_coeffs(2)), [0, 0])

@@ -459,6 +459,57 @@ def test_jump_fails_fast_past_the_cap(monkeypatch, capsys):
         f"within {series_mod.HARD_CAP} terms")
 
 
+def test_a_walk_past_the_first_buffer_jumps_without_it(monkeypatch):
+    """suleimanov(0.5) out to gap 2e-4: the radii whose walk starts past
+    the first buffer read ``t[1]`` and no other of its terms in pass 1,
+    and every radius has the bits of its own walk, ``_at``, from 512
+    terms: ``(log_mu, nu, horizon)``, log F and the Rosenbloom stats."""
+    series = family("suleimanov", epsilon=0.5)
+    rs = [1 - gap for gap in (1e-3, 6e-4, 4e-4, 2e-4)]
+    xs = [math.log(r) for r in rs]
+    ranges, fill = [], series_mod._fill_terms
+    monkeypatch.setattr(series_mod, "_fill_terms", lambda terms, out, x, lo:
+                        ranges.append((lo, lo + out.size))
+                        or fill(terms, out, x, lo))
+
+    def point(w):  # pass 1 is done, pass 2 is to come
+        below = [(lo, hi) for lo, hi in ranges if lo < 2 ** 19]
+        got = _Scan(w.log_mu, w.nu, w.horizon), bits(w.log_F), below
+        ranges.clear()
+        return got
+
+    got = series_mod._walk(series, xs, 1e-9, point)
+    monkeypatch.undo()
+    assert [below for _, _, below in got[2:]] == [[(1, 2)]] * 2
+    assert got[1][0].horizon > series_mod._buffer_size()  # jumped, filled
+    for r, (scan, log_F, _) in zip(rs, got):
+        assert series_mod._at(series, r, 1e-9, lambda w: (
+            _Scan(w.log_mu, w.nu, w.horizon), bits(w.log_F))) == (scan, log_F)
+    assert repr(stats_grid(series, xs)) == repr(
+        [stats_grid(series, [x])[0] for x in xs])
+
+
+@pytest.mark.parametrize("gap,slab,jumps", [
+    (1e-3, 4096, []),            # horizon in the first buffer
+    (7e-4, 4096, [True]),        # peak in it, horizon past it
+    (4e-4, 1, [False, False]),   # the jump past it fails, and again filled
+])
+def test_a_scan_past_the_first_buffer_falls_back_to_filling(
+        gap, slab, jumps, monkeypatch):
+    """A scan that starts past the first buffer where its terms do not
+    rise to its end, or where the jump fails, fills it and goes on as one
+    from 512 terms does, with the same bits."""
+    series, x = family("suleimanov", epsilon=0.5), math.log(1 - gap)
+    monkeypatch.setattr(series_mod, "_SLAB", slab)
+    want, _, _ = _scan(undeclared(series), x, 1e-9)
+    calls = count_calls(monkeypatch, "_jump")
+    sizes = pass1_terms(monkeypatch)
+    scan, _, _ = _scan(series, x, 1e-9, start=2 ** 21)
+    assert scan == want and bits(scan.log_mu) == bits(want.log_mu)
+    assert [c is not None for c in calls] == jumps
+    assert series_mod._buffer_size() in sizes  # the buffer was filled
+
+
 # ---------------------------------------------------------------------------
 # The peak rule: a declared-concave window's horizon read from its peak.
 
