@@ -10,11 +10,13 @@ quiet-block rule that ``series`` describes, which ``absorbs`` decides).
 Both sum by the one kernel (``_sum_exp``): exactly rounded up to
 ``_FSUM_CUTOFF`` terms, and pairwise (``np.sum``) beyond it.  The exact
 sums come from an array kernel (``_exact_sum``) that gives the bits
-``math.fsum`` gives: error-free extraction splits the values into levels
-whose sums ``np.sum`` forms exactly, and a certificate decides when the
-levels formed so far fix the rounding.  It holds two arrays of ``_PIECE``
-values, whatever the input's size.  A window of one block keeps the bits
-of ``log_sum_exp``; a split into several blocks can move the last bit.
+``math.fsum`` gives: error-free extraction splits the values into a part
+whose sum ``np.sum`` forms exactly and residuals whose sum it forms within
+a known bound, and a certificate decides when that fixes the rounding;
+where it does not, further levels of extraction do.  It holds one array of
+``_PIECE`` values, whatever the input's size.  A window of one block keeps
+the bits of ``log_sum_exp``; a split into several blocks can move the last
+bit.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ _FSUM_CUTOFF = 1 << 17
 # rounding is exact and every residual is 0.
 _LEVEL_BITS = 35
 _LAST_LEVEL = -(-1074 // _LEVEL_BITS)
-# values rounded per step: the allocator reuses temporaries this small,
-# while each fresh page of a large one costs a page fault
-_PIECE = 1 << 13
+# _exact_sum's scratch: a piece of level 1, or two half pieces of the
+# levels after it; the allocator reuses temporaries this small, while each
+# fresh page of a large one costs a page fault
+_PIECE = 1 << 14
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -50,23 +53,43 @@ def _exact_sum(x: np.ndarray) -> float:
     ``2**-35j`` up to ``2**-(35j-34)`` in size.  So with at most 2**17
     terms, each level's sum ``P_j``, and every partial sum on the way, is
     a multiple of ``2**-35j`` at most ``2**52`` times it: ``np.sum`` forms
-    it exactly in any order, ``_PIECE`` values at a time.
+    it exactly in any order, a piece at a time.  ``math.fsum`` rounds
+    correctly, and correct rounding is monotone, so where the sum lies
+    within ``b`` of a known ``P`` and ``fsum(P + [-b])`` and ``fsum(P +
+    [b])`` agree, that is the sum's rounding.
 
-    After ``L`` levels the sum is ``P_1 + ... + P_L + R`` with ``|R| <= b
-    = n * 2**-(35L+1)``.  ``math.fsum`` rounds correctly, and correct
-    rounding is monotone, so where ``fsum(P + [-b])`` and ``fsum(P + [b])``
-    agree, that is the sum's rounding.  Two levels decide all but sums
-    within ``b`` of a rounding boundary; those take one more level at a
-    time, each pass recomputing the residuals piece by piece, until the
-    bounds agree or the last level leaves every residual 0.
+    The first certificate takes level 1 and sums its residuals, ``n``
+    values of at most ``2**-36``, by ``np.sum`` to ``q``: in any order
+    within ``(n - 1) u n 2**-36`` of their sum (``u = 2**-53``), which ``b
+    = n**2 * 2**-88`` bounds.  That is five passes over each piece of
+    ``_PIECE`` values, and it decides all but sums within ``b`` of a
+    rounding boundary.  Those take the levels from 3 on, one more at a
+    time, each pass recomputing the residuals, two half pieces at a time,
+    until ``b = n * 2**-(35L+1)`` after ``L`` levels is small enough or the
+    last level leaves every residual 0.
     """
-    scratch = np.empty((2, min(x.size, _PIECE)))
-    levels = 2
+    n = x.size
+    scratch = np.empty(min(2 * n, _PIECE))
+    s = math.ldexp(1.5, 52 - _LEVEL_BITS)
+    p = q = 0.0
+    for a in range(0, n, _PIECE):
+        r = x[a:a + _PIECE]
+        c = scratch[:r.size]
+        np.add(r, s, out=c)
+        c -= s
+        p += float(np.sum(c))
+        np.subtract(r, c, out=c)
+        q += float(np.sum(c))
+    b = math.ldexp(n * n, -88)
+    low = math.fsum([p, q, -b])
+    if low == math.fsum([p, q, b]):
+        return low
+    levels, half = 3, _PIECE // 2
     while True:
         sums = [0.0] * levels
-        for a in range(0, x.size, _PIECE):
-            r = x[a:a + _PIECE]
-            c, rest = scratch[:, :r.size]
+        for a in range(0, n, half):
+            r = x[a:a + half]
+            c, rest = scratch[:r.size], scratch[r.size:2 * r.size]
             for j in range(levels):
                 s = math.ldexp(1.5, 52 - _LEVEL_BITS * (j + 1))
                 np.add(r, s, out=c)
@@ -76,7 +99,7 @@ def _exact_sum(x: np.ndarray) -> float:
                     r = np.subtract(r, c, out=rest)
         if levels == _LAST_LEVEL:
             return math.fsum(sums)
-        b = math.ldexp(x.size, -_LEVEL_BITS * levels - 1)
+        b = math.ldexp(n, -_LEVEL_BITS * levels - 1)
         low = math.fsum([*sums, -b])
         if low == math.fsum([*sums, b]):
             return low
@@ -86,6 +109,7 @@ def _exact_sum(x: np.ndarray) -> float:
 def _sum_exp(t: np.ndarray, m: float, out: np.ndarray) -> float:
     """The sum of ``exp(t - m)``, formed in ``out[:t.size]``, which holds
     the values ``exp(t - m)`` on return: a caller may weight them further.
+    ``out`` may be ``t`` itself, whose values are then overwritten.
 
     ``m`` is at least every ``t``, so the values lie in [0, 1], as
     :func:`_exact_sum` needs: exactly rounded (the bits of ``math.fsum``)

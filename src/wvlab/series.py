@@ -53,12 +53,13 @@ read block by block only by the points that read it.  A window that never
 slid is its one in-memory buffer, one that slid or jumped is recomputed
 from the series a block at a time (after a jump from a filled buffer, the
 first block comes from it while the term buffer still holds it), so a
-grid holds a few MB of buffers however large its horizons are.  Every sum
-of the masses ``exp(t - m)`` of a window starts in one place,
+walk holds one window-sized buffer however large its horizons are.  Every
+sum of the masses ``exp(t - m)`` of a window starts in one place,
 ``_Window._sums``, which forms each block's masses and their sum
-(``logdomain._sum_exp``); the block sums are combined with ``math.fsum``.
-The sums over a whole window, ``log_F`` and the moments of
-``rosenbloom``, keep the quiet-block rule
+(``logdomain._sum_exp``) in place, over the block's term logs; the block
+sums are combined with ``math.fsum``.  A window read after a sum computes
+its terms again, with the same bits.  The sums over a whole window,
+``log_F`` and the moments of ``rosenbloom``, keep the quiet-block rule
 (``_Window.read``): the quiet blocks of a declared-concave window are its
 leading blocks that end 50 or more below the max term left of the central
 index, each with a bound on its sum (``_Window.quiet``).  ``math.fsum``
@@ -542,28 +543,27 @@ class _Buffers:
     """What a walk keeps from one radius to the next: the writer of the
     term logs, ``terms(t, x, lo)`` (``source.terms``, see
     :class:`PowerSeries`), which holds the first block of coefficients of a
-    series whose source holds no prefix, and two buffers, the term logs and
-    a scratch for the readers' work on a block.
+    series whose source holds no prefix, and one buffer, of term logs and
+    of the masses that pass 2 writes over them.
 
-    ``get(i, need, keep)`` returns buffer ``i`` with room for ``need``
-    values and its first ``keep`` values kept; a buffer grows to twice what
-    is asked, at most :func:`_buffer_size` values, so a walk of small
-    windows keeps small buffers, and the pages of the spare room cost no
-    resident memory until they are written.
+    ``get(need, keep)`` returns the buffer with room for ``need`` values
+    and its first ``keep`` values kept; it grows to twice what is asked, at
+    most :func:`_buffer_size` values, so a walk of small windows keeps a
+    small buffer, and the pages of the spare room cost no resident memory
+    until they are written.
     """
 
     def __init__(self, series: PowerSeries):
         self.terms = series._write_terms if isinstance(
             series._source, _PrefixSource) else _FirstBlock(series).terms
-        self._arrays = [np.empty(0)] * 2
+        self._array = np.empty(0)
 
-    def get(self, i: int, need: int, keep: int = 0) -> np.ndarray:
-        buf = self._arrays[i]
+    def get(self, need: int, keep: int = 0) -> np.ndarray:
+        buf = self._array
         if need > buf.size:
-            self._arrays[i] = np.empty(max(need, min(2 * need,
-                                                     _buffer_size())))
-            self._arrays[i][:keep] = buf[:keep]
-        return self._arrays[i]
+            self._array = np.empty(max(need, min(2 * need, _buffer_size())))
+            self._array[:keep] = buf[:keep]
+        return self._array
 
 
 def _fill_terms(terms, out: np.ndarray, x: float, lo: int) -> None:
@@ -776,7 +776,7 @@ def _scan(series: PowerSeries, x: float, tol: float,
             if scan is not None:
                 return scan, None, scan.horizon + TAIL_RUN + 1
     while True:
-        buf = bufs.get(0, grown - base, stop - base)
+        buf = bufs.get(grown - base, stop - base)
         _fill_terms(bufs.terms, buf[stop - base:grown - base], x, stop)
         stop = grown
         scan, seen = False, None
@@ -826,9 +826,13 @@ class _Window:
     series, one block at a time, into the term buffer of ``bufs``, except
     that after a jump from a filled first buffer ``t`` is that buffer,
     which serves the reads inside it until the first block is recomputed
-    over it.  A block is valid until the next one is read and must not be
-    written.  ``log_F``, the log-sum-exp of the window, is summed when it
-    is first read.
+    over it.  A sum (:meth:`_sums`) writes the masses over the terms, so
+    the window then drops ``t``, and later reads compute their blocks
+    again, with the bits the scan gave them.  The ``r = 0`` window
+    ``[log|a_0|]`` hands out a new array per read, as ``0 * log 0`` is no
+    term.  A block is valid until the next one is read and must not be
+    written but by :meth:`_sums`.  ``log_F``, the log-sum-exp of the
+    window, is summed when it is first read.
     """
 
     def __init__(self, x, scan: _Scan, size, t, bufs, log_F=None,
@@ -845,21 +849,24 @@ class _Window:
         step = hi - lo if hi - lo <= _buffer_size() else _BLOCK_TERMS
         for a in range(lo if first is None else first, hi, step):
             b = min(a + step, hi)
-            if self._t is not None and b <= self._t.size:
+            if self.x == -math.inf:
+                yield a, np.full(b - a, self.log_mu)
+            elif self._t is not None and b <= self._t.size:
                 yield a, self._t[a:b]
             else:
                 self._t = None  # the term buffer holds other terms now
-                out = self._bufs.get(0, b - a)[:b - a]
+                out = self._bufs.get(b - a)[:b - a]
                 _fill_terms(self._bufs.terms, out, self.x, a)
                 yield a, out
 
     def _sums(self, lo: int, hi: int, m: float, first: int | None = None):
         """``(start, e, s0)`` for the blocks of :meth:`blocks`: the masses
-        ``e = exp(t - m)``, in the walk's scratch buffer until the next
-        block, and their sum ``s0`` (:func:`~wvlab.logdomain._sum_exp`)."""
+        ``e = exp(t - m)``, written over the block's terms ``t`` and valid
+        until the next block, and their sum ``s0``
+        (:func:`~wvlab.logdomain._sum_exp`)."""
         for a, t in self.blocks(lo, hi, first):
-            e = self._bufs.get(1, t.size)[:t.size]
-            yield a, e, _sum_exp(t, m, e)
+            self._t = None  # its terms become masses
+            yield a, t, _sum_exp(t, m, t)
 
     def read(self, kernel, absorbed) -> list:
         """The results ``kernel(start, e, s0)`` of the blocks whose masses
@@ -990,8 +997,7 @@ def _walk(series: PowerSeries, xs, tol: float, point,
             raise DomainError(f"x={x:g} is at or beyond the convergence "
                               f"boundary log R={log_R:g}")
         if x == -math.inf:
-            log_F = series.log_coeff(0)
-            t = np.array([log_F])
+            t, log_F = None, series.log_coeff(0)
             scan = _Scan(log_F, 0, (series.monomial_degree or 0) + 1)
             window = _Window(x, scan, 1, t, bufs, log_F)
         elif closed:  # z^k: its one finite term is the max and the sum

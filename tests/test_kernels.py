@@ -37,7 +37,7 @@ from wvlab.errors import TruncationError, ValidationError
 from wvlab.families import _KOVARI_BATCH, _KOVARI_BLOCK, \
     _KOVARI_MAX_ORDER, _RESCALE_SHIFT, _RESCALE_THRESHOLD, \
     _KovariIntSource, _ScaledExpSource, binomial_series
-from wvlab.logdomain import _FSUM_CUTOFF, _PIECE, _exact_sum, log_sum_exp
+from wvlab.logdomain import _FSUM_CUTOFF, _exact_sum, log_sum_exp
 from wvlab.series import TAIL_RUN, VectorizedSource, truncation_horizon
 
 LOG_ZERO = -math.inf
@@ -137,14 +137,58 @@ def hidden_tie():
 
 # Sums within the two-level bound of a tie: each needs a third level or
 # more, and each is rounded the way math.fsum rounds it.
-@pytest.mark.parametrize("x", [
+NEAR_TIES = pytest.mark.parametrize("x", [
     [1.0, 2.0 ** -53, 2.0 ** -120],   # just above the tie, at level 4
     [1.0, 2.0 ** -53 - 2.0 ** -105],  # just below the tie, at level 3
     hidden_tie(),                     # above the tie by 2**-83
 ], ids=["above", "below", "hidden"])
+
+
+@NEAR_TIES
 def test_exact_sum_of_near_ties_past_two_levels(x):
     x = np.array(x)
     assert bits(_exact_sum(x)) == bits(math.fsum(x))
+
+
+def worst_residuals(n, sign):
+    """``n`` values in [0, 1], each a multiple of ``2**-35`` moved by a
+    few ``2**-53`` less than ``2**-36`` towards ``sign`` (exact, and short
+    of the half-way tie): residuals of the first level as large as they
+    come, all of one sign, so their sum by ``np.sum`` errs the most."""
+    rng = np.random.default_rng(n)
+    c = np.ldexp(rng.integers(1, 2 ** 35 - 1, n).astype(float), -35)
+    off = 2.0 ** -36 - np.ldexp(rng.integers(1, 1024, n).astype(float), -53)
+    return c + sign * off
+
+
+def fsum_calls(x, monkeypatch):
+    """The ``math.fsum`` calls that ``_exact_sum(x)`` makes, 2 where its
+    first certificate decides; its result must have fsum's bits."""
+    want, fsum, calls = math.fsum(x), math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda v: calls.append(v) or fsum(v))
+    got = _exact_sum(x)
+    monkeypatch.undo()
+    assert bits(got) == bits(want)
+    return len(calls)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [_FSUM_CUTOFF, _FSUM_CUTOFF - 1])
+def test_exact_sum_of_the_largest_residuals(n, sign, monkeypatch):
+    """The first certificate's bound ``n**2 * 2**-88`` holds where the
+    residuals are largest, at the most values it is given."""
+    assert fsum_calls(worst_residuals(n, sign), monkeypatch) == 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_sums_decide_at_the_first_certificate(seed, monkeypatch):
+    x = np.random.default_rng(seed).random(_FSUM_CUTOFF)
+    assert fsum_calls(x, monkeypatch) == 2
+
+
+@NEAR_TIES
+def test_near_ties_fall_back_to_the_levels(x, monkeypatch):
+    assert fsum_calls(np.array(x), monkeypatch) > 2
 
 
 @pytest.mark.parametrize("x", [
@@ -152,8 +196,9 @@ def test_exact_sum_of_near_ties_past_two_levels(x):
     hidden_tie(),
 ], ids=["two_levels", "hidden_tie"])
 def test_exact_sum_holds_a_few_pieces(x):
-    """Scratch of a few ``_PIECE`` values, however many levels a sum
-    needs: no array or list of all the values."""
+    """Scratch of at most 196,608 bytes (24,576 values), however many
+    levels a sum needs: no array or list of all the values.  The bound is
+    fixed, so a larger ``_PIECE`` cannot loosen it."""
     tracemalloc.start()
     try:
         got = _exact_sum(x)
@@ -161,7 +206,7 @@ def test_exact_sum_holds_a_few_pieces(x):
     finally:
         tracemalloc.stop()
     assert bits(got) == bits(math.fsum(x))
-    assert peak < 3 * _PIECE * 8
+    assert peak < 196_608
 
 
 def fsum_log_sum_exp(values):

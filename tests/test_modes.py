@@ -86,7 +86,7 @@ def scan_windows(monkeypatch):
 
     def counted(series, x, tol, start, bufs):
         found = scan(series, x, tol, start, bufs)
-        current = bufs.get(0, 0)
+        current = bufs.get(0)
         assert all(w() is None or w() is current for w in windows), \
             "a window outlived its point"
         windows.append(weakref.ref(current))

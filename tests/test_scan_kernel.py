@@ -782,3 +782,117 @@ def test_last_max_matches_the_two_pass_form(w, lo, prior):
 
     w = np.array(w, dtype=float)
     assert series_mod._last_max(w, lo, prior) == two_pass(w, lo, prior)
+
+
+# ---------------------------------------------------------------------------
+# Pass 2 in place: a sum writes the masses over the window's terms, and every
+# read after it computes them again, with the scan's bits.
+
+def in_buffer():
+    """suleimanov(0.5) at r = 0.999: a window of 431,212 terms (484,124
+    for the moment sums) that never slides."""
+    return family("suleimanov", epsilon=0.5), math.log(0.999)
+
+
+def test_reads_after_a_sum_keep_their_bits():
+    """log F overwrites the in-buffer window with its masses; the blocks
+    read after it and two more sums, of the window and of a range of
+    fewer than ``_FSUM_CUTOFF`` terms, have the bits of the terms built at
+    once (``PowerSeries._terms``)."""
+    from wvlab.logdomain import log_sum_exp
+
+    series, x = in_buffer()
+
+    def point(w):
+        lo, hi = w.nu - 1000, w.nu + 1000
+        log_F = w.log_F
+        terms = np.concatenate([t.copy() for _, t in w.blocks()])
+        return (log_F, terms, w.log_sum_exp(), w.log_sum_exp(),
+                w.log_sum_exp(lo, hi), w.log_sum_exp(lo, hi), lo, hi)
+
+    ((log_F, terms, once, twice, part, again, lo, hi),) = series_mod._walk(
+        series, [x], 1e-9, point)
+    assert terms.size == 431_212 < series_mod._buffer_size()
+    t = series._terms(x, terms.size)
+    assert np.array_equal(bits(terms), bits(t))
+    m = float(t.max())
+    want = m + math.log(_sum_exp(t, m, np.empty(t.size)))
+    assert bits(log_F) == bits(once) == bits(twice) == bits(want)
+    assert bits(part) == bits(again) == bits(log_sum_exp(t[lo:hi]))
+
+
+def test_distribution_after_the_sweep_keeps_its_bits():
+    """``distribution`` reads the window after the moment sweep has
+    written its masses: its log masses are the terms of a fresh walk less
+    ``g``, bit for bit, in the buffer and at ``r = 0``, whose term
+    ``log|a_0|`` no fill can compute (``0 * log 0``)."""
+    from wvlab.rosenbloom import distribution, stats
+
+    series, x = in_buffer()
+    d, st = distribution(series, x), stats(series, x)
+    assert d.log_mass.size < series_mod._buffer_size()
+    t = series._terms(x, d.log_mass.size)
+    assert bits(d.log_F) == bits(st.g)
+    assert np.array_equal(bits(d.log_mass), bits(t - st.g))
+    series = PowerSeries.from_log_coeffs([1.5, 0.25, -2.0])
+    d = distribution(series, -math.inf)
+    assert (d.log_F, d.log_mass.tolist()) == (1.5, [0.0])
+
+
+def test_lemma_window_sum_after_the_sweep_keeps_its_bits():
+    """The lemma's window sum recomputes its range after the sweep, with
+    the bits of a fresh walk that sums the scan's buffer itself."""
+    from wvlab.rosenbloom import _MOMENT_SCALE, _window_sum_from, stats, \
+        window_sum
+
+    series, x = in_buffer()
+    st = stats(series, x)
+
+    def fresh(w):
+        assert w._t is not None  # no sum has written over it yet
+        return _window_sum_from(w, st, 2.0)
+
+    (want,) = series_mod._walk(series, [x], 1e-9, fresh, _MOMENT_SCALE)
+    assert bits(window_sum(series, x, 2.0)) == bits(want)
+
+
+def test_sampled_max_reads_the_scans_terms():
+    """``max_modulus_sampled`` reads the in-buffer window with the bits of
+    the terms built at once, and at ``r = 0`` gives ``log|a_0|``."""
+    from wvlab.series import max_modulus_sampled
+
+    series, x = in_buffer()
+    samples = 3
+    got = max_modulus_sampled(series, math.exp(x), samples)
+    size = truncation_horizon(series, math.exp(x), 1e-9) + 1
+    t = series._terms(x, size)
+    m = float(t.max())
+    n, w = np.arange(size, dtype=float), np.exp(t - m)
+    sums = np.zeros(samples, dtype=complex)
+    for k in range(samples):
+        sums[k] += np.sum(w * np.exp(1j * (n * (2.0 * math.pi * k / samples)
+                                           + 0.0)))
+    assert bits(got) == bits(m + math.log(float(np.max(np.abs(sums)))))
+    series = PowerSeries.from_log_coeffs([1.5, 0.25, -2.0])
+    assert max_modulus_sampled(series, 0.0, samples) == 1.5
+
+
+def test_a_walk_holds_one_window_buffer():
+    """Pass 2 forms the masses over the terms, so a walk holds one window
+    of 431,212 terms, not two: the peak stays below the first block's
+    coefficients (``_FirstBlock``, at most one buffer's worth), one
+    buffer, the exact sum's scratch and 1 MB of slack, which covers a
+    fill's index array of ``_FILL_TERMS`` values (0.5 MB).  A second
+    window-sized array (4.2 MB) breaks it."""
+    from wvlab.logdomain import _PIECE
+
+    series, x = in_buffer()
+    tracemalloc.start()
+    try:
+        log_positive_value(series, math.exp(x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert truncation_horizon(series, math.exp(x), 1e-9) == 431_211
+    buffer = series_mod._buffer_size() * 8
+    assert peak < 2 * buffer + _PIECE * 8 + 2 ** 20
