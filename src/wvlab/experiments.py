@@ -11,7 +11,12 @@ reported as estimates; grid-refinement stability is the quality control.
 ``MODE_TABLE`` maps each grid mode (eval, stats, check, lemma, sweep,
 optimality) to the one function that computes its CSV, its CLI diagnostics
 and its summary lines; ``wvlab <mode>`` and ``run_experiment`` (``wvlab
-report``) both call it, so the two surfaces write identical CSVs.
+report``) both call it, so the two surfaces write identical CSVs where the
+config's ``[grid] radius`` is the family's radius, as the CLI's grid flags
+set it.  A ``[grid]`` without ``radius`` uses ``inf`` for ``geo`` and
+``1.0`` for ``gap`` whatever the family's radius, so its grid may differ
+from the CLI's, and a CLI gap grid on a family of infinite radius is
+rejected where the config runs.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import HSpec, h_disk
-from .errors import DomainError, ValidationError
+from .errors import DivergenceError, DomainError, ValidationError
 
 DEFAULT_MEASURE_TOL = 1e-9
 DIVERGENCE_THRESHOLD = 1e6
@@ -143,7 +143,9 @@ def _integrate_smooth(f, a: float, b: float, abs_tol: float,
 
     ``f`` must accept a numpy array.  Intended for integrands smooth on the
     closed interval; boundary blow-ups are handled by the caller's geometric
-    splitting.
+    splitting.  Raises :class:`DivergenceError` when ``max_level``
+    refinements leave two successive extrapolations further apart than
+    ``abs_tol`` (and than 1e-16 relative).
     """
     if a == b:
         return 0.0
@@ -160,7 +162,9 @@ def _integrate_smooth(f, a: float, b: float, abs_tol: float,
                 and panels >= 8:
             return r_cur
         t_prev, r_prev = t_cur, r_cur
-    return r_prev
+    raise DivergenceError(
+        f"quadrature on [{a!r}, {b!r}] did not converge to the tolerance "
+        f"{abs_tol:g} within {max_level} refinement levels")
 
 
 def _split_toward_boundary(lo: float, hi: float, R: float) -> list:

@@ -18,12 +18,13 @@ previous radius's final window size, and yields the horizon of the walk's
 one tolerance.  Until it has its horizon the window grows in place by an
 eighth (at least 512 terms, at most up to a hard cap): only the new terms
 are computed, and the horizon search resumes at the first candidate the new
-terms can still change.  The buffer holds at most ``_BLOCK_TERMS`` (2**19)
-terms plus the ``TAIL_RUN + 1`` undecided ones; a window that outgrows it
-slides: the buffer keeps those last terms and the running max, and fills up
-with the next ones.  The accepted horizon is the smallest ``N`` passing a
-rule that reads only the prefix ``t[:N+51]``, so results depend neither on
-the start, nor on the steps, nor on the slides.
+terms can still change.  A walk makes one term buffer, once, of
+``_BLOCK_TERMS`` (2**19) terms plus the ``TAIL_RUN + 1`` undecided ones,
+and every scan and block of its radii is written into it; a window that
+outgrows it slides: the buffer keeps those last terms and the running max,
+and fills up with the next ones.  The accepted horizon is the smallest
+``N`` passing a rule that reads only the prefix ``t[:N+51]``, so results
+depend neither on the start, nor on the steps, nor on the slides.
 
 A family whose ``log|a_n|`` is provably concave from some ``n0`` declares
 it (``PowerSeries.concave_from``; see ``families``).  Its terms are then
@@ -52,28 +53,28 @@ the central index, the horizon and the window cut at that horizon, which is
 read block by block only by the points that read it.  A window that never
 slid is its one in-memory buffer, one that slid or jumped is recomputed
 from the series a block at a time (after a jump from a filled buffer, the
-first block comes from it while the term buffer still holds it), so a
-walk holds one window-sized buffer however large its horizons are.  Every
-sum of the masses ``exp(t - m)`` of a window starts in one place,
-``_Window._sums``, which forms each block's masses and their sum
-(``logdomain._sum_exp``) in place, over the block's term logs; the block
-sums are combined with ``math.fsum``.  A window read after a sum computes
-its terms again, with the same bits.  The sums over a whole window,
-``log_F`` and the moments of ``rosenbloom``, keep the quiet-block rule
-(``_Window.read``): the quiet blocks of a declared-concave window are its
-leading blocks that end 50 or more below the max term left of the central
-index, each with a bound on its sum (``_Window.quiet``).  ``math.fsum``
-rounds correctly, so where adding the bounds leaves every sum's bits
-unchanged, adding the true block sums does too, and the quiet blocks are
-skipped with the bits of every block; otherwise they are read.
+first block comes from it while the term buffer still holds it), into the
+walk's one buffer, so a walk holds one window-sized buffer however large
+its horizons are.  Every sum of the masses ``exp(t - m)`` of a window
+starts in one place, ``_Window._sums``, which forms each block's masses and
+their sum (``logdomain._sum_exp``) in place, over the block's term logs;
+the block sums are combined with ``math.fsum``.  A window read after a sum
+computes its terms again, with the same bits.  The sums over a whole
+window, ``log_F`` and the moments of ``rosenbloom``, keep the quiet-block
+rule (``_Window.read``): the quiet blocks of a declared-concave window are
+its leading blocks that end 50 or more below the max term left of the
+central index, each with a bound on its sum (``_Window.quiet``).
+``math.fsum`` rounds correctly, so where adding the bounds leaves every
+sum's bits unchanged, adding the true block sums does too, and the quiet
+blocks are skipped with the bits of every block; otherwise they are read.
 Readers that need every term (the distribution, sampled maxima and window
-sums) read them all.  A source computes only the indices asked for:
-closed forms, monomials and coefficient arrays included, hold none, and a
-walk keeps their first block for all its radii.  Only a recurrence keeps
-what it computed, in chunks at fixed places (``_PrefixSource``); one with
+sums) read them all.  A source computes only the indices asked for: closed
+forms, monomials and coefficient arrays included, hold none, and a walk
+keeps their first block for all its radii.  Only a recurrence keeps what it
+computed, in chunks at fixed places (``_PrefixSource``); one with
 checkpoints keeps its first chunks, up to a cache, and computes the later
-ones again from the checkpoint before them.  A grid may start at ``r =
-0``, the single-term window ``[log|a_0|]``.
+ones again from the checkpoint before them.  A grid may start at ``r = 0``,
+the single-term window ``[log|a_0|]``.
 """
 
 from __future__ import annotations
@@ -539,37 +540,18 @@ class _FirstBlock(_PrefixSource):
             self._series._write_terms(t[k:], x, lo + k)
 
 
-class _Buffers:
-    """What a walk keeps from one radius to the next: the writer of the
-    term logs, ``terms(t, x, lo)`` (``source.terms``, see
-    :class:`PowerSeries`), which holds the first block of coefficients of a
-    series whose source holds no prefix, and one buffer, of term logs and
-    of the masses that pass 2 writes over them.
-
-    ``get(need, keep)`` returns the buffer with room for ``need`` values
-    and its first ``keep`` values kept; it grows to twice what is asked, at
-    most :func:`_buffer_size` values, so a walk of small windows keeps a
-    small buffer, and the pages of the spare room cost no resident memory
-    until they are written.
-    """
-
-    def __init__(self, series: PowerSeries):
-        self.terms = series._write_terms if isinstance(
-            series._source, _PrefixSource) else _FirstBlock(series).terms
-        self._array = np.empty(0)
-
-    def get(self, need: int, keep: int = 0) -> np.ndarray:
-        buf = self._array
-        if need > buf.size:
-            self._array = np.empty(max(need, min(2 * need, _buffer_size())))
-            self._array[:keep] = buf[:keep]
-        return self._array
+def _writer(series: PowerSeries):
+    """The writer of a walk's term logs, ``terms(t, x, lo)``
+    (``source.terms``, see :class:`PowerSeries`), which holds the first
+    block of coefficients of a series whose source holds no prefix."""
+    return series._write_terms if isinstance(
+        series._source, _PrefixSource) else _FirstBlock(series).terms
 
 
 def _fill_terms(terms, out: np.ndarray, x: float, lo: int) -> None:
     """Write the term logs ``log|a_n| + n*x`` for ``lo <= n < lo +
     out.size`` into ``out``, piece by piece, by ``terms(t, x, a)`` (the
-    walk's writer, :class:`_Buffers`).
+    walk's writer, :func:`_writer`).
 
     Built elementwise, ``n*x`` and then ``log|a_n|`` added, so a window
     filled piece by piece repeats the values of one filled at once bit for
@@ -714,7 +696,8 @@ def _jump(series: PowerSeries, terms, x: float, log_tail_tol: float,
 
 
 def _scan(series: PowerSeries, x: float, tol: float,
-          start: int = _FIRST_WINDOW, bufs: _Buffers | None = None) -> tuple:
+          start: int = _FIRST_WINDOW, terms=None,
+          buf: np.ndarray | None = None) -> tuple:
     """Pass 1: scan the term logs at ``x = log r`` for the horizon of ``tol``.
 
     The window starts at ``start`` terms (at least 512, at most
@@ -731,15 +714,15 @@ def _scan(series: PowerSeries, x: float, tol: float,
     later one.
     Where the max ``(log_mu, nu)`` that the rule read lies before the
     resume point, it is the next step's ``prior``, not read again.
-    The terms live in the term buffer of ``bufs`` (new ones if not given),
-    which holds at most :func:`_buffer_size` of them: the window grows in
-    place while it fits, and then slides, keeping the ``TAIL_RUN + 1``
-    terms the search resumes at; while ``start`` is ahead, each step fills
-    the buffer.  A series declared concave (``concave_from``) whose first
-    buffer fills without a horizon jumps instead (:func:`_jump`): it reads
-    slabs around its peak and its horizon and certifies that every term it
-    skips leaves the slide's result unchanged; if a certificate fails, it
-    slides.  One whose ``start`` is at or past the buffer's size first
+    The terms come from the walk's writer ``terms`` (:func:`_writer`) and
+    live in its term buffer ``buf`` of :func:`_buffer_size` values (new
+    ones if not given): the window grows in place while it fits, and then
+    slides, keeping the ``TAIL_RUN + 1`` terms the search resumes at;
+    while ``start`` is ahead, each step fills the buffer.  A series
+    declared concave (``concave_from``) whose first buffer fills without a
+    horizon jumps instead (:func:`_jump`): it reads slabs around its peak
+    and its horizon and certifies that every term it skips leaves the
+    slide's result unchanged; if a certificate fails, it slides.  One whose ``start`` is at or past the buffer's size first
     reads ``t[n0]`` and the buffer's last two terms: where their margins
     beat :func:`_slack`, the exact terms rise to the buffer's end, so its
     max is its last term and it holds no horizon, and the scan jumps
@@ -753,7 +736,8 @@ def _scan(series: PowerSeries, x: float, tol: float,
     """
     log_tail_tol = math.log(tol / TAIL_RUN)
     size = _buffer_size()
-    bufs = _Buffers(series) if bufs is None else bufs
+    terms = _writer(series) if terms is None else terms
+    buf = np.empty(size) if buf is None else buf
     start = min(max(start, _FIRST_WINDOW), HARD_CAP)
     lo, prior = 0, (LOG_ZERO, -1)
     base, stop, grown = 0, 0, min(start, size)  # buf[i] holds t[base + i]
@@ -767,17 +751,16 @@ def _scan(series: PowerSeries, x: float, tol: float,
         # t[size - 1] lies below it and above its running max less the
         # slack: the buffer's max is its last term, and no term of it is
         # small.  A finite slack needs finite ends.
-        (t_n0,) = _read(bufs.terms, x, n0, n0 + 1)
-        before, last = _read(bufs.terms, x, size - 2, size)
+        (t_n0,) = _read(terms, x, n0, n0 + 1)
+        before, last = _read(terms, x, size - 2, size)
         slack = _slack(x, size, t_n0, last)
         if slack < min(-log_tail_tol, last - before):
-            scan = _jump(series, bufs.terms, x, log_tail_tol, size, t_n0,
-                         last, (last, size - 1))
+            scan = _jump(series, terms, x, log_tail_tol, size, t_n0, last,
+                         (last, size - 1))
             if scan is not None:
                 return scan, None, scan.horizon + TAIL_RUN + 1
     while True:
-        buf = bufs.get(grown - base, stop - base)
-        _fill_terms(bufs.terms, buf[stop - base:grown - base], x, stop)
+        _fill_terms(terms, buf[stop - base:grown - base], x, stop)
         stop = grown
         scan, seen = False, None
         if peaked and base == 0 and n0 < stop:
@@ -797,7 +780,7 @@ def _scan(series: PowerSeries, x: float, tol: float,
         if stop >= HARD_CAP:
             raise _no_horizon(series, x)
         if stop == size and base == 0 and n0 is not None and n0 < stop:
-            scan = _jump(series, bufs.terms, x, log_tail_tol, size, buf[n0],
+            scan = _jump(series, terms, x, log_tail_tol, size, buf[n0],
                          buf[stop - 1],
                          seen or _last_max(buf[lo:stop], lo, prior))
             if scan is not None:
@@ -823,23 +806,24 @@ class _Window:
     A range of at most :func:`_buffer_size` terms is one block, a longer
     one blocks of ``_BLOCK_TERMS``.  A window that never slid is its
     in-memory buffer ``t``; one that slid or jumped is recomputed from the
-    series, one block at a time, into the term buffer of ``bufs``, except
-    that after a jump from a filled first buffer ``t`` is that buffer,
-    which serves the reads inside it until the first block is recomputed
-    over it.  A sum (:meth:`_sums`) writes the masses over the terms, so
-    the window then drops ``t``, and later reads compute their blocks
-    again, with the bits the scan gave them.  The ``r = 0`` window
-    ``[log|a_0|]`` hands out a new array per read, as ``0 * log 0`` is no
-    term.  A block is valid until the next one is read and must not be
-    written but by :meth:`_sums`.  ``log_F``, the log-sum-exp of the
-    window, is summed when it is first read.
+    series by the walk's writer ``terms``, one block at a time, into the
+    first values of the walk's term buffer ``buf``, except that after a
+    jump from a filled first buffer ``t`` is that buffer, which serves the
+    reads inside it until the first block is recomputed over it.  A sum
+    (:meth:`_sums`) writes the masses over the terms, so the window then
+    drops ``t``, and later reads compute their blocks again, with the bits
+    the scan gave them.  The ``r = 0`` window ``[log|a_0|]`` hands out a
+    new array per read, as ``0 * log 0`` is no term.  A block is valid
+    until the next one is read and must not be written but by
+    :meth:`_sums`.  ``log_F``, the log-sum-exp of the window, is summed
+    when it is first read.
     """
 
-    def __init__(self, x, scan: _Scan, size, t, bufs, log_F=None,
+    def __init__(self, x, scan: _Scan, size, t, terms, buf, log_F=None,
                  concave_from=None):
         self.x, self.size, self._n0 = x, size, concave_from
         self.log_mu, self.nu, self.horizon = scan.log_mu, scan.nu, scan.horizon
-        self._t, self._bufs, self._log_F = t, bufs, log_F
+        self._t, self._terms, self._buf, self._log_F = t, terms, buf, log_F
 
     def blocks(self, lo: int = 0, hi: int | None = None,
                first: int | None = None):
@@ -855,8 +839,8 @@ class _Window:
                 yield a, self._t[a:b]
             else:
                 self._t = None  # the term buffer holds other terms now
-                out = self._bufs.get(b - a)[:b - a]
-                _fill_terms(self._bufs.terms, out, self.x, a)
+                out = self._buf[:b - a]
+                _fill_terms(self._terms, out, self.x, a)
                 yield a, out
 
     def _sums(self, lo: int, hi: int, m: float, first: int | None = None):
@@ -900,7 +884,7 @@ class _Window:
         least subnormal per term, for the roundings of ``exp`` and of the
         sum.  ``(0, 0.0)`` for an undeclared series or a window of one
         block."""
-        n0, step, x, terms = self._n0, _BLOCK_TERMS, self.x, self._bufs.terms
+        n0, step, x, terms = self._n0, _BLOCK_TERMS, self.x, self._terms
         if n0 is None or self.size <= _buffer_size() \
                 or not math.isfinite(self.log_mu):
             return 0, 0.0
@@ -966,8 +950,9 @@ def _walk(series: PowerSeries, xs, tol: float, point,
     other x is one scan (pass 1), starting from the previous radius's final
     window.  ``window`` is the :class:`_Window` cut at the horizon.  Pass 2
     runs only for a ``point`` that reads the window or its ``log_F``.
-    ``point`` must not keep the window: the walk's buffers
-    (:class:`_Buffers`) serve every radius in turn.
+    ``point`` must not keep the window: the walk makes its writer of term
+    logs (:func:`_writer`) and its one term buffer of :func:`_buffer_size`
+    values once, and they serve every radius in turn.
     """
     if series._known_all_zero:
         raise DegenerateSeriesError(
@@ -985,7 +970,7 @@ def _walk(series: PowerSeries, xs, tol: float, point,
             f"threshold max_term * tol / {TAIL_RUN} exceeds every term, and "
             f"no horizon is ever accepted, got {tol!r}")
     log_R = math.log(series.radius)
-    bufs = _Buffers(series)
+    terms, buf = _writer(series), np.empty(_buffer_size())
     start, out = _FIRST_WINDOW, []
     k = series.monomial_degree
     closed = k is not None and k + TAIL_RUN + 2 <= HARD_CAP
@@ -999,16 +984,16 @@ def _walk(series: PowerSeries, xs, tol: float, point,
         if x == -math.inf:
             t, log_F = None, series.log_coeff(0)
             scan = _Scan(log_F, 0, (series.monomial_degree or 0) + 1)
-            window = _Window(x, scan, 1, t, bufs, log_F)
+            window = _Window(x, scan, 1, t, terms, buf, log_F)
         elif closed:  # z^k: its one finite term is the max and the sum
             t, log_mu = None, k * x + series.log_coeff(k)  # as _fill_terms
-            window = _Window(x, _Scan(log_mu, k, k + 1), k + 2, t, bufs,
-                             log_mu)
+            window = _Window(x, _Scan(log_mu, k, k + 1), k + 2, t, terms,
+                             buf, log_mu)
         else:
-            scan, t, start = _scan(series, x, tol * scale, start, bufs)
+            scan, t, start = _scan(series, x, tol * scale, start, terms, buf)
             size = scan.horizon + 1
             window = _Window(x, scan, size, None if t is None else t[:size],
-                             bufs, concave_from=series.concave_from)
+                             terms, buf, concave_from=series.concave_from)
         out.append(point(window))
         del t, window  # no window outlives its point
     return out
@@ -1031,7 +1016,12 @@ def truncation_horizon(series: PowerSeries, r: float, tol: float) -> int:
 
 
 def log_max_term(series: PowerSeries, r: float) -> MaxTermResult:
-    """Max term log and central index at radius ``r``; ties break upward."""
+    """Max term log and central index at radius ``r``.
+
+    Ties break upward among the computed terms: ``central_index`` is the
+    last index holding the largest computed term.  Terms tied in exact
+    arithmetic may round apart, so an exact tie can land on any of its
+    indices."""
     return _at(series, r, DEFAULT_TOL,
                lambda window: MaxTermResult(window.log_mu, window.nu))
 

@@ -1151,7 +1151,7 @@ def test_terms_written_in_place_keep_their_bits(make, r):
     ``PowerSeries._terms`` bit for bit: from ``lo = 0``, across the first
     block's cap in one piece, and past it."""
     series, x = make(), math.log(r)
-    terms = series_mod._Buffers(series).terms
+    terms = series_mod._writer(series)
     want = series._terms(x, CAP + 3 * 2 ** 16)
     for lo, hi in ((0, 3), (CAP - 7, CAP + 70_000),
                    (CAP + 2 ** 16, CAP + 3 * 2 ** 16)):
@@ -1165,7 +1165,7 @@ def test_in_place_formulas_keep_their_first_coefficients():
     x = math.log(0.9)
     for eps in (0.5, 0.3):
         series = family("suleimanov", epsilon=eps)
-        terms = series_mod._Buffers(series).terms
+        terms = series_mod._writer(series)
         assert series.log_coeffs(3)[0] == LOG_ZERO
         assert series_mod._read(terms, x, 0, 3)[0] == LOG_ZERO
         assert series_mod._read(terms, x, 1, 3)[0] == x + 1.0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wvlab import (
+    DivergenceError,
     DomainError,
     IntervalSet,
     ValidationError,
@@ -176,6 +177,17 @@ def test_final_density_is_exact():
     # endpoint arithmetic only: representable endpoints give exact quotients
     E = IntervalSet.from_pairs([(0.75, 0.875)], 1.0)
     assert final_density(E, 0.5) == 0.25
+
+
+def test_quadrature_that_runs_out_of_levels_raises():
+    """A step weight defeats the Richardson refinement: when the levels run
+    out the quadrature raises, naming its interval and tolerance, instead
+    of returning its last estimate (0.6001302083333332 of the exact 0.6)."""
+    from wvlab.measures import _integrate_smooth
+
+    step = h_custom(lambda r: 1.0 if r < 0.5 else 2.0, 0.0, 1.0).weight
+    with pytest.raises(DivergenceError, match=r"\[0\.3, 0\.7\].*1e-12"):
+        _integrate_smooth(step, 0.3, 0.7, 1e-12, max_level=10)
 
 
 # --------------------------------------------------------------------------

@@ -76,17 +76,17 @@ def run_both(mode, argv, sections, tmp_path):
 def scan_windows(monkeypatch):
     """A weak reference to each ``series._scan`` term buffer, in call order.
 
-    A walk reuses one term buffer for all its radii, and replaces it only
-    to grow it.  So when a scan ends, every earlier buffer but the one it
-    filled must be gone: a walk that kept the previous window while a scan
-    grew the buffer, or that made a buffer per radius, would hold two.
+    A walk makes one term buffer for all its radii, and every scan of the
+    walk writes into it.  So when a scan ends, every earlier buffer but the
+    one it filled must be gone: a walk that made a buffer per radius, or a
+    window that outlived its walk, would hold two.
     """
     windows = []
     scan = series_mod._scan
 
-    def counted(series, x, tol, start, bufs):
-        found = scan(series, x, tol, start, bufs)
-        current = bufs.get(0)
+    def counted(series, x, tol, start, terms, buf):
+        found = scan(series, x, tol, start, terms, buf)
+        current = buf
         assert all(w() is None or w() is current for w in windows), \
             "a window outlived its point"
         windows.append(weakref.ref(current))

@@ -878,21 +878,24 @@ def test_sampled_max_reads_the_scans_terms():
 
 
 def test_a_walk_holds_one_window_buffer():
-    """Pass 2 forms the masses over the terms, so a walk holds one window
-    of 431,212 terms, not two: the peak stays below the first block's
-    coefficients (``_FirstBlock``, at most one buffer's worth), one
-    buffer, the exact sum's scratch and 1 MB of slack, which covers a
-    fill's index array of ``_FILL_TERMS`` values (0.5 MB).  A second
-    window-sized array (4.2 MB) breaks it."""
+    """Pass 2 forms the masses over the terms, and a walk makes its one
+    term buffer once, so a walk holds one buffer, not two: the peak stays
+    below the first block's coefficients (``_FirstBlock``, at most one
+    buffer's worth), one buffer, the exact sum's scratch and 1 MB of
+    slack, which covers a fill's index array of ``_FILL_TERMS`` values
+    (0.5 MB).  At ``r = 0.999`` the window of 431,212 terms never slides;
+    at ``r = 0.9999`` a window of 30M terms jumps and is read back block by
+    block.  A second buffer-sized array (4.2 MB) breaks it."""
     from wvlab.logdomain import _PIECE
 
-    series, x = in_buffer()
-    tracemalloc.start()
-    try:
-        log_positive_value(series, math.exp(x))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert truncation_horizon(series, math.exp(x), 1e-9) == 431_211
+    series = family("suleimanov", epsilon=0.5)
     buffer = series_mod._buffer_size() * 8
-    assert peak < 2 * buffer + _PIECE * 8 + 2 ** 20
+    for r, horizon in ((0.999, 431_211), (0.9999, 30_206_863)):
+        tracemalloc.start()
+        try:
+            log_positive_value(series, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert truncation_horizon(series, r, 1e-9) == horizon
+        assert peak < 2 * buffer + _PIECE * 8 + 2 ** 20, r
