@@ -121,13 +121,18 @@ class RadialGrid:
         Nests the original bit for bit: point ``factor * k`` is
         ``self.points[k]``, so a walk of the refined grid evaluates every
         base radius exactly.  The points in between follow the scheme with
-        ratio ``q ** (1 / factor)``.
+        ratio ``q ** (1 / factor)``.  Like the constructors, it refuses more
+        than ``MAX_GRID_POINTS`` points before it builds any.
         """
         if not isinstance(factor, int) or factor < 2:  # bools are < 2
             raise ValidationError(
                 f"refinement factor must be an integer >= 2, got {factor!r}")
-        q_new = self.q ** (1.0 / factor)
         count_new = factor * (self.count - 1) + 1
+        if count_new > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"refining {self.count} points by {factor} makes "
+                f"{count_new}, past the cap of {MAX_GRID_POINTS}")
+        q_new = self.q ** (1.0 / factor)
         gap = self.R - self.r0
 
         def point(k):
@@ -433,9 +438,10 @@ def optimality_check(
     ``c_low`` is the grid minimum of the ratio in log domain; its value on
     the grid refined x2 is part of the result.  One walk covers both: the
     refined grid holds the base radii bit for bit at its even indices, and
-    the CSV rows are those base points.  Points where the expression is
-    undefined (the log factor not yet positive) are skipped, and the base
-    ones counted.
+    the CSV rows are those base points.  So ``grid`` may hold at most
+    ``MAX_GRID_POINTS // 2`` (500,000) points.  Points where the expression
+    is undefined (the log factor not yet positive) are skipped, and the
+    base ones counted.
     """
     if grid.R != 1.0:
         raise ValidationError("the lower-bound ratio lives on the unit disk")

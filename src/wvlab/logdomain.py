@@ -10,13 +10,12 @@ quiet-block rule that ``series`` describes, which ``absorbs`` decides).
 Both sum by the one kernel (``_sum_exp``): exactly rounded up to
 ``_FSUM_CUTOFF`` terms, and pairwise (``np.sum``) beyond it.  The exact
 sums come from an array kernel (``_exact_sum``) that gives the bits
-``math.fsum`` gives: error-free extraction splits the values into a part
-whose sum ``np.sum`` forms exactly and residuals whose sum it forms within
-a known bound, and a certificate decides when that fixes the rounding;
-where it does not, further levels of extraction do.  It holds one array of
-``_PIECE`` values, whatever the input's size.  A window of one block keeps
-the bits of ``log_sum_exp``; a split into several blocks can move the last
-bit.
+``math.fsum`` gives: one loop of error-free extraction splits the values
+into levels whose sums ``np.sum`` forms exactly and residuals whose sum it
+forms within a known bound, one more level each pass, until a certificate
+decides that this fixes the rounding.  It holds one array of ``_PIECE``
+values, whatever the input's size.  A window of one block keeps the bits
+of ``log_sum_exp``; a split into several blocks can move the last bit.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ _FSUM_CUTOFF = 1 << 17
 # rounding is exact and every residual is 0.
 _LEVEL_BITS = 35
 _LAST_LEVEL = -(-1074 // _LEVEL_BITS)
-# _exact_sum's scratch: a piece of level 1, or two half pieces of the
-# levels after it; the allocator reuses temporaries this small, while each
-# fresh page of a large one costs a page fault
+# _exact_sum's scratch: a piece of its first pass, or two half pieces of
+# the passes after it; the allocator reuses temporaries this small, while
+# each fresh page of a large one costs a page fault
 _PIECE = 1 << 14
 
 
@@ -53,57 +52,42 @@ def _exact_sum(x: np.ndarray) -> float:
     ``2**-35j`` up to ``2**-(35j-34)`` in size.  So with at most 2**17
     terms, each level's sum ``P_j``, and every partial sum on the way, is
     a multiple of ``2**-35j`` at most ``2**52`` times it: ``np.sum`` forms
-    it exactly in any order, a piece at a time.  ``math.fsum`` rounds
-    correctly, and correct rounding is monotone, so where the sum lies
-    within ``b`` of a known ``P`` and ``fsum(P + [-b])`` and ``fsum(P +
-    [b])`` agree, that is the sum's rounding.
+    it exactly in any order, a piece at a time.
 
-    The first certificate takes level 1 and sums its residuals, ``n``
-    values of at most ``2**-36``, by ``np.sum`` to ``q``: in any order
-    within ``(n - 1) u n 2**-36`` of their sum (``u = 2**-53``), which ``b
-    = n**2 * 2**-88`` bounds.  That is five passes over each piece of
-    ``_PIECE`` values, and it decides all but sums within ``b`` of a
-    rounding boundary.  Those take the levels from 3 on, one more at a
-    time, each pass recomputing the residuals, two half pieces at a time,
-    until ``b = n * 2**-(35L+1)`` after ``L`` levels is small enough or the
-    last level leaves every residual 0.
+    Pass ``L`` extracts ``L`` levels and sums the residuals left after
+    them, ``n`` values of at most ``2**-(35L+1)``, by ``np.sum`` to ``q``:
+    in any order within ``(n - 1) u n 2**-(35L+1)`` of their sum (``u =
+    2**-53``), which ``b = n**2 * 2**-(35L+53)`` bounds.  ``math.fsum``
+    rounds correctly, and correct rounding is monotone, so where
+    ``fsum(P + [q - b])`` and ``fsum(P + [q + b])`` agree, that is the
+    sum's rounding.  Pass 1 is five array passes over each piece of
+    ``_PIECE`` values and decides all but sums within ``b`` of a rounding
+    boundary; each later pass takes one more level, two half pieces at a
+    time, until its certificate decides or the last level leaves every
+    residual 0 and ``fsum(P)`` is the sum's rounding.
     """
     n = x.size
     scratch = np.empty(min(2 * n, _PIECE))
-    s = math.ldexp(1.5, 52 - _LEVEL_BITS)
-    p = q = 0.0
-    for a in range(0, n, _PIECE):
-        r = x[a:a + _PIECE]
-        c = scratch[:r.size]
-        np.add(r, s, out=c)
-        c -= s
-        p += float(np.sum(c))
-        np.subtract(r, c, out=c)
-        q += float(np.sum(c))
-    b = math.ldexp(n * n, -88)
-    low = math.fsum([p, q, -b])
-    if low == math.fsum([p, q, b]):
-        return low
-    levels, half = 3, _PIECE // 2
+    levels, piece = 1, _PIECE
     while True:
-        sums = [0.0] * levels
-        for a in range(0, n, half):
-            r = x[a:a + half]
+        sums = [0.0] * (levels + 1)
+        for a in range(0, n, piece):
+            r = x[a:a + piece]
             c, rest = scratch[:r.size], scratch[r.size:2 * r.size]
-            for j in range(levels):
-                s = math.ldexp(1.5, 52 - _LEVEL_BITS * (j + 1))
+            for j in range(1, levels + 1):
+                s = math.ldexp(1.5, 52 - _LEVEL_BITS * j)
                 np.add(r, s, out=c)
                 c -= s
-                sums[j] += float(np.sum(c))
-                if j + 1 < levels:
-                    r = np.subtract(r, c, out=rest)
+                sums[j - 1] += float(np.sum(c))
+                r = np.subtract(r, c, out=rest if j < levels else c)
+            sums[levels] += float(np.sum(r))
         if levels == _LAST_LEVEL:
             return math.fsum(sums)
-        b = math.ldexp(n, -_LEVEL_BITS * levels - 1)
+        b = math.ldexp(n * n, -_LEVEL_BITS * levels - 53)
         low = math.fsum([*sums, -b])
         if low == math.fsum([*sums, b]):
             return low
-        levels += 1
+        levels, piece = levels + 1, _PIECE // 2
 
 
 def _sum_exp(t: np.ndarray, m: float, out: np.ndarray) -> float:

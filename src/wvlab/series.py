@@ -123,13 +123,11 @@ class _PrefixSource:
     values from index ``cur`` on, at least ``stop - cur`` of them.  It may
     compute whole blocks or batches at fixed places, and so yield more;
     each array is written into the chunks as it comes, and the next fill
-    starts where the values end.  ``extend_to(stop)`` hands out exactly
-    ``max(stop, asked so far)`` values, and refuses a ``stop`` past
-    ``_cap`` before any fill.  A value once written is never moved or
-    written again, so a read inside one chunk (as every piece of
-    :func:`_fill_terms` is) is a view of it, and a read that spans chunks
-    is a copy.  Both are read-only, so no reader can change what later
-    reads return.
+    starts where the values end.  A read past ``_cap`` is refused before
+    any fill.  A value once written is never moved or written again, so a
+    read inside one chunk (as every piece of :func:`_fill_terms` is) is a
+    view of it, and a read that spans chunks is a copy.  Both are
+    read-only, so no reader can change what later reads return.
 
     The chunks that end at or below ``_cache`` values are kept.  Past it,
     a source keeps the chunk it is filling and the one it made or read
@@ -142,7 +140,6 @@ class _PrefixSource:
 
     _cap = HARD_CAP  # no prefix is longer
     _cache = HARD_CAP  # the chunks below this are kept
-    _size = 0  # the values asked for
     _end = 0   # the values computed
 
     def __init__(self):
@@ -192,7 +189,6 @@ class _PrefixSource:
                     _put(self._new(k), k * _FILL_TERMS, n, values)
                 n += values.size
                 self._end = n
-        self._size = max(self._size, stop)
 
     def _stored(self, k: int) -> np.ndarray:
         """Chunk ``k``, computed again into a new chunk if it was dropped."""
@@ -225,11 +221,6 @@ class _PrefixSource:
         adding a read of the prefix: a view where it lies in one chunk."""
         np.multiply(np.arange(lo, lo + t.size, dtype=float), x, out=t)
         t += self.block(lo, lo + t.size)
-
-    def extend_to(self, stop: int) -> np.ndarray:
-        """The prefix of ``max(stop, asked so far)`` values."""
-        self._extend(stop)
-        return self.block(0, self._size)
 
 
 class VectorizedSource:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -66,6 +67,29 @@ def test_grid_refinement_nests():
             fine = g.refined(factor)
             assert len(fine.points) == factor * (g.count - 1) + 1
             assert fine.points[::factor] == g.points
+
+
+def test_grid_refinement_is_capped(monkeypatch):
+    """``refined`` counts its points before it builds any: a refinement
+    by 10**9 is refused at once, and a grid of 500,000 points, the most
+    that ``optimality_check`` may be given, still refines by 2."""
+    grid = RadialGrid.geometric(1.0, 2.0, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError,
+                           match="by 1000000000 makes 1000000001, past"):
+            grid.refined(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    half = experiments.MAX_GRID_POINTS // 2
+    assert len(RadialGrid.geometric(1.0, 2.0, half).refined(2).points) \
+        == 2 * half - 1
+    monkeypatch.setattr(experiments, "MAX_GRID_POINTS", 10)
+    assert len(grid.refined(9).points) == 10
+    with pytest.raises(ValidationError, match="past the cap of 10"):
+        grid.refined(10)
 
 
 @pytest.mark.parametrize("factor", [1, 0, -2, 2.5, 2.0, "2", True])

@@ -135,12 +135,12 @@ def hidden_tie():
     return x
 
 
-# Sums within the two-level bound of a tie: each needs a third level or
-# more, and each is rounded the way math.fsum rounds it.
+# Sums within the first certificate's bound of a tie: each needs a later
+# pass, and each is rounded the way math.fsum rounds it.
 NEAR_TIES = pytest.mark.parametrize("x", [
-    [1.0, 2.0 ** -53, 2.0 ** -120],   # just above the tie, at level 4
-    [1.0, 2.0 ** -53 - 2.0 ** -105],  # just below the tie, at level 3
-    hidden_tie(),                     # above the tie by 2**-83
+    [1.0, 2.0 ** -53, 2.0 ** -120],   # just above the tie, at pass 3
+    [1.0, 2.0 ** -53 - 2.0 ** -105],  # just below the tie, at pass 2
+    hidden_tie(),                     # above the tie by 2**-83, at pass 2
 ], ids=["above", "below", "hidden"])
 
 
@@ -180,6 +180,38 @@ def test_exact_sum_of_the_largest_residuals(n, sign, monkeypatch):
     assert fsum_calls(worst_residuals(n, sign), monkeypatch) == 2
 
 
+def worst_level_two_residuals(n, sign):
+    """1.0, ``n - 2`` values that level 1 rounds to 0 and level 2 to a
+    multiple of ``2**-70``, each moved by a few ``2**-89`` less than
+    ``2**-71`` towards ``sign``, and one value that puts the exact total
+    ``2**-89`` above a half-ulp tie that rounds up: residuals of the second
+    level as large as they come, all of one sign, and a sum that the
+    second certificate's ``b = 2**-89`` at ``n = 2**17`` just decides."""
+    rng = np.random.default_rng(n)
+    m = np.ldexp(rng.integers(1, 2 ** 33, n - 2).astype(float), -70)
+    off = 2.0 ** -71 - np.ldexp(rng.integers(1, 1024, n - 2).astype(float),
+                                -89)
+    x = np.concatenate([[1.0], m + sign * off, [0.0]])
+    # every value is a multiple of 2**-89
+    total = fractions.Fraction(sum(map(int, np.ldexp(x, 89))), 2 ** 89)
+    odd = (math.floor(total * 2 ** 52) + 1) | 1  # (odd + 1/2) ulp rounds up
+    x1 = fractions.Fraction(2 * odd + 1, 2 ** 53) \
+        + fractions.Fraction(1, 2 ** 89) - total
+    x[-1] = float(x1)
+    assert x[-1] == x1
+    return x
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [_FSUM_CUTOFF, _FSUM_CUTOFF - 1])
+def test_exact_sum_of_the_largest_residuals_after_two_levels(n, sign,
+                                                             monkeypatch):
+    """The second certificate's bound ``n**2 * 2**-123`` holds where the
+    residuals after two levels are largest, at the most values it is
+    given, and decides there: four ``math.fsum`` calls."""
+    assert fsum_calls(worst_level_two_residuals(n, sign), monkeypatch) == 4
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_random_sums_decide_at_the_first_certificate(seed, monkeypatch):
     x = np.random.default_rng(seed).random(_FSUM_CUTOFF)
@@ -187,8 +219,10 @@ def test_random_sums_decide_at_the_first_certificate(seed, monkeypatch):
 
 
 @NEAR_TIES
-def test_near_ties_fall_back_to_the_levels(x, monkeypatch):
-    assert fsum_calls(np.array(x), monkeypatch) > 2
+def test_near_ties_fall_back_to_the_levels(x, monkeypatch, request):
+    """Two ``math.fsum`` calls a pass, up to the pass that decides."""
+    calls = {"above": 6, "below": 4, "hidden": 4}[request.node.callspec.id]
+    assert fsum_calls(np.array(x), monkeypatch) == calls
 
 
 @pytest.mark.parametrize("x", [
@@ -265,14 +299,14 @@ OLD_STOPS = [[65_535, 65_536, 65_537, 65_538, 131_073, 196_608],
 @functools.cache
 def kovari_int_prefix(rho):
     """The first ``LONG`` values of ``kovari(rho)`` from one call."""
-    return _KovariIntSource(rho).extend_to(LONG).copy()
+    return _KovariIntSource(rho).block(0, LONG).copy()
 
 
 @pytest.mark.parametrize("rho", STOP_RHOS)
 def test_kovari_int_one_call_per_stop_matches_one_long_call(rho):
     want = kovari_int_prefix(rho)
     for stop in block_and_batch_stops() + OLD_STOPS[0] + OLD_STOPS[1]:
-        got = _KovariIntSource(rho).extend_to(stop)
+        got = _KovariIntSource(rho).block(0, stop)
         assert got.size == stop
         assert np.array_equal(bits(got), bits(want[:stop])), stop
 
@@ -286,7 +320,7 @@ def test_kovari_int_extending_in_steps_matches_one_long_call(rho, stops):
     want = kovari_int_prefix(rho)
     source = _KovariIntSource(rho)
     for stop in stops:
-        got = source.extend_to(stop)
+        got = source.block(0, stop)
         assert got.size == stop
         assert np.array_equal(bits(got), bits(want[:stop])), stop
 
@@ -320,6 +354,15 @@ def test_kovari_unit_start_solutions_stay_finite_at_the_top_order(
         _KovariIntSource(_KOVARI_MAX_ORDER)._unit_starts(0, 1)
 
 
+def spy_asks(monkeypatch):
+    """Record the stop of every prefix a ``_KovariIntSource`` is asked
+    for, whether it fills or not."""
+    stops, extend = [], _KovariIntSource._extend
+    monkeypatch.setattr(_KovariIntSource, "_extend", lambda self, stop:
+                        stops.append(stop) or extend(self, stop))
+    return stops
+
+
 def test_kovari_int_fills_whole_batches_over_the_optimality_grid(
         monkeypatch):
     """``optimality`` on kovari(1) out to gap 1e-3 (the benchmark's seed-0
@@ -327,14 +370,14 @@ def test_kovari_int_fills_whole_batches_over_the_optimality_grid(
     and serves the next fills, so the 1.49M-term prefix, inside the cache,
     costs one ``_unit_starts`` call per ``_KOVARI_BATCH`` blocks, not one
     or more per fill: each batch is computed once, in order."""
-    calls = []
+    calls, asked = [], spy_asks(monkeypatch)
     unit_starts = _KovariIntSource._unit_starts
     monkeypatch.setattr(_KovariIntSource, "_unit_starts", lambda self, b0, b1:
                         calls.append((b0, b1)) or unit_starts(self, b0, b1))
     series = family("kovari", rho=1)
     q = (1e-3 / 0.1) ** (1 / 59)
     optimality_check(series, RadialGrid.geometric_in_gap(0.9, q, 60))
-    size = series._source._size
+    size = max(asked)
     assert 1_400_000 < size < families_mod._CACHE_TERMS
     count = math.ceil((size - 1) / (_KOVARI_BLOCK * _KOVARI_BATCH))
     assert calls == [(b0, b0 + _KOVARI_BATCH)
@@ -353,7 +396,7 @@ PAST_CACHE = 800_001
 def kovari_int_kept_prefix(rho):
     """The first ``PAST_CACHE`` values of ``kovari(rho)`` from one call,
     every chunk kept."""
-    return _KovariIntSource(rho).extend_to(PAST_CACHE).copy()
+    return _KovariIntSource(rho).block(0, PAST_CACHE).copy()
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3, _KOVARI_MAX_ORDER])
@@ -375,7 +418,7 @@ def test_kovari_int_reads_past_the_cache_match_one_call(rho, monkeypatch):
         assert np.array_equal(bits(got), bits(want[lo:hi])), (lo, hi)
         assert sum(c is not None for c in source._chunks) <= \
             SMALL_CACHE // chunk + 2
-    assert np.array_equal(bits(source.extend_to(0)), bits(want))
+    assert np.array_equal(bits(source.block(0, PAST_CACHE)), bits(want))
 
 
 def traced_peak(fn):
@@ -483,7 +526,7 @@ def test_kovari_int_matches_the_mpmath_k_sum(rho):
     import mpmath
 
     ns = KSUM_NS[rho]
-    got = _KovariIntSource(rho).extend_to(ns[-1] + 1)
+    got = _KovariIntSource(rho).block(0, ns[-1] + 1)
     for n in ns:
         want = mpmath_kovari_ksum_log(rho, n)
         err = float(abs(mpmath.mpf(float(got[n])) - want))
@@ -530,7 +573,7 @@ def mpmath_kovari_logs(rho, count, dps=40):
 @pytest.mark.parametrize("rho", INT_RHOS)
 def test_kovari_int_recurrence_matches_mpmath(rho):
     want = mpmath_kovari_logs(rho, N_ORACLE)
-    got = _KovariIntSource(rho).extend_to(N_ORACLE)[:N_ORACLE]
+    got = _KovariIntSource(rho).block(0, N_ORACLE)[:N_ORACLE]
     n = np.arange(N_ORACLE)
     assert np.all(np.abs(got - want) <= ulp_budget(rho, n))
 
@@ -541,8 +584,8 @@ def test_kovari_int_recurrence_matches_the_convolution(rho):
     recurrence's allowance of the exact values; the two then differ by at
     most twice that allowance."""
     conv = _ScaledExpSource(lambda count: binomial_series(float(rho), count))
-    want = conv.extend_to(N_ORACLE)[:N_ORACLE]
-    got = _KovariIntSource(rho).extend_to(N_ORACLE)[:N_ORACLE]
+    want = conv.block(0, N_ORACLE)[:N_ORACLE]
+    got = _KovariIntSource(rho).block(0, N_ORACLE)[:N_ORACLE]
     n = np.arange(N_ORACLE)
     assert np.all(np.abs(got - want) <= 2.0 * ulp_budget(rho, n))
 
@@ -598,7 +641,7 @@ def test_kovari_half_convolution_matches_mpmath():
 
     count = 600
     got = _ScaledExpSource(
-        lambda c: binomial_series(0.5, c)).extend_to(count)[:count]
+        lambda c: binomial_series(0.5, c)).block(0, count)[:count]
     with mpmath.workdps(40):
         kb = [k * mpmath.binomial(k - mpmath.mpf(0.5), k)
               for k in range(count)]
@@ -692,7 +735,7 @@ def test_scaled_exp_source_matches_the_seed_loop(name):
     b_fn = B_FNS[name]
     oracle, source = SeedScaledExpSource(b_fn), _ScaledExpSource(b_fn)
     for stop in (1, 300, 700, 3000):
-        want, got = oracle.extend_to(stop), source.extend_to(stop)
+        want, got = oracle.extend_to(stop), source.block(0, stop)
         assert stop <= got.size <= want.size
         assert np.allclose(got, want[:got.size], rtol=1e-13, atol=0.0), stop
     assert oracle._shift == source._shift
@@ -728,7 +771,7 @@ def test_scaled_exp_source_matches_the_direct_loop(rho):
     that an FFT product in one piece would fail every certificate."""
     count = 30_000
     want = direct_loop(kovari_b_fn(rho), count)[2]
-    got = _ScaledExpSource(kovari_b_fn(rho)).extend_to(count)[:count]
+    got = _ScaledExpSource(kovari_b_fn(rho)).block(0, count)[:count]
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
@@ -745,7 +788,7 @@ def test_kovari_blocks_keep_their_certificates(rho, monkeypatch):
         return direct(self, n0, n1)
 
     monkeypatch.setattr(_ScaledExpSource, "_direct", counted)
-    _ScaledExpSource(kovari_b_fn(rho)).extend_to(30_000)
+    _ScaledExpSource(kovari_b_fn(rho)).block(0, 30_000)
     assert fallbacks == [1]  # the first block
 
 
@@ -769,10 +812,10 @@ def test_scaled_exp_source_bits_do_not_depend_on_the_fill_steps(stops):
     losing one changes the logs without failing any certificate, which
     bounds rounding only."""
     top = max(stops)
-    want = _ScaledExpSource(kovari_b_fn(0.5)).extend_to(top)[:top]
+    want = _ScaledExpSource(kovari_b_fn(0.5)).block(0, top)[:top]
     source = _ScaledExpSource(kovari_b_fn(0.5))
     for stop in stops:
-        got = source.extend_to(stop)
+        got = source.block(0, stop)
         assert np.array_equal(bits(got), bits(want[:got.size])), stop
     assert got.size == top
 
@@ -786,7 +829,7 @@ def test_a_failed_certificate_falls_back_to_the_direct_step(name,
     monkeypatch.setattr(families_mod, "_gamma", lambda m: math.inf)
     b_fn, stop = B_FNS[name], 3000
     source = _ScaledExpSource(b_fn)
-    logs = source.extend_to(stop)[:stop]
+    logs = source.block(0, stop)[:stop]
     v, shift, _ = direct_loop(b_fn, stop)
     assert np.array_equal(bits(source._v[:stop]), bits(v))
     assert source._shift == shift
@@ -835,12 +878,12 @@ def test_overflow_past_the_fill_is_no_error():
     fill past 6048 names the overflow."""
     b_fn = kovari_b_fn(150.5)
     stepped = _ScaledExpSource(b_fn)
-    stepped.extend_to(3034)
-    got = stepped.extend_to(6043)
-    want = _ScaledExpSource(b_fn).extend_to(6043)
+    stepped.block(0, 3034)
+    got = stepped.block(0, 6043)
+    want = _ScaledExpSource(b_fn).block(0, 6043)
     assert np.array_equal(bits(got), bits(want))
     with pytest.raises(ValidationError, match="inf from n = 6048"):
-        stepped.extend_to(6049)
+        stepped.block(0, 6049)
 
 
 def test_overflow_inside_the_last_block_of_a_fill_is_raised_later():
@@ -849,13 +892,13 @@ def test_overflow_inside_the_last_block_of_a_fill_is_raised_later():
     values it keeps from 1022 on are no coefficients, so a later fill that
     reaches 1022 names the overflow instead of serving them."""
     b_fn = kovari_b_fn(300)
-    want = _ScaledExpSource(b_fn).extend_to(1022)
+    want = _ScaledExpSource(b_fn).block(0, 1022)
     source = _ScaledExpSource(b_fn)
-    got = source.extend_to(1000)
+    got = source.block(0, 1000)
     assert np.array_equal(bits(got), bits(want[:1000]))
-    assert np.array_equal(bits(source.extend_to(1022)), bits(want))
+    assert np.array_equal(bits(source.block(0, 1022)), bits(want))
     with pytest.raises(ValidationError, match="inf from n = 1022"):
-        source.extend_to(1023)
+        source.block(0, 1023)
 
 
 def test_eval_near_an_overflowing_table_succeeds(src_env):
@@ -942,11 +985,13 @@ class CountingFormula:
     lambda: _ScaledExpSource(lambda count: binomial_series(0.5, count)),
 ], ids=["kovari_int1", "kovari_int3", "scaled_exp"])
 def test_sources_fill_exactly_the_prefix_asked_for(make):
+    """A prefix read, longer or shorter than the one before, holds exactly
+    the values asked for, with the bits of a fresh source's."""
     source = make()
-    size = 0
     for stop in (1, 300, 299, 700, 701, 3000, 2000, 5000, 5001):
-        size = max(size, stop)
-        assert source.extend_to(stop).size == size, stop
+        got = source.block(0, stop)
+        assert got.size == stop
+        assert np.array_equal(bits(got), bits(make().block(0, stop))), stop
 
 
 def test_vectorized_source_computes_only_the_block_asked_for():
@@ -961,15 +1006,16 @@ def test_vectorized_source_computes_only_the_block_asked_for():
     assert vars(source) == {"_fn": fn}  # no coefficient is kept
 
 
-def test_kovari1_holds_one_growth_step_past_the_optimality_horizon():
+def test_kovari1_holds_one_growth_step_past_the_optimality_horizon(
+        monkeypatch):
     """Out to the optimality workload's last radius (gap 1e-3) kovari(1)
     computes up to one growth step past what its horizon reads, not the
     next power of two (2,097,152)."""
     q = (1e-3 / 0.1) ** (1.0 / 59)
     grid = RadialGrid.geometric_in_gap(0.9, q, 60)
-    kov = family("kovari", rho=1)
+    kov, asked = family("kovari", rho=1), spy_asks(monkeypatch)
     evaluate_grid(kov, grid, 1e-9)
-    size = kov._source.extend_to(0).size
+    size = max(asked)
     reach = truncation_horizon(kov, grid.points[-1], 1e-9) + TAIL_RUN + 1
     assert reach == 1_335_739
     step = max(reach // series_mod._GROWTH, series_mod._FIRST_WINDOW)
@@ -993,16 +1039,16 @@ def test_recurrence_sources_refuse_a_prefix_past_the_cap(cls, arg,
     """A prefix longer than the cap is refused before any fill, with a
     message that names the cap; a prefix up to the cap has the bits of an
     uncapped source's."""
-    want = cls(arg).extend_to(1000).copy()
+    want = cls(arg).block(0, 1000).copy()
     monkeypatch.setattr(series_mod._PrefixSource, "_cap", 1000)
     stops = spy_fills(monkeypatch, cls)
     source = cls(arg)
     with pytest.raises(ValidationError, match="past the cap of 1000"):
-        source.extend_to(2000)
+        source.block(0, 2000)
     assert stops == [] and source._end == 0
-    assert np.array_equal(bits(source.extend_to(1000)), bits(want))
+    assert np.array_equal(bits(source.block(0, 1000)), bits(want))
     with pytest.raises(ValidationError, match="past the cap of 1000"):
-        source.extend_to(1001)
+        source.block(0, 1001)
     assert stops == [1000]
 
 
@@ -1028,10 +1074,10 @@ def test_each_convolution_block_is_computed_once(monkeypatch):
                         starts.append(n0) or direct(self, n0, n1))
     stepped = _ScaledExpSource(kovari_b_fn(0.5))
     for stop in (1, 31, 33, 1000, 1022, 3034, 6043):
-        stepped.extend_to(stop)
+        stepped.block(0, stop)
     got = list(starts)
     starts.clear()
-    _ScaledExpSource(kovari_b_fn(0.5)).extend_to(6043)
+    _ScaledExpSource(kovari_b_fn(0.5)).block(0, 6043)
     assert got == starts
     assert got[0] == 1 and got[1:] == list(range(32, 6048, 32))
 
@@ -1049,7 +1095,7 @@ def test_the_k_b_k_table_is_built_once_per_level(fallback, monkeypatch):
                         counts.append(count) or build(self, count))
     source = _ScaledExpSource(kovari_b_fn(0.5))
     for stop in (1, 31, 33, 1000, 1100, 3034, 6043):
-        source.extend_to(stop)
+        source.block(0, stop)
     assert counts == [64, 128, 2048, 4096, 8192]
     assert source._kbr.size == 8192
 
@@ -1063,10 +1109,10 @@ def test_the_neumann_chunk_outlives_a_fill(monkeypatch):
                         held.append(self._chunk_at) or neumann(self, n0))
     stepped = _ScaledExpSource(kovari_b_fn(0.5))
     for stop in (1000, 1100, 3034, 6043):
-        stepped.extend_to(stop)
+        stepped.block(0, stop)
     got = list(held)
     held.clear()
-    _ScaledExpSource(kovari_b_fn(0.5)).extend_to(6043)
+    _ScaledExpSource(kovari_b_fn(0.5)).block(0, 6043)
     assert got == held
     assert got.count(-1) == 1  # only the first solve finds no chunk
 

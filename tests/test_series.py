@@ -259,7 +259,7 @@ def test_tolerance_above_the_tail_run_is_rejected_before_scanning(tol):
                      lambda: evaluate_grid(series, grid, tol)):
         with pytest.raises(ValidationError, match=f"at most {TAIL_RUN}:"):
             evaluate()
-    assert series._source._size == 0
+    assert series._source._end == 0
 
 
 def test_tolerance_at_the_tail_run_is_accepted(geometric_series):
